@@ -1,17 +1,14 @@
 """Micro-benchmarks of the core algorithm paths (statistical timings).
 
-The ``bench``-marked cases track the fused-sampling perf trajectory at
-k=1000: ``draw_block`` vs the per-group Python loop it replaced, and a full
-IFOCUS run through the fused executor vs ``_legacy_run_ifocus`` - a faithful
-reproduction of the pre-fusion executor (per-group draw/charge loops, dict
-column mapping, full-segment separation recomputation after every
-finalization event) driven through the same public engine API, so the two
-runs draw identical samples and produce identical results.  Export with
-``python -m repro bench-export`` (writes BENCH_micro.json).
+The ``bench``-marked cases track the fused-sampling path at k=1000:
+``draw_block`` vs the per-group Python loop it replaced, and a full IFOCUS
+run through the fused executor (whose end-to-end guard is the ``wide_k1000``
+workload of ``bench_e2e``; ``repro.core.reference`` is the correctness
+oracle).  Export with ``python -m repro bench-export`` (writes
+BENCH_micro.json).
 """
 
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,121 +69,6 @@ def _k1000_engine() -> InMemoryEngine:
     return InMemoryEngine(population)
 
 
-def _legacy_run_ifocus(engine, *, delta=0.05, seed=None, initial_batch=64, max_batch=1 << 18):
-    """The pre-fusion IFOCUS executor, reproduced via the public engine API.
-
-    One ``run.draw``/``run.charge`` Python call per group per batch, a dict
-    for the survivor column mapping, and a batch walk that recomputes the
-    epsilon segment and the full remaining separation matrix after every
-    finalization event - exactly the per-group-loop hot path this PR
-    replaced.  Draws the same samples as :func:`run_ifocus` (per-group
-    streams are shared through the engine), so results must match.
-    """
-    run = engine.open_run(seed, without_replacement=True)
-    k = run.k
-    sizes = run.sizes()
-    schedule = EpsilonSchedule(k, delta, c=run.c)
-    sums = np.zeros(k)
-    estimates = np.zeros(k)
-    samples = np.zeros(k, dtype=np.int64)
-    half_widths = np.zeros(k)
-    finalized_round = np.zeros(k, dtype=np.int64)
-    exhausted = np.zeros(k, dtype=bool)
-    active = np.ones(k, dtype=bool)
-
-    def finalize(gid, est, round_m, half_width, consumed, is_exhausted):
-        active[gid] = False
-        estimates[gid] = est
-        samples[gid] += consumed
-        half_widths[gid] = half_width
-        finalized_round[gid] = round_m
-        exhausted[gid] = is_exhausted
-        run.charge(gid, consumed)
-
-    for gid in range(k):
-        value = float(run.draw(gid, 1)[0])
-        sums[gid] = value
-        estimates[gid] = value
-        run.charge(gid, 1)
-    samples[:] = 1
-    m = 1
-    batch = int(initial_batch)
-    while active.any():
-        for gid in np.flatnonzero(active & (sizes <= m)):
-            finalize(int(gid), run.exact_mean(int(gid)), m, 0.0, 0, True)
-        if not active.any():
-            break
-        active_idx = np.flatnonzero(active)
-        b_eff = max(min(batch, int(sizes[active_idx].min()) - m), 1)
-        rounds = np.arange(m + 1, m + b_eff + 1, dtype=np.float64)
-        blocks = np.stack([run.draw(int(g), b_eff) for g in active_idx], axis=1)
-        csums = np.cumsum(blocks, axis=0) + sums[active_idx][None, :]
-        prefix = csums / rounds[:, None]
-
-        live = np.arange(active_idx.shape[0])
-        frozen = estimates[exhausted]
-        row = 0
-        while row < b_eff and live.size > 0:
-            gids = active_idx[live]
-            n_max = float(sizes[gids].max())
-            eps_seg = np.asarray(schedule(rounds[row:], n_max), dtype=np.float64)
-            sep = separated_equal_width_batch(prefix[row:, live], eps_seg)
-            if frozen.size:
-                seg = prefix[row:, live]
-                for value in frozen:
-                    sep &= np.abs(seg - value) > eps_seg[:, None]
-            sep_rows = np.flatnonzero(sep.any(axis=1))
-            if not sep_rows.size:
-                row = b_eff
-                break
-            event = int(sep_rows[0])
-            abs_row = row + event
-            eps_here = float(eps_seg[event])
-            round_m = int(rounds[abs_row])
-            newly = np.flatnonzero(sep[event])
-            for j in newly:
-                pos = int(live[j])
-                finalize(
-                    int(active_idx[pos]),
-                    float(prefix[abs_row, pos]),
-                    round_m,
-                    eps_here,
-                    abs_row + 1,
-                    False,
-                )
-            live = np.delete(live, newly)
-            row = abs_row + 1
-
-        survivors = np.flatnonzero(active)
-        if survivors.size:
-            col_of = {int(g): i for i, g in enumerate(active_idx)}
-            cols = np.array([col_of[int(g)] for g in survivors], dtype=np.int64)
-            sums[survivors] = csums[-1, cols]
-            estimates[survivors] = prefix[-1, cols]
-            samples[survivors] += b_eff
-            for g in survivors:
-                run.charge(int(g), b_eff)
-        m += b_eff
-        batch = min(batch * 2, max_batch)
-    # Result assembly exactly as the pre-fusion executor wrote it, including
-    # its per-group ``run.group_names()[i]`` call (O(k) names rebuilds).
-    groups = [
-        SimpleNamespace(
-            index=i,
-            name=run.group_names()[i],
-            estimate=float(estimates[i]),
-            samples=int(samples[i]),
-            half_width=float(half_widths[i]),
-            exhausted=bool(exhausted[i]),
-            finalized_round=int(finalized_round[i]),
-        )
-        for i in range(k)
-    ]
-    return SimpleNamespace(
-        estimates=estimates.copy(), samples_per_group=samples.copy(), groups=groups
-    )
-
-
 @pytest.mark.bench
 def test_bench_draw_block_k1000(benchmark):
     """Fused block draw: 64 rounds x 1000 groups in one gather."""
@@ -238,20 +120,3 @@ def test_bench_ifocus_k1000_fused(benchmark):
     )
     benchmark.extra_info["k"] = _K_LARGE
     assert result.k == _K_LARGE
-
-
-@pytest.mark.bench
-def test_bench_ifocus_k1000_legacy(benchmark):
-    """Same run through the vendored pre-fusion executor (the baseline)."""
-    engine = _k1000_engine()
-    fused = run_ifocus(engine, delta=0.05, seed=33)
-    result = benchmark.pedantic(
-        lambda: _legacy_run_ifocus(engine, delta=0.05, seed=33),
-        rounds=5,
-        iterations=1,
-        warmup_rounds=1,
-    )
-    benchmark.extra_info["k"] = _K_LARGE
-    # Apples to apples: identical draws, identical results.
-    assert np.allclose(result.estimates, fused.estimates)
-    assert np.array_equal(result.samples_per_group, fused.samples_per_group)

@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import connect
+from repro import SourceSpec, connect
 from repro.serve import QueryService, serve_in_thread
 
 FLIGHTS_SQL = "SELECT carrier, AVG(arrival_delay) FROM flights GROUP BY carrier"
@@ -39,7 +39,7 @@ _HOT_REQUESTS = 300
 
 def _boot(rows: int):
     session = connect(delta=0.1, seed=0)
-    session.register_flights("flights", rows=rows, seed=0)
+    session.attach("flights", SourceSpec("flights", rows=rows, seed=0))
     service = QueryService(session, sessions=2, default_seed=0)
     return serve_in_thread(service)
 

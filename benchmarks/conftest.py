@@ -19,7 +19,7 @@ from repro.experiments import current_scale
 def pytest_collection_modifyitems(config, items):
     """Deselect ``bench``-marked items unless explicitly requested.
 
-    The heavy perf-trajectory benchmarks (k=1000 fused vs legacy runs) are
+    The heavy perf-trajectory benchmarks (the k=1000 fused runs) are
     not part of the tier-1 suite; ``REPRO_RUN_BENCH=1`` (set by
     ``python -m repro bench-export`` / scripts/bench_export.py) enables them.
     Deselection (rather than skip markers or collection errors) keeps

@@ -36,7 +36,7 @@ def main() -> None:
     # -- chunked CSV with predicate pushdown --------------------------------
     path = os.path.join(tempfile.mkdtemp(), "trips.csv")
     write_demo_csv(path)
-    session.register_csv("trips", path, group_columns=["city"], chunk_rows=8_192)
+    session.attach("trips", path, group_columns=["city"], chunk_rows=8_192)
 
     info = session.describe_table("trips")
     print(f"registered {info.description}: {info.row_count_hint:,} rows")
@@ -72,7 +72,7 @@ def main() -> None:
             v = np.array([base[x] for x in g]) + rng.normal(0, 4, size=2_000)
             yield {"sensor": g, "value": np.clip(v, 0, 100)}
 
-    session.register_source("feed", repro.IteratorSource(chunk_factory))
+    session.attach("feed", repro.IteratorSource(chunk_factory))
     feed = (
         session.table("feed").group_by("sensor").agg(repro.avg("value")).run(seed=5)
     )
@@ -81,8 +81,11 @@ def main() -> None:
     # -- a synthetic generator spec as a relation ---------------------------
     # Virtual populations (distribution-backed, here 10M nominal rows) flow
     # straight into the population engine - no rows are ever materialized.
-    session.register_synthetic(
-        "bench", "mixture", k=8, total_size=10_000_000, seed=42
+    session.attach(
+        "bench",
+        repro.SourceSpec(
+            "synthetic", family="mixture", k=8, total_size=10_000_000, seed=42
+        ),
     )
     bench = (
         session.table("bench").group_by("g").agg(repro.avg("value")).run(seed=6)

@@ -31,7 +31,7 @@ QUERIES = [
 
 def main() -> None:
     session = repro.connect(delta=0.05)
-    session.register_flights("flights", rows=150_000, seed=23)
+    session.attach("flights", repro.SourceSpec("flights", rows=150_000, seed=23))
     for sql in QUERIES:
         print("=" * 72)
         print(sql.strip())

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: lint (ruff, when available) + the tier-1 test suite.
+# CI gate: lint (ruff, when available) + the tier-1 test suite + (full gate
+# only) every examples/*.py under -W error::DeprecationWarning.
 #
 # Usage:  scripts/ci.sh [extra pytest args...]
 #
@@ -30,7 +31,16 @@ else
     echo "== ruff not installed; skipping lint (pip install ruff to enable) =="
 fi
 
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
 echo "== tier-1 tests =="
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q "$@"
+python -m pytest -x -q "$@"
+
+if [ "$#" -eq 0 ]; then
+    echo "== examples (DeprecationWarning is an error) =="
+    for example in examples/*.py; do
+        python -W error::DeprecationWarning "$example" >/dev/null
+    done
+fi
 
 echo "== CI OK =="

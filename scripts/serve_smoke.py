@@ -36,7 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro import connect  # noqa: E402
+from repro import SourceSpec, connect  # noqa: E402
 from repro.engines.shm import REGISTRY  # noqa: E402
 from repro.serve import QueryService, serve_in_thread  # noqa: E402
 
@@ -104,8 +104,11 @@ def main() -> int:
     args = parser.parse_args()
 
     session = connect(delta=0.1, seed=0)
-    session.register_flights("flights", rows=args.rows, seed=0)
-    session.register_synthetic("slow", "hard", k=4, gamma=0.01, group_size=5_000_000)
+    session.attach("flights", SourceSpec("flights", rows=args.rows, seed=0))
+    session.attach(
+        "slow",
+        SourceSpec("synthetic", family="hard", k=4, gamma=0.01, group_size=5_000_000),
+    )
     service = QueryService(session, sessions=2, default_seed=0)
     handle = serve_in_thread(service)
     print(f"serving on {handle.url}")

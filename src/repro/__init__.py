@@ -52,31 +52,14 @@ Guarantee variants chain onto any query: ``.top(5)`` (§6.1.2), ``.trends()``
 ``.guarantee(delta=..., resolution=...)`` (Problem 2), and
 ``.on_engine("memory" | "needletail" | "noindex")`` picks the substrate.
 
-Migration from the deprecated pre-Session entrypoints (all keep working
-throughout 1.x, each emits a :class:`DeprecationWarning`):
-
-=============================  =============================================
-Legacy entrypoint              Session API equivalent
-=============================  =============================================
-``run_ifocus(engine)``         ``session.table(t).group_by(X).agg(avg(Y)).run()``
-``run_ifocus_sum(engine)``     ``....agg(total(Y)).run()``
-``run_count_known(engine)``    ``....agg(count("*")).run()``
-``run_ifocus_multi_avg(...)``  ``....agg(avg(Y), avg(Z)).run()``
-``run_multi_groupby(...)``     ``....group_by(X, Z).agg(avg(Y)).run()``
-``run_ifocus_topt(engine, t)`` ``....agg(avg(Y)).top(t).run()``
-``run_ifocus_trends(engine)``  ``....agg(avg(Y)).trends().run()``
-``run_ifocus_values(...)``     ``....agg(avg(Y)).values(within=d).run()``
-``run_ifocus_mistakes(...)``   ``....agg(avg(Y)).mistakes(gamma).run()``
-``run_noindex(engine)``        ``....agg(avg(Y)).on_engine("noindex").run()``
-``run_ifocus_partial(...)``    ``for u in ....stream(): ...``
-``stream_partial_results(..)`` ``....stream()``
-``execute_query(sql, tables)`` ``session.sql(sql).run()``
-=============================  =============================================
-
-The algorithm layer (``run_irefine``, ``run_roundrobin``, ``run_scan``,
-``run_ifocus_reference``, ``run_algorithm``) stays public and undeprecated:
-it is what the Session planner itself dispatches to, reachable from the
-Session API via ``.using("irefine")`` etc.
+The algorithm layer stays public, one name per implementation - it is what
+the Session planner itself dispatches to, for engine-level work on hand-built
+populations: ``run_algorithm`` plus ``run_ifocus``, ``run_irefine``,
+``run_roundrobin``, ``run_scan`` and the ``run_ifocus_reference`` oracle
+here, and the Section 6 variants (``run_ifocus_sum``, ``run_count_known``,
+``run_ifocus_multi_avg``, ``run_ifocus_topt``, ``run_ifocus_trends``,
+``run_ifocus_values``, ``run_ifocus_mistakes``, ``run_noindex``) in
+:mod:`repro.extensions`.
 """
 
 from repro.core import (
@@ -123,14 +106,13 @@ from repro.session import (
     avg,
     connect,
     count,
-    load_csv_table,
     register_engine,
     sum_,
     total,
 )
 from repro.streaming import ContinuousQuery, WindowResult, WindowSpec
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # Session API (primary surface)
@@ -148,7 +130,6 @@ __all__ = [
     "sum_",
     "count",
     "register_engine",
-    "load_csv_table",
     "QueryFuture",
     # continuous windowed queries (repro.streaming)
     "WindowSpec",

@@ -1,10 +1,7 @@
 """``attach()`` target dispatch: one polymorphic front door for data sources.
 
-The five legacy registration doors (``register_source``/``register_csv``/
-``register_parquet``/``register_synthetic``/``register_flights``) each bound
-one *kind* of target.  ``Session.attach(name, target, **opts)`` and
-``Catalog.attach(...)`` replace the sprawl with a single call that dispatches
-on what ``target`` *is*:
+``Session.attach(name, target, **opts)`` and ``Catalog.attach(...)`` are a
+single call that dispatches on what ``target`` *is*:
 
 =====================================  =========================================
 target                                 resolves to

@@ -143,14 +143,6 @@ class Catalog:
         #: results, no matter which catalog view triggered the drop.
         self._invalidation_listeners: list = []
 
-    @classmethod
-    def from_tables(cls, tables: Mapping[str, Table]) -> "Catalog":
-        """Wrap a legacy ``{name: Table}`` mapping (each table one source)."""
-        catalog = cls()
-        for name, table in tables.items():
-            catalog.register(name, table)
-        return catalog
-
     # -- registration --------------------------------------------------------
 
     def register(
@@ -247,15 +239,6 @@ class Catalog:
         if name not in self._sources:
             raise KeyError(f"unknown table {name!r}; catalog has {self.names}")
         return self._sources[name]
-
-    def __getitem__(self, name: str) -> DataSource:
-        """Subscript access (``catalog["flights"]``) resolves the source.
-
-        Kept mapping-like because ``Session.catalog`` used to be a plain
-        ``{name: Table}`` dict; code that subscripted it keeps working and
-        gets the richer :class:`DataSource` back.
-        """
-        return self.source(name)
 
     def schema(self, name: str) -> Schema:
         """The named source's schema (no data materialized)."""

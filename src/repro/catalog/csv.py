@@ -1,8 +1,8 @@
 """Chunked CSV source: stream a delimited file without materializing it.
 
-The legacy ``load_csv_table`` read every row into one Python list before
-building arrays - O(file) Python objects resident at once.  ``CSVSource``
-replaces that with two bounded streaming passes:
+Reading every row into one Python list before building arrays keeps O(file)
+Python objects resident at once.  ``CSVSource`` instead makes two bounded
+streaming passes:
 
 1. **Schema pass** (:meth:`CSVSource.schema`, cached): reads the header,
    rejects duplicate column names, validates row widths, counts rows, and
@@ -15,7 +15,7 @@ replaces that with two bounded streaming passes:
    chunk.
 
 Because typing is decided over the *whole* file before any scan, a chunked
-scan produces exactly the arrays the eager loader produced (same dtypes,
+scan produces exactly the arrays a one-chunk read produces (same dtypes,
 same parse), which the parity tests assert.
 
 Files must be UTF-8; a decode failure surfaces as a clear ``ValueError``

@@ -188,7 +188,7 @@ class DataSource:
 class TableSource(DataSource):
     """An in-memory source: wraps a :class:`Table` or a ``{col: array}`` dict.
 
-    The eager door every legacy ``Session.register(...)`` call lands on.
+    The eager door every ``Session.register(...)`` call lands on.
     ``chunk_rows`` optionally slices scans into bounded chunks (useful to
     exercise chunked consumers); the default is one chunk for the whole
     relation, which is also the zero-copy fast path.

@@ -88,7 +88,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
 from repro._util import check_nonnegative, check_probability
 from repro.core.confidence import EpsilonSchedule
 from repro.core.intervals import first_event_row, first_resolution_row
@@ -155,7 +154,7 @@ class _IFocusState:
         self.inactive_order.extend(int(g) for g in gids)
 
 
-def _run_ifocus(
+def run_ifocus(
     engine: SamplingEngine,
     *,
     delta: float = 0.05,
@@ -324,14 +323,6 @@ def _run_ifocus(
         params=params,
         stats=run.stats,
     )
-
-
-run_ifocus = deprecated_entrypoint(
-    _run_ifocus,
-    "run_ifocus",
-    'repro.connect().register("t", table).table("t")'
-    '.group_by(X).agg(avg(Y)).run()',
-)
 
 
 def _n_max(state: _IFocusState, active_idx: np.ndarray, without_replacement: bool):

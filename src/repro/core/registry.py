@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.ifocus import _run_ifocus
+from repro.core.ifocus import run_ifocus
 from repro.core.irefine import run_irefine
 from repro.core.roundrobin import run_roundrobin
 from repro.core.scan import run_scan
@@ -23,8 +23,8 @@ __all__ = ["ALGORITHMS", "RESOLUTION_VARIANTS", "run_algorithm", "algorithm_name
 _RunnerFn = Callable[..., OrderingResult]
 
 ALGORITHMS: dict[str, _RunnerFn] = {
-    "ifocus": _run_ifocus,
-    "ifocusr": _run_ifocus,
+    "ifocus": run_ifocus,
+    "ifocusr": run_ifocus,
     "irefine": run_irefine,
     "irefiner": run_irefine,
     "roundrobin": run_roundrobin,

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro.core.ifocus import _run_ifocus as run_ifocus
+from repro.core.ifocus import run_ifocus
 from repro.core.reference import run_ifocus_reference
 from repro.core.registry import run_algorithm
 from repro.data.synthetic import make_mixture_dataset

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.ifocus import _run_ifocus as run_ifocus
+from repro.core.ifocus import run_ifocus
 from repro.data.synthetic import make_hard_dataset, make_mixture_dataset
 from repro.engines.memory import InMemoryEngine
 from repro.experiments.config import Scale, current_scale

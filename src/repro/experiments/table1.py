@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.ifocus import _run_ifocus as run_ifocus
+from repro.core.ifocus import run_ifocus
 from repro.data.population import MaterializedGroup, Population
 from repro.engines.memory import InMemoryEngine
 from repro.experiments.config import Scale, current_scale

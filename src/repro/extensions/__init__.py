@@ -6,14 +6,8 @@ from repro.extensions.multi import (
     MultiAvgResult,
     composite_group_column,
     run_ifocus_multi_avg,
-    run_multi_groupby,
 )
 from repro.extensions.noindex import run_noindex
-from repro.extensions.partial import (
-    PartialUpdate,
-    run_ifocus_partial,
-    stream_partial_results,
-)
 from repro.extensions.sums import run_ifocus_sum, run_ifocus_sum_unknown
 from repro.extensions.topt import TopTResult, run_ifocus_topt
 from repro.extensions.trends import chain_neighbors, grid_neighbors, run_ifocus_trends
@@ -26,11 +20,7 @@ __all__ = [
     "MultiAvgResult",
     "composite_group_column",
     "run_ifocus_multi_avg",
-    "run_multi_groupby",
     "run_noindex",
-    "PartialUpdate",
-    "run_ifocus_partial",
-    "stream_partial_results",
     "run_ifocus_sum",
     "run_ifocus_sum_unknown",
     "TopTResult",

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
-from repro.core.ifocus import _run_ifocus
+from repro.core.ifocus import run_ifocus
 from repro.core.types import GroupOutcome, OrderingResult
 from repro.data.distributions import TwoPoint
 from repro.data.population import Population, VirtualGroup
@@ -23,7 +22,7 @@ from repro.engines.memory import InMemoryEngine
 __all__ = ["run_count_known", "run_count_unknown"]
 
 
-def _run_count_known(engine: SamplingEngine) -> OrderingResult:
+def run_count_known(engine: SamplingEngine) -> OrderingResult:
     """Exact COUNT per group from index metadata (no sampling)."""
     sizes = engine.population.sizes()
     names = engine.population.group_names
@@ -49,13 +48,6 @@ def _run_count_known(engine: SamplingEngine) -> OrderingResult:
         trace=None,
         params={"exact": True},
     )
-
-
-run_count_known = deprecated_entrypoint(
-    _run_count_known,
-    "run_count_known",
-    'session.table(...).group_by(X).agg(count("*")).run()',
-)
 
 
 def run_count_unknown(
@@ -86,7 +78,7 @@ def run_count_unknown(
         name=f"{engine.population.name}-indicators",
     )
     indicator_engine = InMemoryEngine(indicator_pop, cost_model=engine.cost_model)
-    result = _run_ifocus(
+    result = run_ifocus(
         indicator_engine,
         delta=delta,
         resolution=resolution_fraction,

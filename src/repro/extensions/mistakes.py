@@ -9,7 +9,6 @@ the still-active groups at their current estimates.
 
 from __future__ import annotations
 
-from repro._compat import deprecated_entrypoint
 from repro._util import check_probability
 from repro.core.reference import LoopContext, run_ifocus_reference
 from repro.core.types import OrderingResult
@@ -18,7 +17,7 @@ from repro.engines.base import SamplingEngine
 __all__ = ["run_ifocus_mistakes"]
 
 
-def _run_ifocus_mistakes(
+def run_ifocus_mistakes(
     engine: SamplingEngine,
     *,
     min_correct_fraction: float = 0.9,
@@ -62,10 +61,3 @@ def _run_ifocus_mistakes(
     result.params["early_terminated"] = observed["fired"]
     result.params["resolved_pair_fraction"] = observed["fraction"]
     return result
-
-
-run_ifocus_mistakes = deprecated_entrypoint(
-    _run_ifocus_mistakes,
-    "run_ifocus_mistakes",
-    "session.table(...).group_by(X).agg(avg(Y)).mistakes(gamma).run()",
-)

@@ -1,9 +1,9 @@
 """Multiple group-bys and multiple aggregates (§6.3.4, §6.3.5).
 
-* :func:`composite_group_column` / :func:`run_multi_groupby` - GROUP BY X, Z
-  becomes a single group-by on the cross-product key "x|z" (the
-  two-dimensional visualization with a cross-product x axis the paper
-  describes), executed through the standard engine with a joint index.
+* :func:`composite_group_column` - GROUP BY X, Z becomes a single group-by
+  on the cross-product key "x|z" (the two-dimensional visualization with a
+  cross-product x axis the paper describes); the Session planner indexes it
+  and runs the standard engine (``.group_by(X, Z)``).
 * :func:`run_ifocus_multi_avg` - SELECT X, AVG(Y), AVG(Z): Problem 8's
   two-phase schedule.  Phase 1 runs IFOCUS on AVG(Y) with budget delta/2
   while *also* accumulating Z from every sampled row; phase 2 re-activates
@@ -18,18 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
 from repro._util import check_probability, spawn_group_rngs
 from repro.core.confidence import EpsilonSchedule
 from repro.core.intervals import separated_general
 from repro.core.types import GroupOutcome, OrderingResult
-from repro.needletail.engine import NeedletailEngine
 from repro.needletail.index import BitmapIndex
-from repro.needletail.table import Column, Table
+from repro.needletail.table import Table
 
 __all__ = [
     "composite_group_column",
-    "run_multi_groupby",
     "MultiAvgResult",
     "run_ifocus_multi_avg",
 ]
@@ -46,41 +43,6 @@ def composite_group_column(table: Table, columns: list[str], sep: str = "|") -> 
     return out
 
 
-def _run_multi_groupby(
-    table: Table,
-    group_columns: list[str],
-    value_column: str,
-    *,
-    algorithm: str = "ifocus",
-    c: float | None = None,
-    **kwargs,
-) -> tuple[OrderingResult, NeedletailEngine]:
-    """GROUP BY X, Z via the cross-product key (§6.3.4).
-
-    Builds the composite key column, indexes it, and runs the requested
-    algorithm.  Returns (result, engine) so callers can map composite labels
-    back to attribute pairs.
-    """
-    from repro.core.registry import run_algorithm
-
-    key = composite_group_column(table, group_columns)
-    augmented = Table(
-        table.name,
-        [Column(name, table.column(name), 8) for name in table.column_names]
-        + [Column("__group_key__", key, 8)],
-    )
-    engine = NeedletailEngine(augmented, "__group_key__", value_column, c=c)
-    result = run_algorithm(algorithm, engine, **kwargs)
-    return result, engine
-
-
-run_multi_groupby = deprecated_entrypoint(
-    _run_multi_groupby,
-    "run_multi_groupby",
-    "session.table(...).group_by(X, Z).agg(avg(Y)).run()",
-)
-
-
 @dataclass
 class MultiAvgResult:
     """Result of the two-aggregate run: one OrderingResult per aggregate."""
@@ -94,7 +56,7 @@ class MultiAvgResult:
         return int(self.samples_per_group.sum())
 
 
-def _run_ifocus_multi_avg(
+def run_ifocus_multi_avg(
     table: Table,
     group_by: str,
     y_column: str,
@@ -225,10 +187,3 @@ def _run_ifocus_multi_avg(
         z=build(est_z, hw_z, exh_z, order_z, "ifocus-multi-avg-z"),
         samples_per_group=samples.copy(),
     )
-
-
-run_ifocus_multi_avg = deprecated_entrypoint(
-    _run_ifocus_multi_avg,
-    "run_ifocus_multi_avg",
-    "session.table(...).group_by(X).agg(avg(Y), avg(Z)).run()",
-)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
 from repro._util import check_nonnegative, check_probability
 from repro.core.confidence import EpsilonSchedule
 from repro.core.intervals import separated_general
@@ -27,7 +26,7 @@ from repro.resilience.deadline import Deadline
 __all__ = ["run_noindex"]
 
 
-def _run_noindex(
+def run_noindex(
     engine: SamplingEngine,
     *,
     delta: float = 0.05,
@@ -125,10 +124,3 @@ def _run_noindex(
         },
         stats=run.stats,
     )
-
-
-run_noindex = deprecated_entrypoint(
-    _run_noindex,
-    "run_noindex",
-    'session.table(...).group_by(X).agg(avg(Y)).on_engine("noindex").run()',
-)

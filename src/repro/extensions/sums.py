@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
 from repro._util import check_nonnegative, check_probability
 from repro.core.confidence import EpsilonSchedule
 from repro.core.intervals import separated_general
@@ -70,7 +69,7 @@ def _finalize_result(
     )
 
 
-def _run_ifocus_sum(
+def run_ifocus_sum(
     engine: SamplingEngine,
     *,
     delta: float = 0.05,
@@ -176,13 +175,6 @@ def _run_ifocus_sum(
             "deadline_exceeded": deadline_exceeded,
         },
     )
-
-
-run_ifocus_sum = deprecated_entrypoint(
-    _run_ifocus_sum,
-    "run_ifocus_sum",
-    "session.table(...).group_by(X).agg(total(Y)).run()",
-)
 
 
 def run_ifocus_sum_unknown(

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
 from repro.core.reference import LoopContext, default_policy, run_ifocus_reference
 from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
@@ -70,7 +69,7 @@ def _topt_policy(t: int, largest: bool):
     return policy
 
 
-def _run_ifocus_topt(
+def run_ifocus_topt(
     engine: SamplingEngine,
     t: int,
     *,
@@ -97,10 +96,3 @@ def _run_ifocus_topt(
         **kwargs,
     )
     return TopTResult(result=result, t=t, largest=largest)
-
-
-run_ifocus_topt = deprecated_entrypoint(
-    _run_ifocus_topt,
-    "run_ifocus_topt",
-    "session.table(...).group_by(X).agg(avg(Y)).top(t).run()",
-)

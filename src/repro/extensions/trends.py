@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
 from repro.core.reference import LoopContext, run_ifocus_reference
 from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
@@ -70,7 +69,7 @@ def _neighbor_policy(neighbors: Sequence[Sequence[int]]):
     return policy
 
 
-def _run_ifocus_trends(
+def run_ifocus_trends(
     engine: SamplingEngine,
     *,
     delta: float = 0.05,
@@ -110,10 +109,3 @@ def _run_ifocus_trends(
         algorithm_name="ifocus-trends",
         **kwargs,
     )
-
-
-run_ifocus_trends = deprecated_entrypoint(
-    _run_ifocus_trends,
-    "run_ifocus_trends",
-    "session.table(...).group_by(X).agg(avg(Y)).trends().run()",
-)

@@ -10,7 +10,6 @@ min(eta_i, d/2).
 
 from __future__ import annotations
 
-from repro._compat import deprecated_entrypoint
 from repro._util import check_positive
 from repro.core.reference import run_ifocus_reference
 from repro.core.types import OrderingResult
@@ -19,7 +18,7 @@ from repro.engines.base import SamplingEngine
 __all__ = ["run_ifocus_values"]
 
 
-def _run_ifocus_values(
+def run_ifocus_values(
     engine: SamplingEngine,
     *,
     d: float,
@@ -48,10 +47,3 @@ def _run_ifocus_values(
     )
     result.params["d"] = d
     return result
-
-
-run_ifocus_values = deprecated_entrypoint(
-    _run_ifocus_values,
-    "run_ifocus_values",
-    "session.table(...).group_by(X).agg(avg(Y)).values(within=d).run()",
-)

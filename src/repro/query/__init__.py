@@ -1,4 +1,7 @@
-"""SQL-subset query layer: parse, plan, and execute visualization queries."""
+"""SQL-subset query layer: AST, lexer/parser and predicate evaluation.
+
+Execution lives in :mod:`repro.session` (``session.sql(text).run()``).
+"""
 
 from repro.query.ast import (
     Aggregate,
@@ -18,18 +21,6 @@ from repro.query.predicates import (
     predicate_mask,
 )
 
-
-def __getattr__(name: str):
-    # QueryResult/execute_query live in repro.query.plan, which imports the
-    # session planner (and through it the catalog).  Loading them lazily
-    # keeps this package importable from the data layer (catalog modules use
-    # the predicate AST) without a circular import.
-    if name in ("QueryResult", "execute_query"):
-        from repro.query import plan
-
-        return getattr(plan, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "Aggregate",
     "And",
@@ -43,8 +34,6 @@ __all__ = [
     "ParseError",
     "parse_predicate",
     "parse_query",
-    "QueryResult",
-    "execute_query",
     "predicate_bitvector",
     "predicate_columns",
     "predicate_mask",

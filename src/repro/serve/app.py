@@ -105,6 +105,7 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     411: "Length Required",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     499: "Client Closed Request",
     500: "Internal Server Error",
@@ -1172,7 +1173,18 @@ class ReproServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except WireError as exc:
+                    # Unparseable framing: the stream position is unknown,
+                    # so answer once and close instead of reading on.
+                    response = _json_response(
+                        exc.status, exc.payload(), headers=(("Connection", "close"),)
+                    )
+                    self._write_head(writer, response, streaming=False)
+                    writer.write(response.body)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, version, headers, body = request
@@ -1208,7 +1220,7 @@ class ReproServer:
         try:
             method, target, version = line.decode("latin-1").split()
         except ValueError:
-            return None
+            raise WireError(400, "bad_request", "malformed HTTP request line") from None
         headers: dict[str, str] = {}
         while True:
             raw = await reader.readline()
@@ -1216,9 +1228,20 @@ class ReproServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        if length < 0 or length > self.MAX_BODY:
-            return None
+        try:
+            length = int(headers.get("content-length", 0) or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise WireError(
+                400, "bad_request", "Content-Length must be a non-negative integer"
+            )
+        if length > self.MAX_BODY:
+            raise WireError(
+                413,
+                "payload_too_large",
+                f"request body of {length} bytes exceeds the {self.MAX_BODY}-byte limit",
+            )
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, version, headers, body
 

@@ -47,7 +47,7 @@ from repro.session.result import (
     Result,
     ResultStream,
 )
-from repro.session.session import QueryFuture, Session, connect, load_csv_table
+from repro.session.session import QueryFuture, Session, connect
 from repro.session.spec import (
     Aggregate,
     GuaranteeSpec,
@@ -83,7 +83,6 @@ __all__ = [
     "register_engine",
     "engine_names",
     "EngineDef",
-    "load_csv_table",
     # data layer (re-exported from repro.catalog)
     "Catalog",
     "DataSource",

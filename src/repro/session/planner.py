@@ -3,7 +3,7 @@
 ``execute_spec`` turns a :class:`~repro.session.spec.QuerySpec` into algorithm
 runs over a registered execution substrate and returns the unified
 :class:`~repro.session.result.Result`; ``stream_spec`` is the incremental
-form.  Dispatch rules (superset of the legacy ``execute_query`` planner):
+form.  Dispatch rules:
 
 * ``AVG(Y)`` - the core algorithms (ifocus/ifocusr/irefine/...), specialized
   by the guarantee mode: top-t (§6.1.2), trends (§6.1.1), values (§6.2.1),
@@ -19,9 +19,9 @@ form.  Dispatch rules (superset of the legacy ``execute_query`` planner):
 * HAVING - post-filter on the *estimated* aggregate (surfaced as a caveat).
 
 Plans run against a :class:`~repro.catalog.Catalog` of named
-:class:`~repro.catalog.source.DataSource` objects (legacy ``{name: Table}``
-dicts are wrapped transparently): validation uses source *schemas* only, and
-tables/populations materialize lazily, cached by the catalog.
+:class:`~repro.catalog.source.DataSource` objects: validation uses source
+*schemas* only, and tables/populations materialize lazily, cached by the
+catalog.
 
 Execution substrates are pluggable through :func:`register_engine`; the
 built-ins are ``needletail`` (bitmap-index sampling), ``memory`` (the paper's
@@ -34,7 +34,7 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -47,14 +47,14 @@ from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
 from repro.engines.memory import InMemoryEngine
 from repro.engines.sharded import ShardedEngine
-from repro.extensions.counts import _run_count_known
-from repro.extensions.mistakes import _run_ifocus_mistakes
-from repro.extensions.multi import _run_ifocus_multi_avg, composite_group_column
-from repro.extensions.noindex import _run_noindex
-from repro.extensions.sums import _run_ifocus_sum
-from repro.extensions.topt import _run_ifocus_topt
-from repro.extensions.trends import _run_ifocus_trends
-from repro.extensions.values import _run_ifocus_values
+from repro.extensions.counts import run_count_known
+from repro.extensions.mistakes import run_ifocus_mistakes
+from repro.extensions.multi import composite_group_column, run_ifocus_multi_avg
+from repro.extensions.noindex import run_noindex
+from repro.extensions.sums import run_ifocus_sum
+from repro.extensions.topt import run_ifocus_topt
+from repro.extensions.trends import run_ifocus_trends
+from repro.extensions.values import run_ifocus_values
 from repro.needletail.engine import NeedletailEngine
 from repro.needletail.table import Column, Table
 from repro.query.predicates import (
@@ -395,13 +395,6 @@ def _prepare_table(spec: QuerySpec, table: Table) -> tuple[Table, str]:
     return augmented, "__group_key__"
 
 
-def _as_catalog(catalog: Catalog | Mapping[str, Table]) -> Catalog:
-    """Accept either a real Catalog or a legacy ``{name: Table}`` mapping."""
-    if isinstance(catalog, Catalog):
-        return catalog
-    return Catalog.from_tables(catalog)
-
-
 def _plan(spec: QuerySpec, catalog: Catalog) -> _PlanContext:
     """Validate the spec against the catalog schema; materialize nothing.
 
@@ -494,7 +487,7 @@ def _run_avg(
     if deadline is not None:
         common["deadline"] = deadline
     if g.mode == "top":
-        topt = _run_ifocus_topt(
+        topt = run_ifocus_topt(
             engine, g.top_t, largest=g.top_largest, on_finalize=on_finalize, **common
         )
         return topt.result, {
@@ -506,17 +499,17 @@ def _run_avg(
         neighbors = (
             [list(adj) for adj in g.neighbors] if g.neighbors is not None else None
         )
-        raw = _run_ifocus_trends(
+        raw = run_ifocus_trends(
             engine, neighbors=neighbors, on_finalize=on_finalize, **common
         )
         return raw, {}
     if g.mode == "values":
-        raw = _run_ifocus_values(
+        raw = run_ifocus_values(
             engine, d=g.value_tolerance, on_finalize=on_finalize, **common
         )
         return raw, {"value_tolerance": g.value_tolerance}
     if g.mode == "mistakes":
-        raw = _run_ifocus_mistakes(
+        raw = run_ifocus_mistakes(
             engine,
             min_correct_fraction=g.min_correct_fraction,
             on_finalize=on_finalize,
@@ -525,7 +518,7 @@ def _run_avg(
         return raw, {}
     # mode == "ordering"
     if ctx.engine_def.avg_runner == "noindex":
-        raw = _run_noindex(
+        raw = run_noindex(
             engine,
             delta=g.delta,
             resolution=g.resolution,
@@ -575,7 +568,7 @@ def _execute_planned(
                 "two-aggregate queries drive their own bitmap-index schedule "
                 "and do not support sharding yet (drop .sharded())"
             )
-        multi = _run_ifocus_multi_avg(
+        multi = run_ifocus_multi_avg(
             ctx.table,
             ctx.group_col,
             avgs[0].column,
@@ -598,7 +591,7 @@ def _execute_planned(
     for agg in spec.aggregates:
         if agg.func == "SUM":
             sum_engine = ctx.build_engine(agg.column)
-            raw = _run_ifocus_sum(
+            raw = run_ifocus_sum(
                 sum_engine, delta=spec.guarantee.delta, seed=seed, deadline=deadline
             )
             results[spec.agg_key(agg)] = (raw, {})
@@ -610,7 +603,7 @@ def _execute_planned(
             count_engine = engine or ctx.build_engine(
                 avgs[0].column if avgs else _numeric_column(ctx.schema, count_col)
             )
-            results[spec.agg_key(agg)] = (_run_count_known(count_engine), {})
+            results[spec.agg_key(agg)] = (run_count_known(count_engine), {})
             engine = engine or count_engine
 
     if not results:
@@ -683,7 +676,7 @@ def _assemble_result(
 
 def execute_spec(
     spec: QuerySpec,
-    catalog: Catalog | Mapping[str, Table],
+    catalog: Catalog,
     *,
     seed=None,
     runner_kwargs: dict | None = None,
@@ -693,8 +686,7 @@ def execute_spec(
 
     Args:
         spec: the lowered query.
-        catalog: a :class:`~repro.catalog.Catalog` of named sources, or a
-            legacy ``{table name: Table}`` mapping (wrapped on the fly).
+        catalog: a :class:`~repro.catalog.Catalog` of named sources.
         seed: RNG seed for the sampling streams.
         runner_kwargs: extra knobs forwarded to the AVG runner
             (``trace_every``, ``max_rounds``, ``batch`` for noindex, ...).
@@ -706,7 +698,7 @@ def execute_spec(
     """
     if deadline is None and spec.deadline_ms is not None:
         deadline = Deadline.after_ms(spec.deadline_ms)
-    ctx = _plan(spec, _as_catalog(catalog))
+    ctx = _plan(spec, catalog)
     try:
         return _execute_planned(
             spec, ctx, seed, dict(runner_kwargs or {}), deadline=deadline
@@ -819,7 +811,7 @@ def _replay_updates(result: Result) -> list[PartialUpdate]:
 
 def stream_spec(
     spec: QuerySpec,
-    catalog: Catalog | Mapping[str, Table],
+    catalog: Catalog,
     *,
     seed=None,
     runner_kwargs: dict | None = None,
@@ -837,7 +829,7 @@ def stream_spec(
     """
     if deadline is None and spec.deadline_ms is not None:
         deadline = Deadline.after_ms(spec.deadline_ms)
-    ctx = _plan(spec, _as_catalog(catalog))
+    ctx = _plan(spec, catalog)
     kwargs = dict(runner_kwargs or {})
     if _live_streamable(spec, ctx):
         return _stream_live(spec, ctx, seed, kwargs, deadline)

@@ -33,9 +33,6 @@ scan or population build, and WHERE predicates are pushed into the source
 scan so non-qualifying rows are filtered before they are materialized.
 ``connect(store=DIR)`` makes the catalog durable: attached sources and
 their cached builds persist and re-open warm (see :mod:`repro.storage`).
-The legacy ``register_csv``/``register_parquet``/``register_flights``/
-``register_synthetic``/``register_source`` doors still work throughout 1.x,
-each emitting a :class:`DeprecationWarning` pointing at its ``attach`` form.
 """
 
 from __future__ import annotations
@@ -44,21 +41,11 @@ import dataclasses
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from repro._compat import deprecated_entrypoint
-from repro.catalog import (
-    Catalog,
-    CSVSource,
-    DataSource,
-    ParquetSource,
-    SourceInfo,
-    SourceSpec,
-    SyntheticSource,
-    TableSource,
-)
+from repro.catalog import Catalog, DataSource, SourceInfo
 from repro.needletail.table import Table
 from repro.query.ast import Query
 from repro.query.parser import parse_query
@@ -68,7 +55,7 @@ from repro.session.planner import execute_spec, stream_spec
 from repro.session.result import Result, ResultStream
 from repro.session.spec import GuaranteeSpec, QuerySpec, lower_query
 
-__all__ = ["Session", "QueryFuture", "connect", "load_csv_table"]
+__all__ = ["Session", "QueryFuture", "connect"]
 
 
 class QueryFuture:
@@ -127,42 +114,6 @@ class QueryFuture:
         :meth:`cancel` (which additionally fires the cooperative token).
         """
         return self._inner
-
-
-def load_csv_table(
-    path: str | os.PathLike,
-    name: str | None = None,
-    *,
-    group_columns: Iterable[str] = (),
-    value_columns: Iterable[str] = (),
-    delimiter: str = ",",
-) -> Table:
-    """Load a CSV file eagerly into a :class:`~repro.needletail.table.Table`.
-
-    A convenience over :class:`~repro.catalog.CSVSource` (which is what
-    ``Session.register_csv`` uses - prefer that: it stays lazy and supports
-    predicate pushdown).  Column typing: columns named in ``group_columns``
-    stay strings (group-by keys), columns in ``value_columns`` must parse as
-    floats (aggregation targets), and everything else is auto-detected
-    (float if every row parses, string otherwise).  Duplicate header names
-    are rejected - the legacy loader silently let the last duplicate win.
-
-    Args:
-        path: CSV file with a header row (UTF-8).
-        name: table name; defaults to the file's stem.
-        group_columns / value_columns: explicit typing overrides.
-        delimiter: field separator.
-    """
-    source = CSVSource(
-        path,
-        group_columns=group_columns,
-        value_columns=value_columns,
-        delimiter=delimiter,
-    )
-    table_name = (
-        name if name is not None else os.path.splitext(os.path.basename(path))[0]
-    )
-    return source.to_table(table_name)
 
 
 class Session:
@@ -243,9 +194,7 @@ class Session:
           ``SourceSpec("flights", rows=50_000)``).
 
         ``opts`` go to the resolved source's constructor (``delimiter=``,
-        ``group_columns=``, ``chunk_rows=``, ``batch_rows=``, ...).  This
-        replaces the five ``register_*`` doors, which remain as deprecated
-        shims throughout 1.x::
+        ``group_columns=``, ``chunk_rows=``, ``batch_rows=``, ...)::
 
             session.attach("flights", SourceSpec("flights", rows=100_000))
             session.attach("trips", "data/trips.csv", group_columns=("city",))
@@ -264,93 +213,6 @@ class Session:
             )
         self._catalog.register(name, data)
         return self
-
-    # -- deprecated registration doors (1.x compat; use attach()) ------------
-
-    def _register_source(self, name: str, source: DataSource) -> "Session":
-        if not isinstance(source, DataSource):
-            raise TypeError(
-                f"register_source needs a DataSource, got {type(source).__name__}; "
-                "use register() for tables and {column: array} dicts"
-            )
-        self._catalog.register(name, source)
-        return self
-
-    def _register_csv(
-        self,
-        name: str,
-        path: str | os.PathLike,
-        *,
-        group_columns: Iterable[str] = (),
-        value_columns: Iterable[str] = (),
-        delimiter: str = ",",
-        chunk_rows: int | None = None,
-    ) -> "Session":
-        kwargs = {} if chunk_rows is None else {"chunk_rows": chunk_rows}
-        source = CSVSource(
-            path,
-            group_columns=group_columns,
-            value_columns=value_columns,
-            delimiter=delimiter,
-            **kwargs,
-        )
-        source.schema()  # surface file/typing errors at registration time
-        return self._register_source(name, source)
-
-    def _register_parquet(
-        self, name: str, path: str | os.PathLike, *, batch_rows: int | None = None
-    ) -> "Session":
-        kwargs = {} if batch_rows is None else {"batch_rows": batch_rows}
-        return self._register_source(name, ParquetSource(path, **kwargs))
-
-    def _register_flights(
-        self, name: str = "flights", *, rows: int = 100_000, seed: int | None = 0
-    ) -> "Session":
-        from repro.data.flights import make_flights_table
-
-        return self.register(name, make_flights_table(num_rows=rows, seed=seed))
-
-    def _register_synthetic(
-        self,
-        name: str,
-        family: str,
-        *,
-        group_column: str = "g",
-        value_column: str = "value",
-        **params,
-    ) -> "Session":
-        return self._register_source(
-            name,
-            SyntheticSource(
-                family, group_column=group_column, value_column=value_column, **params
-            ),
-        )
-
-    register_source = deprecated_entrypoint(
-        _register_source,
-        "Session.register_source",
-        "session.attach(name, source)",
-    )
-    register_csv = deprecated_entrypoint(
-        _register_csv,
-        "Session.register_csv",
-        'session.attach(name, "file.csv", group_columns=..., value_columns=...)',
-    )
-    register_parquet = deprecated_entrypoint(
-        _register_parquet,
-        "Session.register_parquet",
-        'session.attach(name, "file.parquet")',
-    )
-    register_flights = deprecated_entrypoint(
-        _register_flights,
-        "Session.register_flights",
-        'session.attach(name, SourceSpec("flights", rows=..., seed=...))',
-    )
-    register_synthetic = deprecated_entrypoint(
-        _register_synthetic,
-        "Session.register_synthetic",
-        'session.attach(name, SourceSpec("synthetic", family=..., **params))',
-    )
 
     def describe_table(self, name: str) -> SourceInfo:
         """Schema, source kind, and cached-build status for one table."""

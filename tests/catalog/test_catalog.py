@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.catalog import Catalog, SyntheticSource, TableSource
+from repro.catalog import Catalog, SourceSpec, SyntheticSource, TableSource
 from repro.needletail.table import Table
 from repro.query.parser import parse_predicate
 from repro.session import avg, connect
@@ -42,17 +42,6 @@ class TestCatalogBasics:
     def test_unknown_table(self):
         with pytest.raises(KeyError, match="unknown table"):
             Catalog().schema("nope")
-
-    def test_from_tables(self, data):
-        catalog = Catalog.from_tables({"t": Table.from_dict("t", data)})
-        assert catalog.schema("t").names == ["g", "y", "year"]
-
-    def test_subscript_access(self, data):
-        """Legacy dict-style access (`session.catalog['t']`) keeps working."""
-        catalog = Catalog().register("t", data)
-        assert catalog["t"] is catalog.source("t")
-        with pytest.raises(KeyError, match="unknown table"):
-            catalog["nope"]
 
     def test_table_materialization_cached(self, data):
         catalog = Catalog().register("t", CountingSource(data, name="t", chunk_rows=512))
@@ -148,7 +137,7 @@ class TestPopulationCache:
         """A rewritten CSV gets fresh types and row counts, not stale ones."""
         path = tmp_path / "t.csv"
         path.write_text("g,y\na,1.0\nb,2.0\n")
-        session = connect(engine="memory").register_csv("t", path)
+        session = connect(engine="memory").attach("t", path)
         assert session.describe_table("t").schema.is_numeric("y")
         assert session.describe_table("t").row_count_hint == 2
         # the file changes shape on disk: y becomes a string column
@@ -195,7 +184,7 @@ class TestPopulationCache:
 class TestSessionIntegration:
     def test_repeat_queries_reuse_population(self, data):
         source = CountingSource(data, name="t", chunk_rows=512)
-        session = connect(engine="memory").register_source("t", source)
+        session = connect(engine="memory").attach("t", source)
         builder = session.table("t").group_by("g").agg(avg("y"))
         r1 = builder.run(seed=3)
         r2 = builder.run(seed=3)
@@ -207,7 +196,7 @@ class TestSessionIntegration:
     def test_memory_engine_does_not_materialize_table(self, data):
         """Population engines scan only the columns the query touches."""
         source = CountingSource(data, name="t", chunk_rows=512)
-        session = connect(engine="memory").register_source("t", source)
+        session = connect(engine="memory").attach("t", source)
         session.table("t").group_by("g").agg(avg("y")).run(seed=3)
         assert not session.catalog.describe("t").table_cached
 
@@ -221,7 +210,7 @@ class TestSessionIntegration:
             yield dict(data)
 
         source = IteratorSource(factory, cache=True)  # replayed fixed data
-        session = connect().register_source("t", source)
+        session = connect().attach("t", source)
         session.catalog.schema("t")  # one-time schema inference, cached
         scans[0] = 0
         assert not session.catalog.describe("t").table_cached
@@ -234,7 +223,7 @@ class TestSessionIntegration:
     def test_submit_workloads_share_the_population_cache(self, data):
         """Snapshots share builds: N submits of one query scan the source once."""
         source = CountingSource(data, name="t", chunk_rows=512)
-        with connect(engine="memory").register_source("t", source) as session:
+        with connect(engine="memory").attach("t", source) as session:
             builder = session.table("t").group_by("g").agg(avg("y"))
             first = session.submit(builder, seed=1).result(timeout=60)
             futures = [session.submit(builder, seed=1) for _ in range(3)]
@@ -269,8 +258,9 @@ class TestSessionIntegration:
         session.close()
 
     def test_virtual_synthetic_through_session(self):
-        session = connect(engine="memory").register_synthetic(
-            "bench", "mixture", k=4, total_size=200_000, seed=11
+        session = connect(engine="memory").attach(
+            "bench",
+            SourceSpec("synthetic", family="mixture", k=4, total_size=200_000, seed=11),
         )
         res = session.table("bench").group_by("g").agg(avg("value")).run(seed=0)
         assert len(res.labels) == 4

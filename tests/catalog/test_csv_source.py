@@ -9,7 +9,7 @@ import pytest
 
 from repro.catalog import CSVSource
 from repro.query.parser import parse_predicate
-from repro.session import connect, load_csv_table
+from repro.session import connect
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -25,15 +25,15 @@ class TestDuplicateHeader:
         with pytest.raises(ValueError, match="duplicate CSV header column"):
             CSVSource(path).schema()
 
-    def test_duplicate_header_rejected_via_load_csv_table(self, tmp_path):
+    def test_duplicate_header_rejected_via_to_table(self, tmp_path):
         path = write(tmp_path, "a,a\n1,2\n")
         with pytest.raises(ValueError, match="duplicate"):
-            load_csv_table(path)
+            CSVSource(path).to_table("data")
 
-    def test_duplicate_header_rejected_via_register_csv(self, tmp_path):
+    def test_duplicate_header_rejected_via_attach(self, tmp_path):
         path = write(tmp_path, "x,y,x\n1,2,3\n")
         with pytest.raises(ValueError, match="duplicate"):
-            connect().register_csv("t", path)
+            connect().attach("t", path)
 
 
 class TestQuoting:
@@ -54,7 +54,7 @@ class TestQuoting:
             tmp_path,
             'city,delay\n"New York, NY",10\n"New York, NY",14\n"LA",30\n"LA",34\n',
         )
-        session = connect(engine="memory").register_csv(
+        session = connect(engine="memory").attach(
             "trips", path, group_columns=["city"]
         )
         res = session.table("trips").group_by("city").agg("AVG(delay)").run(seed=0)
@@ -85,7 +85,7 @@ class TestChunking:
         rng = np.random.default_rng(5)
         lines = [f"g{int(rng.integers(3))},{v:.6f}" for v in rng.uniform(0, 99, 500)]
         path = write(tmp_path, "g,y\n" + "\n".join(lines) + "\n")
-        eager = load_csv_table(path)
+        eager = CSVSource(path).to_table("data")  # default chunk_rows: one chunk
         chunked = CSVSource(path, chunk_rows=7).to_table("data")
         assert chunked.column_names == eager.column_names
         for col in eager.column_names:

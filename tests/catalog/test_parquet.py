@@ -38,7 +38,7 @@ def test_missing_dependency_degrades_gracefully():
     with pytest.raises(MissingDependencyError, match="arrow"):
         ParquetSource("whatever.parquet")
     with pytest.raises(MissingDependencyError):
-        connect().register_parquet("t", "whatever.parquet")
+        connect().attach("t", "whatever.parquet")
 
 
 needs_pyarrow = pytest.mark.skipif(
@@ -89,7 +89,7 @@ class TestParquetSource:
 
     def test_query_through_session(self, parquet_path):
         path, data = parquet_path
-        session = connect(engine="memory").register_parquet("t", path)
+        session = connect(engine="memory").attach("t", path)
         res = session.table("t").group_by("g").agg(avg("y")).run(seed=1)
         for label, est in res.estimates().items():
             assert est == pytest.approx(data["y"][data["g"] == label].mean(), abs=4.0)
@@ -97,7 +97,7 @@ class TestParquetSource:
     def test_predicate_pushdown_parity(self, parquet_path):
         """Pushdown through Parquet == post-filtering the same arrays."""
         path, data = parquet_path
-        session = connect(engine="memory").register_parquet("t", path)
+        session = connect(engine="memory").attach("t", path)
         new = (
             session.table("t").where("year >= 2005").group_by("g")
             .agg(avg("y")).run(seed=2)

@@ -39,7 +39,7 @@ def data() -> dict[str, np.ndarray]:
 
 def run_pushdown(data, source, where: str, **connect_kwargs):
     """The new path: WHERE lowered into the source scan."""
-    session = connect(engine="memory", **connect_kwargs).register_source("t", source)
+    session = connect(engine="memory", **connect_kwargs).attach("t", source)
     return (
         session.table("t").where(where).group_by("g").agg(avg("y")).run(seed=9)
     )

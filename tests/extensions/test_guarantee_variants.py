@@ -8,8 +8,8 @@ import pytest
 from repro.core.reference import run_ifocus_reference
 from repro.engines.memory import InMemoryEngine
 from repro.extensions.mistakes import run_ifocus_mistakes
-from repro.extensions.partial import run_ifocus_partial, stream_partial_results
 from repro.extensions.values import run_ifocus_values
+from repro.session import avg, connect
 from repro.viz.properties import pair_accuracy
 from tests.conftest import make_materialized_population
 
@@ -71,10 +71,28 @@ class TestValues:
             run_ifocus_values(small_engine, d=0.0)
 
 
+def _stream(engine, seed):
+    """``.stream()`` over a table holding the engine's (materialized) groups."""
+    groups = engine.population.groups
+    session = connect(engine="memory", delta=0.05).register(
+        "t",
+        {
+            "g": np.repeat([g.name for g in groups], [g.size for g in groups]),
+            "y": np.concatenate([g.values for g in groups]),
+        },
+    )
+    return session.table("t").group_by("g").agg(avg("y")).stream(seed=seed)
+
+
 class TestPartial:
     def test_callback_receives_groups_in_finalization_order(self, close_engine):
         emitted = []
-        res = run_ifocus_partial(close_engine, emitted.append, delta=0.05, seed=9)
+        res = run_ifocus_reference(
+            close_engine,
+            delta=0.05,
+            seed=9,
+            on_finalize=lambda gid, outcome: emitted.append(outcome),
+        )
         assert [o.index for o in emitted] == res.inactive_order
         assert len(emitted) == close_engine.k
 
@@ -84,7 +102,7 @@ class TestPartial:
         true = close_engine.population.true_means()
         emitted = []
 
-        def check(outcome):
+        def check(gid, outcome):
             emitted.append(outcome)
             ests = [o.estimate for o in emitted]
             trues = [true[o.index] for o in emitted]
@@ -92,16 +110,21 @@ class TestPartial:
             order_true = np.argsort(trues)
             assert np.array_equal(order_est, order_true)
 
-        run_ifocus_partial(close_engine, check, delta=0.05, seed=10)
+        run_ifocus_reference(close_engine, delta=0.05, seed=10, on_finalize=check)
 
     def test_stream_yields_all_updates(self, small_engine):
-        updates = list(stream_partial_results(small_engine, delta=0.05, seed=11))
+        updates = list(_stream(small_engine, seed=11))
         assert len(updates) == small_engine.k
         assert updates[-1].done
         assert [u.emitted_so_far for u in updates] == list(range(1, small_engine.k + 1))
 
     def test_stream_matches_callback(self, small_engine):
-        updates = list(stream_partial_results(small_engine, delta=0.05, seed=12))
+        updates = list(_stream(small_engine, seed=12))
         emitted = []
-        run_ifocus_partial(small_engine, emitted.append, delta=0.05, seed=12)
-        assert [u.outcome.index for u in updates] == [o.index for o in emitted]
+        run_ifocus_reference(
+            small_engine,
+            delta=0.05,
+            seed=12,
+            on_finalize=lambda gid, outcome: emitted.append(outcome),
+        )
+        assert [u.group.label for u in updates] == [o.name for o in emitted]

@@ -10,10 +10,10 @@ from repro.engines.memory import InMemoryEngine
 from repro.extensions.multi import (
     composite_group_column,
     run_ifocus_multi_avg,
-    run_multi_groupby,
 )
 from repro.extensions.noindex import run_noindex
 from repro.needletail.table import Table
+from repro.session import avg, connect
 from repro.viz.properties import check_ordering
 from tests.conftest import make_materialized_population
 
@@ -41,14 +41,18 @@ class TestCompositeGroupBy:
         with pytest.raises(ValueError):
             composite_group_column(two_dim_table(10), [])
 
-    def test_run_multi_groupby_orders_cross_product(self):
-        t = two_dim_table()
-        result, engine = run_multi_groupby(
-            t, ["carrier", "year"], "delay", delta=0.05, seed=1
+    def test_group_by_two_columns_orders_cross_product(self):
+        out = (
+            connect(delta=0.05)
+            .register("t", two_dim_table())
+            .table("t")
+            .group_by("carrier", "year")
+            .agg(avg("delay"))
+            .run(seed=1)
         )
-        true = engine.population.true_means()
-        assert check_ordering(result.estimates, true)
-        assert len(engine.population.group_names) == 4
+        true = out.engine.population.true_means()
+        assert check_ordering(out.first.raw.estimates, true)
+        assert len(out.engine.population.group_names) == 4
 
 
 class TestMultiAvg:

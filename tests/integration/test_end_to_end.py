@@ -8,7 +8,7 @@ import pytest
 from repro.core.registry import algorithm_names, run_algorithm
 from repro.data.flights import make_flights_table
 from repro.needletail.engine import NeedletailEngine
-from repro.query.plan import execute_query
+from repro.session import connect
 from repro.viz.barchart import render_barchart
 from repro.viz.properties import check_ordering
 
@@ -17,14 +17,16 @@ from repro.viz.properties import check_ordering
 class TestFullPipeline:
     def test_sql_to_chart(self):
         table = make_flights_table(num_rows=40_000, seed=1)
-        out = execute_query(
-            "SELECT carrier, AVG(arrival_delay) FROM flights "
-            "WHERE distance > 300 GROUP BY carrier",
-            {"flights": table},
-            delta=0.05,
-            seed=2,
+        out = (
+            connect(delta=0.05)
+            .register("flights", table)
+            .sql(
+                "SELECT carrier, AVG(arrival_delay) FROM flights "
+                "WHERE distance > 300 GROUP BY carrier"
+            )
+            .run(seed=2)
         )
-        result = out.results["AVG(arrival_delay)"]
+        result = out["AVG(arrival_delay)"].raw
         chart = render_barchart(result)
         for name in out.labels:
             assert name in chart

@@ -153,7 +153,7 @@ class TestScanRetry:
     def _chunked_session(self) -> repro.Session:
         rng = np.random.default_rng(3)
         session = repro.connect(delta=0.05, engine="memory")
-        session.register_source(
+        session.attach(
             "chunked",
             TableSource(
                 {

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import connect
+from repro import SourceSpec, connect
 from repro.serve.cache import ResultCache
 from repro.serve.wire import canonical_json
 from repro.session.result import Result
@@ -24,7 +24,7 @@ from repro.session.result import Result
 def completed():
     """One real completed (spec, Result, payload) triple to populate caches."""
     with connect(delta=0.1, seed=0) as session:
-        session.register_flights("flights", rows=10_000, seed=0)
+        session.attach("flights", SourceSpec("flights", rows=10_000, seed=0))
         spec = session.sql(
             "SELECT carrier, AVG(arrival_delay) FROM flights GROUP BY carrier"
         ).spec()

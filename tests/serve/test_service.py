@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 
 import pytest
 
-from repro import connect
+from repro import SourceSpec, connect
 from repro.engines.shm import REGISTRY
 from repro.serve import (
     QueryService,
@@ -93,8 +94,11 @@ def tenant_counters(port, tenant):
 @pytest.fixture(scope="module")
 def server():
     session = connect(delta=0.1, seed=0)
-    session.register_flights("flights", rows=20_000, seed=0)
-    session.register_synthetic("slow", "hard", k=4, gamma=0.01, group_size=5_000_000)
+    session.attach("flights", SourceSpec("flights", rows=20_000, seed=0))
+    session.attach(
+        "slow",
+        SourceSpec("synthetic", family="hard", k=4, gamma=0.01, group_size=5_000_000),
+    )
     tenants = TenantRegistry(TenantConfig(max_concurrent=4, queue_limit=16))
     tenants.configure("tiny", TenantConfig(max_concurrent=1, queue_limit=0))
     tenants.configure("narrow", TenantConfig(max_concurrent=1, queue_limit=2))
@@ -260,6 +264,33 @@ class TestErrors:
         )
         assert status == 400
         assert body["error"]["code"] == "bad_query"
+
+    @pytest.mark.parametrize(
+        "raw, status, code",
+        [
+            (b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400, "bad_request"),
+            (b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400, "bad_request"),
+            (
+                b"POST /query HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+                413,
+                "payload_too_large",
+            ),
+            (b"GARBAGE\r\n\r\n", 400, "bad_request"),
+        ],
+        ids=["non_numeric_length", "negative_length", "oversized_length", "bad_request_line"],
+    )
+    def test_malformed_framing_gets_a_json_error(self, server, caplog, raw, status, code):
+        port, _service = server
+        with socket.create_connection(("127.0.0.1", port), timeout=DEADLINE) as sock:
+            sock.sendall(raw)
+            reply = b""
+            while chunk := sock.recv(65536):  # server closes after answering
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"connection: close" in head.lower()
+        assert json.loads(body)["error"]["code"] == code
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 class TestAdmissionOverHTTP:
@@ -454,7 +485,7 @@ class TestCacheCoherence:
 
         write_rows(10.0)
         session = connect(delta=0.1, seed=0)
-        session.register_csv("metrics", csv, group_columns=("g",), value_columns=("v",))
+        session.attach("metrics", csv, group_columns=("g",), value_columns=("v",))
         service = QueryService(session, sessions=1, default_seed=0)
         handle = serve_in_thread(service)
         try:
@@ -482,7 +513,7 @@ class TestCacheCoherence:
 
             # rebinding the name is the other coherence door
             write_rows(5000.0)
-            session.register_csv(
+            session.attach(
                 "metrics", csv, group_columns=("g",), value_columns=("v",)
             )
             status, env3, _ = request(handle.port, "POST", "/query", body)
@@ -496,7 +527,7 @@ class TestCacheCoherence:
 class TestShutdown:
     def test_shutdown_leaves_shm_registry_empty(self):
         session = connect(delta=0.1, seed=0)
-        session.register_flights("flights", rows=15_000, seed=0)
+        session.attach("flights", SourceSpec("flights", rows=15_000, seed=0))
         service = QueryService(session, sessions=2, default_seed=0)
         handle = serve_in_thread(service)
         try:

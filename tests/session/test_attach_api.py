@@ -1,9 +1,5 @@
-"""The attach() front door and the five deprecated register_* shims.
-
-Each legacy door must (a) emit a DeprecationWarning naming its attach()
-replacement and (b) leave the session in a state identical to the attach()
-equivalent - same source kind, same schema, same query results.
-"""
+"""``Session.attach()``: every target kind lands on the right source and
+answers queries exactly like the hand-constructed source does."""
 
 from __future__ import annotations
 
@@ -45,79 +41,55 @@ def _source(session, name):
     return session.catalog.source(name)
 
 
-class TestShimsWarnAndMatchAttach:
-    def test_register_source(self, csv_path):
+class TestAttachTargetKinds:
+    def test_source(self, csv_path):
         source = CSVSource(csv_path, group_columns=("g",), value_columns=("v",))
-        via_attach = connect(seed=1).attach("t", source)
-        legacy = connect(seed=1)
-        with pytest.warns(DeprecationWarning, match="session.attach"):
-            legacy.register_source("t", source)
-        assert _source(legacy, "t") is source is _source(via_attach, "t")
-        assert _result_sig(legacy) == _result_sig(via_attach)
+        session = connect(seed=1).attach("t", source)
+        assert _source(session, "t") is source
+        assert _result_sig(session) == _result_sig(connect(seed=1).register("t", source))
 
-    def test_register_source_rejects_non_sources(self):
-        session = connect()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="needs a DataSource"):
-                session.register_source("t", {"g": np.array(["a"])})
-
-    def test_register_csv(self, csv_path):
-        via_attach = connect(seed=1).attach(
+    def test_csv_path(self, csv_path):
+        session = connect(seed=1).attach(
             "t", csv_path, group_columns=("g",), value_columns=("v",)
         )
-        legacy = connect(seed=1)
-        with pytest.warns(DeprecationWarning, match="register_csv"):
-            legacy.register_csv(
-                "t", csv_path, group_columns=("g",), value_columns=("v",)
-            )
-        for session in (legacy, via_attach):
-            assert isinstance(_source(session, "t"), CSVSource)
-        assert _result_sig(legacy) == _result_sig(via_attach)
+        assert isinstance(_source(session, "t"), CSVSource)
+        via_source = connect(seed=1).attach(
+            "t", CSVSource(csv_path, group_columns=("g",), value_columns=("v",))
+        )
+        assert _result_sig(session) == _result_sig(via_source)
 
-    def test_register_parquet(self, tmp_path):
+    def test_parquet_path(self, tmp_path):
         pytest.importorskip("pyarrow")
         from repro.catalog.parquet import ParquetSource
 
-        path = tmp_path / "t.parquet"
-        legacy = connect()
-        with pytest.warns(DeprecationWarning, match="register_parquet"):
-            legacy.register_parquet("t", path, batch_rows=64)
-        source = _source(legacy, "t")
+        session = connect().attach("t", tmp_path / "t.parquet", batch_rows=64)
+        source = _source(session, "t")
         assert isinstance(source, ParquetSource)
         assert source._batch_rows == 64
 
-    def test_register_flights(self):
-        via_attach = connect(seed=1).attach(
+    def test_flights_spec(self):
+        from repro.data.flights import make_flights_table
+
+        session = connect(seed=1).attach(
             "flights", SourceSpec("flights", rows=2_000, seed=3)
         )
-        legacy = connect(seed=1)
-        with pytest.warns(DeprecationWarning, match="register_flights"):
-            legacy.register_flights(rows=2_000, seed=3)
+        via_table = connect(seed=1).register(
+            "flights", make_flights_table(num_rows=2_000, seed=3)
+        )
         sig = lambda s: _result_sig(
             s, table="flights", group="carrier", value="arrival_delay"
         )
-        assert sig(legacy) == sig(via_attach)
+        assert sig(session) == sig(via_table)
 
-    def test_register_synthetic(self):
-        spec = dict(family="mixture", k=3, total_size=2_000, seed=4,
-                    materialize=True)
-        via_attach = connect(seed=1).attach("bench", SourceSpec("synthetic", **spec))
-        legacy = connect(seed=1)
-        with pytest.warns(DeprecationWarning, match="register_synthetic"):
-            legacy.register_synthetic("bench", **spec)
-        for session in (legacy, via_attach):
-            assert isinstance(_source(session, "bench"), SyntheticSource)
+    def test_synthetic_spec(self):
+        spec = dict(k=3, total_size=2_000, seed=4, materialize=True)
+        session = connect(seed=1).attach(
+            "bench", SourceSpec("synthetic", family="mixture", **spec)
+        )
+        assert isinstance(_source(session, "bench"), SyntheticSource)
+        via_source = connect(seed=1).attach("bench", SyntheticSource("mixture", **spec))
         sig = lambda s: _result_sig(s, table="bench", group="g", value="value")
-        assert sig(legacy) == sig(via_attach)
-
-    def test_every_shim_names_its_replacement(self):
-        from repro.session.session import Session
-
-        for name in ("register_source", "register_csv", "register_parquet",
-                     "register_flights", "register_synthetic"):
-            shim = getattr(Session, name)
-            assert "attach" in shim.__deprecated__
-            assert shim.__name__ == f"Session.{name}"
+        assert sig(session) == sig(via_source)
 
 
 class TestAttachFrontDoor:

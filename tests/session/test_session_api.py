@@ -7,16 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.catalog import CSVSource, SourceSpec
 from repro.needletail.table import Table
-from repro.session import (
-    Session,
-    avg,
-    connect,
-    count,
-    load_csv_table,
-    register_engine,
-    total,
-)
+from repro.session import Session, avg, connect, count, register_engine, total
 from repro.session.planner import engine_names
 from repro.session.spec import GuaranteeSpec, QuerySpec
 
@@ -47,8 +40,8 @@ class TestCatalog:
         with pytest.raises(KeyError):
             session.table("nope")
 
-    def test_register_flights(self):
-        sess = connect().register_flights("flights", rows=5_000, seed=0)
+    def test_attach_flights(self):
+        sess = connect().attach("flights", SourceSpec("flights", rows=5_000, seed=0))
         res = sess.sql(
             "SELECT carrier, COUNT(*) FROM flights GROUP BY carrier"
         ).run()
@@ -69,37 +62,36 @@ class TestCsv:
         path = self._write(
             tmp_path, "city,delay\nNYC,10.5\nNYC,12.0\nLA,30.0\nLA,28.0\n"
         )
-        table = load_csv_table(path)
-        assert table.name == "data"
+        table = CSVSource(path).to_table("data")
         assert np.issubdtype(table.column("delay").dtype, np.floating)
         assert table.column("city").dtype.kind in ("U", "S")
 
     def test_numeric_looking_group_column_stays_string(self, tmp_path):
         path = self._write(tmp_path, "zip,delay\n10001,1.0\n10002,2.0\n")
-        table = load_csv_table(path, group_columns=["zip"])
+        table = CSVSource(path, group_columns=["zip"]).to_table("data")
         assert table.column("zip").dtype.kind in ("U", "S")
 
     def test_value_column_must_be_numeric(self, tmp_path):
         path = self._write(tmp_path, "city,delay\nNYC,fast\n")
         with pytest.raises(ValueError, match="non-numeric"):
-            load_csv_table(path, value_columns=["delay"])
+            CSVSource(path, value_columns=["delay"]).to_table("data")
 
     def test_unknown_column_flag(self, tmp_path):
         path = self._write(tmp_path, "city,delay\nNYC,1.0\n")
         with pytest.raises(KeyError):
-            load_csv_table(path, group_columns=["bogus"])
+            CSVSource(path, group_columns=["bogus"]).to_table("data")
 
     def test_empty_csv(self, tmp_path):
         path = self._write(tmp_path, "")
         with pytest.raises(ValueError):
-            load_csv_table(path)
+            CSVSource(path).to_table("data")
 
     def test_query_over_registered_csv(self, tmp_path):
         path = self._write(
             tmp_path,
             "city,delay\nNYC,10\nNYC,12\nLA,30\nLA,28\nSF,55\nSF,54\n",
         )
-        sess = connect().register_csv("trips", path, group_columns=["city"])
+        sess = connect().attach("trips", path, group_columns=["city"])
         res = sess.sql("SELECT city, AVG(delay) FROM trips GROUP BY city").run(seed=1)
         est = res.estimates()
         assert est["NYC"] < est["LA"] < est["SF"]

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import avg, connect
+from repro import SourceSpec, avg, connect
 from repro.engines.shm import REGISTRY
 from repro.engines.sharded import ShardedEngine
 from repro.session.spec import Aggregate, QuerySpec
@@ -23,7 +23,7 @@ from repro.session.spec import Aggregate, QuerySpec
 
 def _flights_session(**kwargs):
     session = connect(delta=0.1, seed=0, **kwargs)
-    session.register_flights("flights", rows=30_000, seed=0)
+    session.attach("flights", SourceSpec("flights", rows=30_000, seed=0))
     return session
 
 
@@ -117,7 +117,7 @@ class TestSubmit:
         builder = session.table("flights").group_by("carrier").agg(avg("arrival_delay"))
         expected = _result_fingerprint(builder.run(seed=1))
         future = session.submit(builder, seed=1)
-        session.register_flights("flights", rows=1_000, seed=99)  # rebind the name
+        session.attach("flights", SourceSpec("flights", rows=1_000, seed=99))  # rebind the name
         assert _result_fingerprint(future.result(timeout=60)) == expected
         session.close()
 
@@ -239,8 +239,16 @@ class TestShardedQueries:
     def test_process_falls_back_to_threads_for_rejection_virtual(self):
         """Non-shareable populations downgrade with an explicit caveat."""
         with connect(delta=0.1, seed=0, engine="memory") as session:
-            session.register_synthetic(
-                "syn", "mixture", k=4, total_size=40_000, seed=1, materialize=False
+            session.attach(
+                "syn",
+                SourceSpec(
+                    "synthetic",
+                    family="mixture",
+                    k=4,
+                    total_size=40_000,
+                    seed=1,
+                    materialize=False,
+                ),
             )
             result = (
                 session.table("syn")

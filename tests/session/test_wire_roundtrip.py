@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import avg, connect
+from repro import SourceSpec, avg, connect
 from repro.session.result import (
     AggregateResult,
     GroupEstimate,
@@ -32,7 +32,7 @@ def roundtrip(obj, cls):
 
 def flights_session(**kwargs):
     session = connect(delta=0.1, seed=0, **kwargs)
-    session.register_flights("flights", rows=20_000, seed=0)
+    session.attach("flights", SourceSpec("flights", rows=20_000, seed=0))
     return session
 
 

@@ -26,6 +26,7 @@ ALLOWED_RUN_PREFIXES = (
     "python scripts/serve_smoke.py",  # query-service boot/stream/cancel smoke
     "python scripts/storage_smoke.py",  # durable-store restart + warm-open gate
     "python scripts/streaming_smoke.py",  # continuous-query SSE + cancel smoke
+    "python -m bench_e2e",  # end-to-end bench selftest + quick run
 )
 
 
@@ -53,6 +54,7 @@ def test_workflow_parses_and_has_jobs(workflow):
         "serve-smoke",
         "storage",
         "streaming",
+        "bench-e2e",
     }
     # "on" parses as the YAML boolean True when unquoted - accept either key.
     triggers = workflow.get("on", workflow.get(True))
@@ -186,6 +188,13 @@ def test_streaming_job_runs_window_suites_and_sse_smoke(workflow):
         line = step.get("run", "").strip()
         if line and "tests/streaming" in line:
             assert line.startswith("scripts/ci.sh")
+
+
+def test_bench_e2e_job_runs_selftest_and_quick_run(workflow):
+    job = workflow["jobs"]["bench-e2e"]
+    commands = [step["run"].strip() for step in job["steps"] if "run" in step]
+    assert "python -m bench_e2e selftest" in commands
+    assert "python -m bench_e2e run --quick" in commands
 
 
 def test_chaos_job_covers_the_storage_fault_site(workflow):

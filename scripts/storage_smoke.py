@@ -5,7 +5,9 @@ Runs the persistence path end to end in a throwaway store directory:
 
 1. cold: attach a synthetic relation under ``connect(store=...)``, run one
    grouped query (building + persisting the NEEDLETAIL index and the
-   materialized population), and time the build;
+   materialized population), and time the build; the same query run again
+   in this process must build nothing at all - no ``BitmapIndex``, no mapped
+   engine - because the catalog keeps the built index in RAM;
 2. restart: re-open the same store in a **fresh python process** - the
    warm open must construct a mapped engine without a single index rebuild
    (``BUILD_COUNTS["needletail"] == 0`` in the child is the oracle) and
@@ -36,6 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import repro  # noqa: E402
+from repro.needletail.engine import BUILD_COUNTS  # noqa: E402
 from repro.storage import Store  # noqa: E402
 
 WARM_CHILD = """
@@ -96,9 +99,13 @@ def main(argv: list[str] | None = None) -> int:
         session.attach("t", _dataset(args.rows))
         session._catalog.prime("t", "g", "v")
         cold_s = time.perf_counter() - t0
-        cold_result = (
-            session.table("t").group_by("g").agg(repro.avg("v")).run(seed=5)
-        )
+        query = session.table("t").group_by("g").agg(repro.avg("v"))
+        cold_result = query.run(seed=5)
+        builds_before = dict(BUILD_COUNTS)
+        repeat_result = query.run(seed=5)
+        repeat_builds = {
+            kind: BUILD_COUNTS[kind] - builds_before[kind] for kind in BUILD_COUNTS
+        }
         session.close()
         print(f"cold attach + index build: {cold_s:.3f}s ({args.rows:,} rows)")
 
@@ -121,6 +128,12 @@ def main(argv: list[str] | None = None) -> int:
               f"-> {speedup:.1f}x")
 
         failures = []
+        if any(repeat_builds.values()):
+            failures.append(
+                f"the repeated in-process query rebuilt its engine: {repeat_builds}"
+            )
+        if repeat_result.to_dict() != cold_result.to_dict():
+            failures.append("the repeated in-process query changed its answer")
         if report["build_counts"]["needletail"] != 0:
             failures.append(
                 f"warm open rebuilt the index: BUILD_COUNTS="

@@ -18,6 +18,7 @@ consume.  See the module docstrings for the contract details:
 from repro.catalog.attach import SourceSpec
 from repro.catalog.catalog import (
     Catalog,
+    EngineBuild,
     PopulationBuild,
     SourceInfo,
     population_from_chunks,
@@ -37,6 +38,7 @@ __all__ = [
     "Catalog",
     "SourceSpec",
     "SourceInfo",
+    "EngineBuild",
     "PopulationBuild",
     "population_from_chunks",
     "Schema",

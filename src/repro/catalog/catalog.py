@@ -1,7 +1,7 @@
 """The ``Catalog``: named sources plus lazy, cached engine-input builds.
 
 A catalog maps table names to :class:`~repro.catalog.source.DataSource`
-objects and owns the two derived artifacts engines consume:
+objects and owns the derived artifacts engines consume:
 
 * :meth:`Catalog.population` - the grouped value multiset a population
   engine (``memory``) samples from.  Built by scanning **only** the group
@@ -14,6 +14,13 @@ objects and owns the two derived artifacts engines consume:
   (``needletail``/``noindex``) wrap.  Cached per table; predicates are not
   applied here because NEEDLETAIL evaluates them as index bitmaps (the
   paper's Section 6.3.3 form of pushdown).
+* :meth:`Catalog.indexed_engine` - the built bitmap-index engine itself
+  (``BitmapIndex`` + per-group selectors, WHERE bitmap already ANDed in).
+  NEEDLETAIL's index is a persistent property of the table, not of a
+  query, so it is cached like a population - per ``(table, GROUP BY list,
+  value_col, predicate, value_bound)``, under the same LRU bound - and a
+  repeated query pays no index build, no WHERE evaluation and no table
+  materialization.
 
 Re-registering a name drops that name's cached builds.  All cache state is
 lock-protected so one catalog can serve concurrent ``Session.submit``
@@ -36,7 +43,7 @@ from repro.data.population import MaterializedGroup, Population
 from repro.needletail.table import Table
 from repro.query.ast import Predicate
 
-__all__ = ["Catalog", "SourceInfo", "PopulationBuild", "population_from_chunks"]
+__all__ = ["Catalog", "SourceInfo", "PopulationBuild", "EngineBuild", "population_from_chunks"]
 
 
 def population_from_chunks(
@@ -92,6 +99,8 @@ def population_from_chunks(
 
 #: One cached population build, as reported by :meth:`Catalog.describe`.
 PopulationBuild = tuple[str, str, "Predicate | None", "float | None"]
+#: One cached engine build; its first field is the full GROUP BY list.
+EngineBuild = tuple[tuple[str, ...], str, "Predicate | None", "float | None"]
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,7 @@ class SourceInfo:
     row_count_hint: int | None
     table_cached: bool
     cached_populations: tuple[PopulationBuild, ...]
+    cached_engines: tuple[EngineBuild, ...]
 
 
 class Catalog:
@@ -117,24 +127,27 @@ class Catalog:
     contribute to the same cache - an async workload repeating one query
     scans its source exactly once.
 
-    Bounds and freshness: population builds live in an LRU capped at
-    :data:`MAX_CACHED_POPULATIONS` (long-lived sessions serving ad-hoc
-    predicates - e.g. a moving ``WHERE ts > <now>`` literal - evict old
-    builds instead of growing without bound); sources with
+    Bounds and freshness: population builds and engine builds each live in
+    an LRU capped at :data:`MAX_CACHED_POPULATIONS` (long-lived sessions
+    serving ad-hoc predicates - e.g. a moving ``WHERE ts > <now>`` literal -
+    evict old builds instead of growing without bound); sources with
     ``cacheable = False`` (live streams) are never cached, so every query
     sees current data; and :meth:`invalidate` drops a name's builds
     explicitly (e.g. after a CSV file changed on disk).
     """
 
-    #: Upper bound on cached population builds (LRU eviction beyond it).
-    #: Each entry holds one filtered group/value copy, so this caps resident
-    #: memory at ~MAX * relation-column size for pathological workloads.
+    #: Upper bound on cached population builds, and on cached engine builds
+    #: (LRU eviction beyond it).  A population entry holds one filtered
+    #: group/value copy, an engine entry ~k * rows / 8 bytes of bitmap words,
+    #: so this caps resident memory at ~MAX * relation-column size for
+    #: pathological workloads.
     MAX_CACHED_POPULATIONS = 64
 
     def __init__(self) -> None:
         self._sources: dict[str, DataSource] = {}
         self._tables: dict[DataSource, Table] = {}
         self._populations: "OrderedDict[tuple, Population]" = OrderedDict()
+        self._engines: "OrderedDict[tuple, object]" = OrderedDict()
         self._lock = threading.Lock()
         #: Callbacks fired (outside the lock) whenever a name's builds are
         #: dropped - explicit invalidate() or a rebinding register().  Shared
@@ -185,8 +198,23 @@ class Catalog:
     def _drop_builds(self, source: DataSource) -> None:
         """Drop cached builds for one source (caller holds the lock)."""
         self._tables.pop(source, None)
-        for key in [k for k in self._populations if k[0] is source]:
-            del self._populations[key]
+        for cache in (self._populations, self._engines):
+            for key in [k for k in cache if k[0] is source]:
+                del cache[key]
+
+    def _share_build(self, cache: OrderedDict, key: tuple, build):
+        """Enter ``build`` under ``key`` unless a concurrent query already did.
+
+        Returns the resident build (first one in wins, so every later query
+        shares one object) and evicts least-recently-used entries beyond
+        :data:`MAX_CACHED_POPULATIONS`.
+        """
+        with self._lock:
+            build = cache.setdefault(key, build)
+            cache.move_to_end(key)
+            while len(cache) > self.MAX_CACHED_POPULATIONS:
+                cache.popitem(last=False)
+            return build
 
     def invalidate(self, name: str) -> "Catalog":
         """Drop the named source's cached builds; the next query rebuilds.
@@ -303,12 +331,7 @@ class Catalog:
             )
         if not source.cacheable:
             return population
-        with self._lock:
-            population = self._populations.setdefault(key, population)
-            self._populations.move_to_end(key)
-            while len(self._populations) > self.MAX_CACHED_POPULATIONS:
-                self._populations.popitem(last=False)
-            return population
+        return self._share_build(self._populations, key, population)
 
     def seed_population(
         self,
@@ -357,18 +380,37 @@ class Catalog:
         group_spec=None,
         builder=None,
     ):
-        """Resolve a bitmap-index engine for one build coordinate.
+        """The bitmap-index engine for one build coordinate, built once.
 
-        The in-memory catalog has no engine persistence: it simply invokes
-        ``builder`` (the planner's cold NEEDLETAIL construction) - exactly
-        the pre-storage behaviour.  :class:`~repro.storage.DurableCatalog`
-        overrides this to answer from memory-mapped on-disk index builds
-        (and to persist cold builds), keyed by the same coordinates the
-        population cache hashes: ``group_spec`` (the full GROUP BY list -
-        ``group_col`` alone is ambiguous for composite keys), value column,
-        predicate, and value bound.
+        ``builder`` (the planner's cold NEEDLETAIL construction: table
+        materialization, WHERE bitmap, ``BitmapIndex``) runs only on a miss;
+        the engine it returns is cached under ``(source, group_spec, value
+        column, predicate, value bound)`` - ``group_spec`` being the full
+        GROUP BY list, since ``group_col`` alone is ambiguous for composite
+        keys - and obeys the rules populations obey: LRU-bounded by
+        :data:`MAX_CACHED_POPULATIONS`, skipped for non-cacheable sources,
+        dropped by :meth:`invalidate`/rebinding, shared with snapshots.
+        Sharing one engine across concurrent queries is safe: it is immutable
+        after construction, all per-run state lives on the ``EngineRun``.
+        Like :meth:`population`, concurrent first queries may each build;
+        the first to finish is the one every later query gets.
+        :class:`~repro.storage.DurableCatalog` puts a disk tier under this
+        one by wrapping ``builder``.
         """
-        return builder() if builder is not None else None
+        if builder is None:
+            return None
+        source = self.source(name)
+        key = (source, tuple(group_spec or (group_col,)), value_column, predicate, value_bound)
+        if source.cacheable:
+            with self._lock:
+                cached = self._engines.get(key)
+                if cached is not None:
+                    self._engines.move_to_end(key)
+                    return cached
+        engine = builder()
+        if engine is None or not source.cacheable:
+            return engine
+        return self._share_build(self._engines, key, engine)
 
     def drain_resilience_events(self) -> list[str]:
         """Self-healing events since the last drain.
@@ -388,6 +430,7 @@ class Catalog:
         with self._lock:
             table_cached = source in self._tables
             builds = tuple(k[1:] for k in self._populations if k[0] is source)
+            engines = tuple(k[1:] for k in self._engines if k[0] is source)
         return SourceInfo(
             name=name,
             kind=source.kind,
@@ -396,6 +439,7 @@ class Catalog:
             row_count_hint=source.row_count_hint(),
             table_cached=table_cached,
             cached_populations=builds,
+            cached_engines=engines,
         )
 
     def snapshot(self) -> "Catalog":
@@ -406,15 +450,14 @@ class Catalog:
         ``Session.submit`` isolation contract).  The build caches and their
         lock are *shared* - cache keys are source objects, so a shared entry
         can never go stale, and builds done by async queries benefit every
-        later query instead of being re-scanned per snapshot.
+        later query instead of being re-scanned per snapshot.  Subclass state
+        (a ``DurableCatalog``'s store, breaker and event list) is shared the
+        same way, so the view keeps answering from and persisting to it.
         """
-        clone = Catalog()
+        clone = object.__new__(type(self))
         with self._lock:
+            clone.__dict__.update(self.__dict__)
             clone._sources = dict(self._sources)
-            clone._tables = self._tables
-            clone._populations = self._populations
-            clone._lock = self._lock
-            clone._invalidation_listeners = self._invalidation_listeners
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -436,18 +436,23 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     for col in info.schema:
         print(f"  {col.name:<24} {col.kind}")
     print(f"materialized table cached: {'yes' if info.table_cached else 'no'}")
-    if info.cached_populations:
-        print("cached populations:")
-        for group_col, value_col, predicate, bound in info.cached_populations:
+    for label, builds in (
+        ("populations", info.cached_populations),
+        ("engines", info.cached_engines),
+    ):
+        if not builds:
+            print(f"cached {label}: none (first query triggers the build)")
+            continue
+        print(f"cached {label}:")
+        for group, value_col, predicate, bound in builds:
             extras = []
             if predicate is not None:
                 extras.append(f"where {predicate!r}")
             if bound is not None:
                 extras.append(f"c={bound:g}")
             suffix = f"  ({', '.join(extras)})" if extras else ""
-            print(f"  group by {group_col}, value {value_col}{suffix}")
-    else:
-        print("cached populations: none (first query triggers the build)")
+            group = group if isinstance(group, str) else ", ".join(group)
+            print(f"  group by {group}, value {value_col}{suffix}")
     return 0
 
 

@@ -499,6 +499,7 @@ class QueryService:
                     "rows": info.row_count_hint,
                     "table_cached": info.table_cached,
                     "cached_populations": len(info.cached_populations),
+                    "cached_engines": len(info.cached_engines),
                 }
             )
         return _json_response(200, {"tables": tables})

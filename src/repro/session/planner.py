@@ -333,9 +333,11 @@ def _needletail_factory(ctx: _PlanContext, value_column: str) -> SamplingEngine:
             predicate=ctx.bitvector(),
         )
 
-    # The catalog owns index persistence: a DurableCatalog answers this from
-    # memory-mapped segments (bit-identical, no BitmapIndex rebuild) and
-    # falls back to `build`; the in-memory Catalog just calls `build`.
+    # The index belongs to the table: the catalog answers a repeated build
+    # coordinate from its engine cache, and `build` (the only place that
+    # touches ctx.table / ctx.bitvector()) runs on a miss.  A DurableCatalog
+    # tries its memory-mapped segments first (bit-identical, no BitmapIndex
+    # rebuild) and persists what `build` returns.
     return ctx.catalog.indexed_engine(
         ctx.spec.table,
         ctx.group_col,

@@ -90,9 +90,6 @@ class DurableCatalog(Catalog):
     def __init__(self, path: str | os.PathLike) -> None:
         super().__init__()
         self._store = Store(path)
-        #: Mapped engines by ``(source, build_key)`` - the RAM face of the
-        #: on-disk index builds, evicted together with the other caches.
-        self._engines: dict[tuple, object] = {}
         #: Content fingerprints for memory tables (immutable once attached);
         #: file fingerprints are re-stat'ed on every lookup instead.
         self._fps: dict[DataSource, str] = {}
@@ -372,11 +369,6 @@ class DurableCatalog(Catalog):
         self._best_effort_persist(f"invalidation of table {name!r}", refresh)
         return self
 
-    def _drop_builds(self, source: DataSource) -> None:
-        super()._drop_builds(source)
-        for key in [k for k in self._engines if k[0] is source]:
-            del self._engines[key]
-
     # -- disk-backed builds --------------------------------------------------
 
     def _build_key(
@@ -407,48 +399,54 @@ class DurableCatalog(Catalog):
         group_spec=None,
         builder=None,
     ):
-        """A NEEDLETAIL engine for one build coordinate, disk-cached.
+        """A NEEDLETAIL engine for one build coordinate: RAM, then disk.
 
-        Hit: the engine is reconstructed zero-copy over memory-mapped
-        segments (:class:`~repro.storage.mapped.MappedNeedletailEngine`) -
-        no table materialization, no ``BitmapIndex`` build - and kept in an
-        in-RAM map so repeated queries skip even the header reads.  Miss:
-        ``builder`` runs (the planner's cold construction) and, when the
-        result packs (flat bitmap words, one shared value column), the build
-        is persisted for every later process.
+        The in-RAM tier is :meth:`Catalog.indexed_engine`'s build cache; this
+        override is only its *miss* path.  Disk hit: the engine is
+        reconstructed zero-copy over memory-mapped segments
+        (:class:`~repro.storage.mapped.MappedNeedletailEngine`) - no table
+        materialization, no ``BitmapIndex`` build.  Disk miss: ``builder``
+        runs (the planner's cold construction) and, when the result packs
+        (flat bitmap words, one shared value column), the build is persisted
+        best-effort for every later process.  Either way the engine enters
+        the shared cache, so a store that cannot take the write still builds
+        once per process.
         """
-        if builder is None:
-            return None
-        source = self.source(name)
-        if not source.cacheable or self._store.binding(name) is None:
-            return builder()
-        key = self._build_key(group_spec, group_col, value_column, predicate, value_bound)
-        with self._lock:
-            engine = self._engines.get((source, key))
-        if engine is not None:
+
+        def load_or_build():
+            source = self.source(name)
+            if not source.cacheable or self._store.binding(name) is None:
+                return builder()
+            key = self._build_key(group_spec, group_col, value_column, predicate, value_bound)
+            fingerprint = self._fingerprint(source)
+            hit = self._healing_load(name, "needletail", key, fingerprint=fingerprint)
+            if hit is not None:
+                meta, arrays = hit
+                return unpack_index(
+                    meta, arrays, group_by=group_col, value_column=value_column
+                )
+            engine = builder()
+            packed = pack_index(engine)
+            if packed is not None:
+                meta, arrays = packed
+                self._best_effort_persist(
+                    f"needletail build for table {name!r}",
+                    lambda: self._store.save_build(
+                        name, "needletail", key, fingerprint=fingerprint,
+                        meta=meta, arrays=arrays,
+                    ),
+                )
             return engine
-        fingerprint = self._fingerprint(source)
-        hit = self._healing_load(name, "needletail", key, fingerprint=fingerprint)
-        if hit is not None:
-            meta, arrays = hit
-            engine = unpack_index(
-                meta, arrays, group_by=group_col, value_column=value_column
-            )
-            with self._lock:
-                engine = self._engines.setdefault((source, key), engine)
-            return engine
-        engine = builder()
-        packed = pack_index(engine)
-        if packed is not None:
-            meta, arrays = packed
-            self._best_effort_persist(
-                f"needletail build for table {name!r}",
-                lambda: self._store.save_build(
-                    name, "needletail", key, fingerprint=fingerprint,
-                    meta=meta, arrays=arrays,
-                ),
-            )
-        return engine
+
+        return super().indexed_engine(
+            name,
+            group_col,
+            value_column,
+            value_bound=value_bound,
+            predicate=predicate,
+            group_spec=group_spec,
+            builder=load_or_build if builder is not None else None,
+        )
 
     def population(
         self,
@@ -477,13 +475,9 @@ class DurableCatalog(Catalog):
         hit = self._healing_load(name, "population", key, fingerprint=fingerprint)
         if hit is not None:
             meta, arrays = hit
-            population = unpack_population(meta, arrays)
-            with self._lock:
-                population = self._populations.setdefault(ram_key, population)
-                self._populations.move_to_end(ram_key)
-                while len(self._populations) > self.MAX_CACHED_POPULATIONS:
-                    self._populations.popitem(last=False)
-            return population
+            return self._share_build(
+                self._populations, ram_key, unpack_population(meta, arrays)
+            )
         population = super().population(
             name, group_col, value_col, predicate=predicate, value_bound=value_bound
         )
@@ -573,25 +567,3 @@ class DurableCatalog(Catalog):
 
         self._best_effort_persist(f"checkpoint {checkpoint_id!r} deletion", drop)
         return ok
-
-    def snapshot(self) -> "DurableCatalog":
-        """A name-isolated view sharing the store and every build cache.
-
-        Same contract as :meth:`Catalog.snapshot` - later registrations on
-        either view never change what the other's names resolve to - but the
-        clone keeps answering from (and persisting to) the same store, so
-        ``Session.submit``/``repro serve`` queries stay durable-backed.
-        """
-        clone = object.__new__(DurableCatalog)
-        with self._lock:
-            clone._sources = dict(self._sources)
-            clone._tables = self._tables
-            clone._populations = self._populations
-            clone._lock = self._lock
-            clone._invalidation_listeners = self._invalidation_listeners
-            clone._store = self._store
-            clone._engines = self._engines
-            clone._fps = self._fps
-            clone._breaker = self._breaker
-            clone._events = self._events
-        return clone

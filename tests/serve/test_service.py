@@ -127,6 +127,13 @@ class TestOpsSurface:
         assert by_name["flights"]["columns"]["arrival_delay"] == "numeric"
         assert by_name["slow"]["kind"] == "synthetic"
 
+    def test_tables_counts_resident_engine_builds(self, server):
+        port, _service = server
+        assert request(port, "POST", "/query", {"sql": FLIGHTS_SQL, "seed": 1})[0] == 200
+        _status, body, _ = request(port, "GET", "/tables")
+        by_name = {t["name"]: t for t in body["tables"]}
+        assert by_name["flights"]["cached_engines"] >= 1
+
     def test_stats_shape(self, server):
         port, _service = server
         status, body, _ = request(port, "GET", "/stats")

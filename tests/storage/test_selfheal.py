@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.needletail.engine import BUILD_COUNTS
 from repro.resilience.faults import Fault, FaultPlan, inject
 from repro.storage import DurableCatalog, MappedNeedletailEngine, Store
 
@@ -160,6 +161,25 @@ class TestWriteDegradation:
         # Memory-only write-through: nothing new lands on disk.
         assert cat.store.builds("t") == []
         assert cat.save_checkpoint("cp", kind="x", payload={}, state={}) is False
+        session.close()
+
+    def test_degraded_store_builds_the_index_once(self, tmp_path):
+        """The persist never lands, so RAM is the only tier: the second
+        query must reuse the first one's build, not rebuild per query."""
+        healthy = _build_store(tmp_path / "healthy")
+
+        plan = FaultPlan([Fault(kind="enospc_segment_write", at=0, times=1)])
+        cat = DurableCatalog(tmp_path / "store")
+        with inject(plan):
+            cat.attach("t", _dataset())
+        assert cat.degraded
+        session = repro.connect(catalog=cat, seed=1)
+        first = _run(session)
+        before = dict(BUILD_COUNTS)
+        second = _run(session)
+        assert BUILD_COUNTS == before, "second query re-ran the index build"
+        assert cat.store.builds("t") == []
+        assert _sig(first) == _sig(second) == _sig(healthy)
         session.close()
 
     def test_snapshot_shares_breaker_and_events(self, tmp_path):

@@ -165,6 +165,22 @@ class TestCommands:
         assert "carrier" in out and "string" in out and "numeric" in out
         assert "cached populations: none" in out
 
+    def test_describe_lists_resident_engine_builds(self, capsys, monkeypatch):
+        import numpy as np
+
+        from repro.session import avg, connect
+
+        data = {"g": np.array(["a", "b"] * 50), "h": np.array(["x"] * 100), "y": np.arange(100.0)}
+        session = connect().attach("t", data)
+        monkeypatch.setattr("repro.cli._catalog_session", lambda args: session)
+        assert main(["describe", "t"]) == 0
+        assert "cached engines: none" in capsys.readouterr().out
+        session.table("t").group_by("g", "h").agg(avg("y")).where("y >= 10").bound(200).run(seed=0)
+        assert main(["describe", "t"]) == 0
+        out = capsys.readouterr().out
+        assert "cached engines:\n  group by g, h, value y  (where " in out
+        assert "c=200" in out
+
     def test_describe_unknown_table(self, capsys):
         assert main(["describe", "nope", "--rows", "5000"]) == 2
         assert "unknown table" in capsys.readouterr().err

@@ -4,7 +4,8 @@ The ``bench``-marked cases track the fused-sampling path at k=1000:
 ``draw_block`` vs the per-group Python loop it replaced, and a full IFOCUS
 run through the fused executor (whose end-to-end guard is the ``wide_k1000``
 workload of ``bench_e2e``; ``repro.core.reference`` is the correctness
-oracle).  Export with ``python -m repro bench-export`` (writes
+oracle).  ``session_stream_dense`` guards the live-stream door, which runs
+the same executor.  Export with ``python -m repro bench-export`` (writes
 BENCH_micro.json).
 """
 
@@ -18,6 +19,7 @@ from repro.core.ifocus import run_ifocus
 from repro.core.intervals import separated_equal_width_batch
 from repro.data.synthetic import make_mixture_dataset
 from repro.engines.memory import InMemoryEngine
+from repro import SourceSpec
 from repro.session import avg, connect
 
 
@@ -74,6 +76,26 @@ def test_bench_needletail_repeat_query(benchmark):
     benchmark.extra_info["k"] = 8
     session.close()
     assert len(result.labels) == 8
+
+
+def test_bench_session_stream_dense(benchmark):
+    """A live ``.stream()`` to done on a warm Session: flights 200k, k=19.
+
+    Guards the one-executor property: a stream is the batched executor with
+    an ``on_finalize`` hook, so it costs about one ``.run()`` (~70 ms where
+    it was added).  A stream on a per-sample loop is ~100x that, far above
+    ``check_bench.py``'s 2x threshold.
+    """
+    session = connect(engine="needletail", delta=0.05)
+    session.attach("flights", SourceSpec("flights", rows=200_000, seed=0))
+    query = session.table("flights").group_by("carrier").agg(avg("arrival_delay"))
+    query.run(seed=1)  # the one cold index build, off the clock
+    result = benchmark.pedantic(
+        lambda: query.stream(seed=1).drain(), rounds=5, iterations=1, warmup_rounds=1
+    )
+    benchmark.extra_info["k"] = len(result.labels)
+    session.close()
+    assert result.first.algorithm == "ifocus"
 
 
 # ---------------------------------------------------------------------------

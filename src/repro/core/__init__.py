@@ -9,9 +9,9 @@ from repro.core.confidence import (
     iterated_log,
 )
 from repro.core.estimator import RunningMean
-from repro.core.ifocus import run_ifocus
+from repro.core.ifocus import LeaveRule, run_ifocus
 from repro.core.irefine import run_irefine
-from repro.core.reference import LoopContext, default_policy, run_ifocus_reference
+from repro.core.reference import default_policy, run_ifocus_reference
 from repro.core.registry import ALGORITHMS, algorithm_names, run_algorithm
 from repro.core.roundrobin import run_roundrobin
 from repro.core.scan import run_scan
@@ -26,9 +26,9 @@ __all__ = [
     "iterated_log",
     "RunningMean",
     "run_ifocus",
+    "LeaveRule",
     "run_irefine",
     "run_ifocus_reference",
-    "LoopContext",
     "default_policy",
     "ALGORITHMS",
     "algorithm_names",

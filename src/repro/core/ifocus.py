@@ -9,11 +9,11 @@ With the Hoeffding-Serfling epsilon schedule of Theorem 3.2 the returned
 estimates are ordered like the true means with probability >= 1 - delta, at
 near-optimal sample cost (Theorems 3.5/3.6/3.8).
 
-This module contains the *production* executor: it is batched over rounds and
-fully vectorized with numpy, yet produces exactly the same samples, removal
-rounds, and estimates as the one-sample-at-a-time loop in
-:mod:`repro.core.reference` (the equivalence is asserted in the test suite).
-Exactness comes from two facts:
+This module contains the *production* executor, the only one behind every
+public IFOCUS door: it is batched over rounds and fully vectorized with numpy,
+yet produces exactly the same samples, removal rounds, and estimates as the
+one-sample-at-a-time oracle in :mod:`repro.core.reference` (the equivalence
+is asserted in the test suite).  Exactness comes from two facts:
 
 * every group has its own independent random stream (see
   :func:`repro._util.spawn_group_rngs`), so pre-drawing a block for a group
@@ -29,33 +29,11 @@ Exactness comes from two facts:
   disjoint from all others" test reduces to an exact sorted adjacent-gap test
   (:func:`repro.core.intervals.separated_equal_width_batch`).
 
-Batched execution & fused sampling
-----------------------------------
-
-The executor's per-batch work is fused end to end so no step scales with a
-Python call per group:
-
-* **Drawing** goes through :meth:`repro.engines.base.EngineRun.draw_block`:
-  one call returns the whole ``(batch, k_active)`` sample matrix.  Engines
-  serve it natively - materialized groups via a columnar permutation store
-  (one fancy-index gather), virtual groups via one shared RNG call per batch
-  with a vectorized inverse-CDF per distribution family, NEEDLETAIL groups
-  via batched rank->select->fetch with a single fused value gather (see
-  DESIGN_PERF.md).  ``draw_block`` is bit-exact with the sequential
-  per-group ``draw`` loop it replaces, so reference equivalence is
-  unaffected.
-* **Charging** survivors is one :meth:`~repro.engines.base.EngineRun.charge_block`
-  call, and the survivor state update maps groups to batch columns with a
-  ``searchsorted`` instead of a per-group dict.
-* **Walking** the batch is incremental: the epsilon segment is computed once
-  per batch with the validation-free
-  :meth:`~repro.core.confidence.EpsilonSchedule.segment` and reused across
-  finalization events while ``n_max`` (the largest live group size, which
-  sets the finite-population factor) is unchanged; separation events are
-  located with the galloping-window
-  :func:`~repro.core.intervals.first_event_row`, so rows already cleared are
-  never re-tested and an event at row r costs O(r k log k) rather than
-  O(batch k log k).
+Per batch the executor draws one ``(batch, k_active)`` block
+(:meth:`~repro.engines.base.EngineRun.draw_block`, bit-exact with per-group
+draws), charges survivors with one ``charge_block`` call, and walks the batch
+incrementally with galloping windows; DESIGN_PERF.md ("The fused draw API",
+"Incremental batch walking") has the details.
 
 Supported configuration (all of Section 3 and 5 of the paper):
 
@@ -69,6 +47,12 @@ Supported configuration (all of Section 3 and 5 of the paper):
   aggressive shrinking studied in Fig. 5(a)/(b).
 * ``trace_every`` - record strided per-round snapshots for the convergence
   experiments (Fig. 5(c), Fig. 6(a)) and the Table 1 execution trace.
+
+Partial results and the Section 6 variants change only *when a group may
+leave the active set* or *when the loop stops*, so they are two hooks on this
+one loop: ``on_finalize`` (Problem 7's partial-results stream) and a
+:class:`LeaveRule` (top-t, trends, values and mistakes live in
+:mod:`repro.extensions`).
 
 Groups removed from the active set are never re-activated (alternative (a) in
 Section 3.1, the optimality-preserving choice; alternative (b) is available in
@@ -86,28 +70,70 @@ conflicting pair in full).
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from repro._util import check_nonnegative, check_probability
 from repro.core.confidence import EpsilonSchedule
-from repro.core.intervals import first_event_row, first_resolution_row
+from repro.core.intervals import (
+    _obstacle_clearance,
+    first_event_row,
+    first_resolution_row,
+    separated_equal_width_batch,
+)
 from repro.core.types import GroupOutcome, OrderingResult, RoundSnapshot, Trace
 from repro.engines.base import EngineRun, SamplingEngine
 from repro.resilience.deadline import Deadline
 
-__all__ = ["run_ifocus"]
+__all__ = ["Inactive", "LeaveRule", "run_ifocus"]
 
 _DEFAULT_INITIAL_BATCH = 64
 _DEFAULT_MAX_BATCH = 1 << 18
 
 
+class Inactive(NamedTuple):
+    """The groups that left the active set: their frozen estimates and
+    half-widths (an exhausted group: its exact mean, width 0)."""
+
+    estimates: np.ndarray
+    half_widths: np.ndarray
+
+
+class LeaveRule:
+    """When a live group may leave the active set, and when the run stops.
+
+    The base class is Algorithm 1's rule; the Section 6 variants subclass it
+    and set ``algorithm``, the result's label.  :func:`run_ifocus` evaluates
+    :meth:`leave` on galloping windows of pre-drawn rounds, the reference
+    loop on one round at a time - one object, so the two cannot drift apart.
+    Both executors AND the result with the exhausted-mean obstacle test.
+    """
+
+    algorithm = "ifocus"
+
+    def leave(self, est, eps, gids, inactive: Inactive) -> np.ndarray:
+        """(W, L) mask: which live groups may leave at each row of a window of
+        their running means ``est`` (live gids ascending, one row per round,
+        shared half-width ``eps`` per round).  Default: disjoint from every
+        other live interval."""
+        return separated_equal_width_batch(est, eps)
+
+    def stop(self, n_inactive: int, k: int) -> bool:
+        """Stop the run (live groups finalize where they are)?  Evaluated
+        after each round's removals; depends on the inactive count only."""
+        return False
+
+
 class _IFocusState:
     """Mutable per-run state for the batched executor."""
 
-    def __init__(self, run: EngineRun, trace_every: int) -> None:
+    def __init__(self, run: EngineRun, trace_every: int, on_finalize=None) -> None:
         k = run.k
         self.run = run
         self.k = k
+        self.names = run.group_names()
+        self.on_finalize = on_finalize
         self.sizes = run.sizes()
         self.sums = np.zeros(k, dtype=np.float64)
         self.estimates = np.zeros(k, dtype=np.float64)
@@ -137,6 +163,8 @@ class _IFocusState:
         self.exhausted[gid] = exhausted
         self.inactive_order.append(gid)
         self.run.charge(gid, batch_rounds_consumed)
+        if self.on_finalize is not None:
+            self.on_finalize(gid, self.outcome(gid))
 
     def finalize_exhausted(self, gids: np.ndarray, round_m: int) -> None:
         """Vectorized finalization of fully-read groups at their exact means.
@@ -152,6 +180,21 @@ class _IFocusState:
         self.finalized_round[gids] = round_m
         self.exhausted[gids] = True
         self.inactive_order.extend(int(g) for g in gids)
+        if self.on_finalize is not None:
+            for gid in gids:
+                self.on_finalize(int(gid), self.outcome(int(gid)))
+
+    def outcome(self, gid: int) -> GroupOutcome:
+        """Group ``gid`` as the result reports it (final once it is inactive)."""
+        return GroupOutcome(
+            index=gid,
+            name=self.names[gid],
+            estimate=float(self.estimates[gid]),
+            samples=int(self.samples[gid]),
+            half_width=float(self.half_widths[gid]),
+            exhausted=bool(self.exhausted[gid]),
+            finalized_round=int(self.finalized_round[gid]),
+        )
 
 
 def run_ifocus(
@@ -168,6 +211,8 @@ def run_ifocus(
     max_batch: int = _DEFAULT_MAX_BATCH,
     max_rounds: int | None = None,
     deadline: "Deadline | None" = None,
+    on_finalize: Callable[[int, GroupOutcome], None] | None = None,
+    rule: LeaveRule | None = None,
 ) -> OrderingResult:
     """Run IFOCUS (or IFOCUS-R when ``resolution`` > 0) over an engine.
 
@@ -197,6 +242,11 @@ def run_ifocus(
             finalized at their current estimates (anytime behaviour) and
             ``params["deadline_exceeded"]`` is set; on cancellation
             :class:`~repro.errors.QueryCancelled` propagates.
+        on_finalize: optional callback ``(gid, outcome)`` invoked the moment
+            a group leaves the active set, in ``inactive_order`` order; each
+            outcome equals the group's entry in the returned result.
+        rule: optional :class:`LeaveRule` replacing Algorithm 1's leave test
+            (the Section 6 variants); its ``algorithm`` labels the result.
 
     Returns:
         An :class:`~repro.core.types.OrderingResult`.
@@ -206,12 +256,14 @@ def run_ifocus(
     if initial_batch < 1 or max_batch < initial_batch:
         raise ValueError("need 1 <= initial_batch <= max_batch")
     variant = "ifocusr" if resolution > 0 else "ifocus"
+    if rule is not None:
+        variant = rule.algorithm
     run = engine.open_run(seed, without_replacement=without_replacement)
     k = run.k
     schedule = EpsilonSchedule(
         k, delta, c=run.c, kappa=kappa, heuristic_factor=heuristic_factor
     )
-    state = _IFocusState(run, trace_every)
+    state = _IFocusState(run, trace_every, on_finalize)
 
     # Round m = 1: one sample per group to seed the estimates (Alg. 1 line 2).
     all_gids = np.arange(k, dtype=np.int64)
@@ -272,6 +324,7 @@ def run_ifocus(
             prefix,
             resolution,
             without_replacement,
+            rule,
         )
         # Survivors consumed the whole batch; update their running state.
         # ``active_idx`` is sorted, so batch columns come from a searchsorted.
@@ -285,19 +338,7 @@ def run_ifocus(
         m += b_eff
         batch = min(batch * 2, max_batch)
 
-    names = run.group_names()
-    groups = [
-        GroupOutcome(
-            index=i,
-            name=names[i],
-            estimate=float(state.estimates[i]),
-            samples=int(state.samples[i]),
-            half_width=float(state.half_widths[i]),
-            exhausted=bool(state.exhausted[i]),
-            finalized_round=int(state.finalized_round[i]),
-        )
-        for i in range(k)
-    ]
+    groups = [state.outcome(i) for i in range(k)]
     params = {
         "delta": delta,
         "resolution": resolution,
@@ -393,18 +434,17 @@ def _walk_batch(
     prefix: np.ndarray,
     resolution: float,
     without_replacement: bool,
-) -> int:
-    """Process one pre-drawn batch; finalize groups at separation events.
+    rule: LeaveRule | None = None,
+) -> None:
+    """Process one pre-drawn batch; finalize groups at leave events.
 
     Incremental: the epsilon segment is evaluated once for the whole batch
     and reused across finalization events - it only changes when the largest
     live group leaves (shrinking ``n_max``, the finite-population factor's
-    denominator).  Events are located with the galloping-window scan of
-    :func:`~repro.core.intervals.first_event_row`, resuming from the row
-    after the previous event, so rows already cleared are never re-tested.
-
-    Returns the number of rows consumed (always the full batch; the return
-    value exists for symmetry/debugging).
+    denominator).  Events are located with a galloping-window scan
+    (:func:`~repro.core.intervals.first_event_row`, or
+    :func:`_first_leave_row` for a rule) resuming after the previous event,
+    so rows already cleared are never re-tested.
     """
     b_eff = rounds.shape[0]
     live = np.arange(active_idx.shape[0])  # columns still active
@@ -424,60 +464,82 @@ def _walk_batch(
             eps_full[row:] = schedule.segment(rounds[row:], n_max)
             res_at = first_resolution_row(eps_full, resolution, row)
 
-        # A resolution stop at ``res_at`` makes later separation events moot,
-        # so the scan is capped there.
+        # A resolution stop at ``res_at`` makes later events moot, so the
+        # scan is capped there.
         cap = b_eff if res_at is None else min(b_eff, res_at + 1)
-        sep_row, sep_mask = first_event_row(
-            prefix[row:cap, live], eps_full[row:cap], obstacles=frozen
-        )
-        sep_abs = row + sep_row if sep_row is not None else None
-
-        if sep_abs is None and res_at is None:
-            _record_trace_rows(state, rounds, prefix, live, gids, row, b_eff, eps_full)
-            row = b_eff
-            break
-
-        if res_at is not None and (sep_abs is None or res_at <= sep_abs):
-            # Resolution termination: finalize every remaining active group.
-            abs_row = res_at
-            _record_trace_rows(
-                state, rounds, prefix, live, gids, row, abs_row + 1, eps_full
+        if rule is None:
+            ev_row, ev_mask = first_event_row(
+                prefix[row:cap, live], eps_full[row:cap], obstacles=frozen
             )
-            round_m = int(rounds[abs_row])
-            eps_here = float(eps_full[abs_row])
-            for pos in live:
-                gid = int(active_idx[pos])
-                state.finalize(
-                    gid,
-                    estimate=float(prefix[abs_row, pos]),
-                    round_m=round_m,
-                    half_width=eps_here,
-                    exhausted=False,
-                    batch_rounds_consumed=abs_row + 1,
-                )
-            live = np.empty(0, dtype=np.int64)
         else:
-            abs_row = sep_abs
-            _record_trace_rows(
-                state, rounds, prefix, live, gids, row, abs_row + 1, eps_full
+            # A stop test changes its answer only with the inactive count: at
+            # event rows, and through the exhaustion pre-check, which the
+            # reference loop first tests after this batch's first round.  So
+            # the first row is scanned alone and tested after, like events.
+            if row == 0:
+                cap = 1
+            ev_row, ev_mask = _first_leave_row(
+                rule, prefix[row:cap, live], eps_full[row:cap], gids, state, frozen
             )
-            round_m = int(rounds[abs_row])
-            eps_here = float(eps_full[abs_row])
-            newly = np.flatnonzero(sep_mask)
-            for j in newly:
-                pos = int(live[j])
-                gid = int(active_idx[pos])
-                state.finalize(
-                    gid,
-                    estimate=float(prefix[abs_row, pos]),
-                    round_m=round_m,
-                    half_width=eps_here,
-                    exhausted=False,
-                    batch_rounds_consumed=abs_row + 1,
-                )
+        ev_abs = row + ev_row if ev_row is not None else None
+
+        by_resolution = res_at is not None and res_at < cap and (
+            ev_abs is None or res_at <= ev_abs
+        )
+        end = res_at if by_resolution else (cap - 1 if ev_abs is None else ev_abs)
+        _record_trace_rows(state, rounds, prefix, live, gids, row, end + 1, eps_full)
+        row = end + 1
+        if by_resolution:
+            # Resolution termination: finalize every remaining active group.
+            _finalize_columns(state, active_idx, live, prefix, rounds, eps_full, end)
+            return
+        if ev_abs is not None:
+            newly = np.flatnonzero(ev_mask)
+            _finalize_columns(
+                state, active_idx, live[newly], prefix, rounds, eps_full, end
+            )
             live = np.delete(live, newly)
-        row = abs_row + 1
-    return row
+        if (
+            rule is not None
+            and (ev_abs is not None or row == 1)
+            and rule.stop(len(state.inactive_order), state.k)
+        ):
+            _finalize_columns(state, active_idx, live, prefix, rounds, eps_full, end)
+            return
+
+
+def _first_leave_row(rule, est, eps, gids, state, frozen, start_window=64):
+    """:func:`~repro.core.intervals.first_event_row`'s galloping scan (windows
+    that double in size) over a rule and the exhausted-mean obstacles: the
+    first row at which some live column may leave, and the mask of those."""
+    inactive = Inactive(state.estimates[~state.active], state.half_widths[~state.active])
+    obstacles = np.sort(frozen)
+    row, window = 0, start_window
+    while row < est.shape[0]:
+        hi = min(row + window, est.shape[0])
+        ok = rule.leave(est[row:hi], eps[row:hi], gids, inactive)
+        if obstacles.size:
+            ok = ok & (_obstacle_clearance(est[row:hi], obstacles) > eps[row:hi, None])
+        hits = np.flatnonzero(ok.any(axis=1))
+        if hits.size:
+            return row + int(hits[0]), ok[int(hits[0])]
+        row, window = hi, window * 2
+    return None, None
+
+
+def _finalize_columns(state, active_idx, cols, prefix, rounds, eps_full, row) -> None:
+    """Finalize the batch columns ``cols`` at their estimates at ``row``."""
+    round_m = int(rounds[row])
+    eps_here = float(eps_full[row])
+    for pos in cols:
+        state.finalize(
+            int(active_idx[pos]),
+            estimate=float(prefix[row, pos]),
+            round_m=round_m,
+            half_width=eps_here,
+            exhausted=False,
+            batch_rounds_consumed=row + 1,
+        )
 
 
 def _truncate_active(

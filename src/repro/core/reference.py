@@ -1,97 +1,46 @@
-"""Reference (one-sample-at-a-time) IFOCUS loop with pluggable policies.
+"""Reference (one-sample-at-a-time) IFOCUS loop - an oracle, not an executor.
 
 This is the literal transcription of Algorithm 1: a Python loop over rounds,
-one draw per active group per round.  It exists for three reasons:
+one draw per active group per round.  No public door runs it; it exists for
+two reasons:
 
-1. **Ground truth** - the vectorized executor in :mod:`repro.core.ifocus`
-   must produce exactly the same estimates, removal rounds and sample counts;
-   the test suite asserts this equivalence on randomized instances.
-2. **Extensions** - the Section 6 variants (trends, top-t, mistakes, values,
-   partial results) only change *when a group may leave the active set* or
-   *when the loop stops*.  They plug into this loop via the ``policy``,
-   ``terminate_when``, ``min_half_width`` and ``on_finalize`` hooks rather
-   than re-implementing the algorithm.
-3. **Alternative (b)** - Section 3.1 discusses letting inactive groups
+1. **Ground truth** - the batched executor in :mod:`repro.core.ifocus` must
+   produce exactly the same estimates, removal rounds and sample counts; the
+   test suite asserts this on randomized instances for :func:`default_policy`
+   (the pairwise Algorithm 1 rule, independent of the executor's sorted
+   adjacent-gap scan) and for every Section 6 ``LeaveRule``, evaluated here
+   on one round at a time.
+2. **Alternative (b)** - Section 3.1 discusses letting inactive groups
    re-activate when another estimate drifts into them; that variant
    (``reactivation=True``) loses the optimality guarantee and exists here for
-   the ablation benchmark.
+   the ablation benchmark (:mod:`repro.experiments.ablations`).
 
 Unlike the batched executor, this loop maintains *per-group* round counts and
-half-widths, which is what reactivation and the extension policies need; in
-the default configuration every active group has the same count, so the two
-implementations coincide.
+half-widths, which is what reactivation needs; in the default configuration
+every active group has the same count, so the two implementations coincide.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from repro._util import check_nonnegative, check_probability
 from repro.core.confidence import EpsilonSchedule
+from repro.core.ifocus import Inactive, LeaveRule
 from repro.core.intervals import separated_general
 from repro.core.types import GroupOutcome, OrderingResult, RoundSnapshot, Trace
 from repro.engines.base import SamplingEngine
-from repro.resilience.deadline import Deadline
 
-__all__ = ["LoopContext", "default_policy", "run_ifocus_reference"]
-
-
-@dataclass
-class LoopContext:
-    """Snapshot of the loop state passed to policies and hooks.
-
-    Attributes:
-        estimates: current estimates for all k groups (frozen for inactive).
-        half_widths: current interval half-widths (frozen for inactive,
-            0.0 for exhausted groups).
-        active: boolean mask of active groups.
-        counts: per-group sample counts m_i.
-        round_index: the global round number (max of the counts).
-        sizes: group sizes n_i.
-        inactive_order: indices finalized so far, in order.
-    """
-
-    estimates: np.ndarray
-    half_widths: np.ndarray
-    active: np.ndarray
-    counts: np.ndarray
-    round_index: int
-    sizes: np.ndarray
-    inactive_order: list[int] = field(default_factory=list)
-
-    @property
-    def k(self) -> int:
-        return self.estimates.shape[0]
-
-    def resolved_pair_fraction(self) -> float:
-        """Fraction of group pairs with both endpoints inactive.
-
-        Pairs of inactive groups are exactly the pairs whose relative order
-        the algorithm has committed to - the quantity the "allowing mistakes"
-        variant (Problem 5) tracks.
-        """
-        k = self.k
-        if k < 2:
-            return 1.0
-        inactive = int((~self.active).sum())
-        return (inactive * (inactive - 1)) / (k * (k - 1))
+__all__ = ["default_policy", "run_ifocus_reference"]
 
 
-PolicyFn = Callable[[LoopContext], np.ndarray]
-
-
-def default_policy(ctx: LoopContext) -> np.ndarray:
+def default_policy(estimates: np.ndarray, half_widths: np.ndarray, active: np.ndarray):
     """Algorithm 1's rule: an active group may leave the active set iff its
     interval is disjoint from every *other active* group's interval."""
-    out = np.zeros(ctx.k, dtype=bool)
-    idx = np.flatnonzero(ctx.active)
-    if idx.size == 0:
-        return out
-    sep = separated_general(ctx.estimates[idx], ctx.half_widths[idx])
-    out[idx] = sep
+    out = np.zeros(estimates.shape[0], dtype=bool)
+    idx = np.flatnonzero(active)
+    if idx.size:
+        out[idx] = separated_general(estimates[idx], half_widths[idx])
     return out
 
 
@@ -107,40 +56,24 @@ def run_ifocus_reference(
     trace_every: int = 0,
     max_rounds: int | None = None,
     reactivation: bool = False,
-    policy: PolicyFn | None = None,
-    terminate_when: Callable[[LoopContext], bool] | None = None,
-    min_half_width: float | None = None,
-    on_finalize: Callable[[int, GroupOutcome], None] | None = None,
-    algorithm_name: str | None = None,
-    deadline: Deadline | None = None,
+    rule: LeaveRule | None = None,
 ) -> OrderingResult:
     """Run the reference IFOCUS loop.
 
     See :func:`repro.core.ifocus.run_ifocus` for the shared parameters.
-    Additional hooks:
 
     Args:
         reactivation: alternative (b) of Section 3.1 - inactive,
             non-exhausted groups whose frozen interval overlaps an active
-            interval re-enter the active set.
-        policy: replaces the "disjoint from other active intervals" rule;
-            receives a :class:`LoopContext`, returns a boolean mask of active
-            groups allowed to leave the active set this round.
-        terminate_when: extra stopping predicate checked once per round after
-            removals (e.g. the mistakes variant's resolved-pair fraction).
-        min_half_width: groups may not leave the active set while their
-            half-width exceeds this (the approximate-values variant uses d/2).
-        on_finalize: callback invoked with (gid, outcome) the moment a group
-            is finalized - this is the partial-results stream of Problem 7.
-        algorithm_name: override the result's algorithm label.
-        deadline: optional time budget / cancel token, polled once per
-            round; on expiry remaining groups are finalized at their
-            current estimates and ``params["deadline_exceeded"]`` is set.
+            interval re-enter the active set (``rule=None`` only).
+        rule: a :class:`~repro.core.ifocus.LeaveRule` replacing
+            :func:`default_policy`: ``leave`` on each round's active
+            estimates (one row), ``stop`` once per round after removals.
     """
     check_probability(delta, "delta")
     check_nonnegative(resolution, "resolution")
-    if policy is None:
-        policy = default_policy
+    if reactivation and rule is not None:
+        raise ValueError("reactivation runs Algorithm 1's rule only (rule=None)")
     run = engine.open_run(seed, without_replacement=without_replacement)
     k = run.k
     sizes = run.sizes()
@@ -165,17 +98,6 @@ def run_ifocus_reference(
             return None
         return float(sizes[idx].max())
 
-    def make_ctx(round_index: int) -> LoopContext:
-        return LoopContext(
-            estimates=estimates,
-            half_widths=half_widths,
-            active=active,
-            counts=counts,
-            round_index=round_index,
-            sizes=sizes,
-            inactive_order=inactive_order,
-        )
-
     def finalize(gid: int, width: float, round_m: int, is_exhausted: bool) -> None:
         active[gid] = False
         half_widths[gid] = width
@@ -184,19 +106,10 @@ def run_ifocus_reference(
         inactive_order.append(gid)
         if is_exhausted:
             estimates[gid] = run.exact_mean(gid)
-        if on_finalize is not None:
-            on_finalize(
-                gid,
-                GroupOutcome(
-                    index=gid,
-                    name=names[gid],
-                    estimate=float(estimates[gid]),
-                    samples=int(counts[gid]),
-                    half_width=float(width),
-                    exhausted=is_exhausted,
-                    finalized_round=round_m,
-                ),
-            )
+
+    def finalize_active() -> None:
+        for gid in np.flatnonzero(active):
+            finalize(int(gid), float(half_widths[gid]), m, False)
 
     # Round 1: one sample per group.
     for gid in range(k):
@@ -220,17 +133,10 @@ def run_ifocus_reference(
         )
 
     truncated = False
-    deadline_exceeded = False
     while active.any():
         if max_rounds is not None and m >= max_rounds:
             truncated = True
-            for gid in np.flatnonzero(active):
-                finalize(int(gid), float(half_widths[gid]), m, False)
-            break
-        if deadline is not None and deadline.check():
-            deadline_exceeded = True
-            for gid in np.flatnonzero(active):
-                finalize(int(gid), float(half_widths[gid]), m, False)
+            finalize_active()
             break
 
         # Exhaustion: a fully-read group is finalized at its exact mean.
@@ -262,18 +168,23 @@ def run_ifocus_reference(
                         active[gid] = True
                         inactive_order.remove(int(gid))
 
-        ctx = make_ctx(m)
         active_eps = half_widths[active]
         # Resolution relaxation (Problem 2): stop once eps < r/4.
         if resolution > 0.0 and active_eps.size and float(active_eps.max()) < resolution / 4.0:
-            for gid in np.flatnonzero(active):
-                finalize(int(gid), float(half_widths[gid]), m, False)
+            finalize_active()
             _trace_round(trace, m, counts, active, estimates, half_widths)
             break
 
-        may_leave = policy(ctx) & active
-        if min_half_width is not None:
-            may_leave &= half_widths < min_half_width
+        if rule is None:
+            may_leave = default_policy(estimates, half_widths, active)
+        else:
+            # Every active group has the same count, hence one half-width.
+            idx = np.flatnonzero(active)
+            inactive = Inactive(estimates[~active], half_widths[~active])
+            may_leave = np.zeros(k, dtype=bool)
+            may_leave[idx] = rule.leave(
+                estimates[idx][None, :], half_widths[idx[:1]], idx, inactive
+            )[0]
         # Exhausted groups are zero-width obstacles: a group may not leave
         # while its interval still covers a frozen exact mean (mirrors the
         # batched executor; keeps ordering sound vs fully-read groups).
@@ -287,9 +198,8 @@ def run_ifocus_reference(
 
         _trace_round(trace, m, counts, active, estimates, half_widths)
 
-        if terminate_when is not None and terminate_when(make_ctx(m)):
-            for gid in np.flatnonzero(active):
-                finalize(int(gid), float(half_widths[gid]), m, False)
+        if rule is not None and rule.stop(len(inactive_order), k):
+            finalize_active()
             break
 
     groups = [
@@ -304,8 +214,12 @@ def run_ifocus_reference(
         )
         for i in range(k)
     ]
+    if rule is not None:
+        label = rule.algorithm
+    else:
+        label = "ifocusr" if resolution > 0 else "ifocus"
     return OrderingResult(
-        algorithm=algorithm_name or ("ifocusr-reference" if resolution > 0 else "ifocus-reference"),
+        algorithm=f"{label}-reference",
         estimates=estimates.copy(),
         samples_per_group=counts.copy(),
         rounds=m,
@@ -320,7 +234,6 @@ def run_ifocus_reference(
             "without_replacement": without_replacement,
             "c": run.c,
             "truncated": truncated,
-            "deadline_exceeded": deadline_exceeded,
             "reactivation": reactivation,
         },
         stats=run.stats,

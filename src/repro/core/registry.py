@@ -34,8 +34,6 @@ ALGORITHMS: dict[str, _RunnerFn] = {
 
 RESOLUTION_VARIANTS = frozenset({"ifocusr", "irefiner", "roundrobinr"})
 
-_NO_RESOLUTION = frozenset({"ifocus", "irefine", "roundrobin", "scan"})
-
 
 def algorithm_names(include_scan: bool = False) -> list[str]:
     """The six sampling algorithm names in the paper's plotting order."""

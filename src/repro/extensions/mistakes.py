@@ -10,11 +10,35 @@ the still-active groups at their current estimates.
 from __future__ import annotations
 
 from repro._util import check_probability
-from repro.core.reference import LoopContext, run_ifocus_reference
+from repro.core.ifocus import LeaveRule, run_ifocus
 from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
 
-__all__ = ["run_ifocus_mistakes"]
+__all__ = ["MistakesRule", "resolved_pair_fraction", "run_ifocus_mistakes"]
+
+
+def resolved_pair_fraction(n_inactive: int, k: int) -> float:
+    """Fraction of group pairs with both endpoints inactive: the pairs whose
+    relative order the algorithm has committed to (Problem 5)."""
+    return 1.0 if k < 2 else (n_inactive * (n_inactive - 1)) / (k * (k - 1))
+
+
+class MistakesRule(LeaveRule):
+    """Algorithm 1's rule, stopping once enough pairs are resolved; ``fired``
+    and ``fraction`` record the last run's stop, if any."""
+
+    algorithm = "ifocus-mistakes"
+
+    def __init__(self, min_correct_fraction: float) -> None:
+        self.min_correct_fraction = min_correct_fraction
+        self.fired, self.fraction = False, 1.0
+
+    def stop(self, n_inactive: int, k: int) -> bool:
+        frac = resolved_pair_fraction(n_inactive, k)
+        if self.min_correct_fraction >= 1.0 or frac < self.min_correct_fraction:
+            return False
+        self.fired, self.fraction = True, frac
+        return True
 
 
 def run_ifocus_mistakes(
@@ -38,26 +62,9 @@ def run_ifocus_mistakes(
     """
     if min_correct_fraction != 1.0:
         check_probability(min_correct_fraction, "min_correct_fraction")
-
-    observed = {"fraction": 1.0, "fired": False}
-
-    def terminate(ctx: LoopContext) -> bool:
-        frac = ctx.resolved_pair_fraction()
-        if frac >= min_correct_fraction:
-            observed["fraction"] = frac
-            observed["fired"] = True
-            return True
-        return False
-
-    result = run_ifocus_reference(
-        engine,
-        delta=delta,
-        resolution=resolution,
-        terminate_when=terminate if min_correct_fraction < 1.0 else None,
-        algorithm_name="ifocus-mistakes",
-        **kwargs,
-    )
+    rule = MistakesRule(min_correct_fraction)
+    result = run_ifocus(engine, delta=delta, resolution=resolution, rule=rule, **kwargs)
     result.params["min_correct_fraction"] = min_correct_fraction
-    result.params["early_terminated"] = observed["fired"]
-    result.params["resolved_pair_fraction"] = observed["fraction"]
+    result.params["early_terminated"] = rule.fired
+    result.params["resolved_pair_fraction"] = rule.fraction
     return result

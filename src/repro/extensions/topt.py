@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.reference import LoopContext, default_policy, run_ifocus_reference
+from repro.core.ifocus import LeaveRule, run_ifocus
 from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
 
-__all__ = ["TopTResult", "run_ifocus_topt"]
+__all__ = ["TopRule", "TopTResult", "run_ifocus_topt"]
 
 
 @dataclass
@@ -49,24 +49,29 @@ class TopTResult:
         return self.result.estimates[self.top_indices]
 
 
-def _topt_policy(t: int, largest: bool):
-    def policy(ctx: LoopContext) -> np.ndarray:
-        out = default_policy(ctx)  # fully separated groups may always leave
-        est, hw = ctx.estimates, ctx.half_widths
-        if largest:
-            lower, upper = est - hw, est + hw
-        else:
-            # Mirror: "above" means better (smaller); negate values.
-            lower, upper = -est - hw, -est + hw
-        for i in np.flatnonzero(ctx.active & ~out):
-            i = int(i)
-            # Groups whose entire interval lies above i's upper bound.
-            clearly_above = int(np.sum(np.delete(lower, i) > upper[i]))
-            if clearly_above >= t:
-                out[i] = True
-        return out
+class TopRule(LeaveRule):
+    """Leave when separated, or when clearly outside the top t.
 
-    return policy
+    Group i is clearly outside when its upper bound lies below the t-th
+    largest lower bound over all groups - the live ones at this round and
+    the frozen intervals of the inactive ones.  Its own lower bound never
+    exceeds its own upper bound, so it never counts itself.  ``largest=False``
+    mirrors the test by negating every value.
+    """
+
+    algorithm = "ifocus-topt"
+
+    def __init__(self, t: int, largest: bool = True) -> None:
+        self.t, self.largest = int(t), bool(largest)
+
+    def leave(self, est, eps, gids, inactive):
+        live, frozen = (est, inactive.estimates) if self.largest else (-est, -inactive.estimates)
+        w = eps[:, None]
+        frozen_lower = np.broadcast_to(frozen - inactive.half_widths, (est.shape[0], frozen.size))
+        lower = np.concatenate([live - w, frozen_lower], axis=1)
+        kth = lower.shape[1] - self.t
+        outside = (live + w) < np.partition(lower, kth, axis=1)[:, kth, None]
+        return super().leave(est, eps, gids, inactive) | outside
 
 
 def run_ifocus_topt(
@@ -84,15 +89,16 @@ def run_ifocus_topt(
         engine: sampling engine.
         t: how many top groups must be identified and internally ordered.
         largest: report the largest-t (True) or smallest-t (False) groups.
+        Other keyword arguments are forwarded to
+        :func:`~repro.core.ifocus.run_ifocus`.
     """
     if not 1 <= t <= engine.k:
         raise ValueError(f"t must be in [1, {engine.k}], got {t}")
-    result = run_ifocus_reference(
+    result = run_ifocus(
         engine,
         delta=delta,
         resolution=resolution,
-        policy=_topt_policy(t, largest),
-        algorithm_name="ifocus-topt",
+        rule=TopRule(t, largest),
         **kwargs,
     )
     return TopTResult(result=result, t=t, largest=largest)

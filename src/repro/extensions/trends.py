@@ -17,11 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.reference import LoopContext, run_ifocus_reference
+from repro.core.ifocus import LeaveRule, run_ifocus
 from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
 
-__all__ = ["run_ifocus_trends", "chain_neighbors", "grid_neighbors"]
+__all__ = ["TrendsRule", "run_ifocus_trends", "chain_neighbors", "grid_neighbors"]
 
 
 def chain_neighbors(k: int) -> list[list[int]]:
@@ -52,21 +52,29 @@ def grid_neighbors(rows: int, cols: int) -> list[list[int]]:
     return out
 
 
-def _neighbor_policy(neighbors: Sequence[Sequence[int]]):
-    def policy(ctx: LoopContext) -> np.ndarray:
-        out = np.zeros(ctx.k, dtype=bool)
-        est, hw = ctx.estimates, ctx.half_widths
-        for i in np.flatnonzero(ctx.active):
-            i = int(i)
-            clear = True
-            for j in neighbors[i]:
-                if ctx.active[j] and abs(est[i] - est[j]) <= hw[i] + hw[j]:
-                    clear = False
-                    break
-            out[i] = clear
-        return out
+class TrendsRule(LeaveRule):
+    """Leave once no edge to a live neighbour overlaps.
 
-    return policy
+    Only the neighbour graph's edges are tested, never the separation from
+    all other groups; inactive neighbours no longer constrain a group.
+    """
+
+    algorithm = "ifocus-trends"
+
+    def __init__(self, neighbors: Sequence[Sequence[int]]) -> None:
+        edges = sorted({(min(i, j), max(i, j)) for i, adj in enumerate(neighbors) for j in adj})
+        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+    def leave(self, est, eps, gids, inactive):
+        n_live = gids.shape[0]
+        # Edges with both ends live, as pairs of columns.
+        cols = np.searchsorted(gids, self.edges)
+        is_live = (cols < n_live) & (gids[np.minimum(cols, n_live - 1)] == self.edges)
+        a, b = cols[is_live.all(axis=1)].T
+        overlap = np.abs(est[:, a] - est[:, b]) <= (eps + eps)[:, None]
+        incidence = np.zeros((a.shape[0], n_live), dtype=bool)
+        incidence[np.arange(a.shape[0])[:, None], np.stack([a, b], axis=1)] = True
+        return ~(overlap @ incidence)
 
 
 def run_ifocus_trends(
@@ -84,7 +92,8 @@ def run_ifocus_trends(
         neighbors: adjacency list; defaults to the ordinal chain
             (trend-line).  Pass :func:`grid_neighbors` output for a
             choropleth.
-        Other keyword arguments are forwarded to the reference loop.
+        Other keyword arguments are forwarded to
+        :func:`~repro.core.ifocus.run_ifocus`.
 
     Returns:
         An :class:`OrderingResult`; with probability >= 1 - delta all
@@ -101,11 +110,10 @@ def run_ifocus_trends(
                 raise ValueError(f"neighbor {j} of group {i} out of range")
             if i not in neighbors[j]:
                 raise ValueError(f"neighbor graph must be symmetric: {i} -> {j}")
-    return run_ifocus_reference(
+    return run_ifocus(
         engine,
         delta=delta,
         resolution=resolution,
-        policy=_neighbor_policy(neighbors),
-        algorithm_name="ifocus-trends",
+        rule=TrendsRule(neighbors),
         **kwargs,
     )

@@ -11,11 +11,23 @@ min(eta_i, d/2).
 from __future__ import annotations
 
 from repro._util import check_positive
-from repro.core.reference import run_ifocus_reference
+from repro.core.ifocus import LeaveRule, run_ifocus
 from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
 
-__all__ = ["run_ifocus_values"]
+__all__ = ["ValuesRule", "run_ifocus_values"]
+
+
+class ValuesRule(LeaveRule):
+    """Algorithm 1's rule, counted only on rounds where eps < d/2."""
+
+    algorithm = "ifocus-values"
+
+    def __init__(self, d: float) -> None:
+        self.d = check_positive(d, "d")
+
+    def leave(self, est, eps, gids, inactive):
+        return super().leave(est, eps, gids, inactive) & (eps < self.d / 2.0)[:, None]
 
 
 def run_ifocus_values(
@@ -36,14 +48,8 @@ def run_ifocus_values(
         An :class:`OrderingResult` whose groups all finalized with
         half-width < d/2 (exhausted groups are exact).
     """
-    check_positive(d, "d")
-    result = run_ifocus_reference(
-        engine,
-        delta=delta,
-        resolution=resolution,
-        min_half_width=d / 2.0,
-        algorithm_name="ifocus-values",
-        **kwargs,
+    result = run_ifocus(
+        engine, delta=delta, resolution=resolution, rule=ValuesRule(d), **kwargs
     )
     result.params["d"] = d
     return result

@@ -36,13 +36,10 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-import numpy as np
-
 from repro.catalog.catalog import Catalog, population_from_chunks
 from repro.catalog.schema import Schema
 from repro.catalog.source import TableSource
-from repro.core.reference import run_ifocus_reference
-from repro.core.registry import RESOLUTION_VARIANTS, run_algorithm
+from repro.core.registry import ALGORITHMS, RESOLUTION_VARIANTS, run_algorithm
 from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
 from repro.engines.memory import InMemoryEngine
@@ -460,6 +457,15 @@ def _numeric_column(schema: Schema, preferred: str) -> str:
     raise ValueError("table has no numeric column to anchor the engine")
 
 
+def _algorithm(spec: QuerySpec) -> str:
+    """The algorithm a spec runs: on every door a positive resolution runs
+    (and reports) the plain name's -R variant."""
+    name = spec.algorithm
+    if spec.guarantee.resolution > 0 and f"{name}r" in ALGORITHMS:
+        return f"{name}r"
+    return name
+
+
 def _run_avg(
     spec: QuerySpec,
     ctx: _PlanContext,
@@ -471,27 +477,27 @@ def _run_avg(
 ) -> tuple[OrderingResult, dict[str, Any]]:
     """Execute the single-AVG aggregate according to the guarantee mode.
 
-    When ``on_finalize`` is given the run goes through the reference loop so
-    each group's outcome is emitted the moment it finalizes (Problem 7); the
-    default path uses the batched executors via the registry.
+    Every IFOCUS run goes through the one batched executor - a guarantee mode
+    is its leave rule, a live stream its ``on_finalize`` hook (Problem 7).
     """
     g = spec.guarantee
+    algorithm = _algorithm(spec)
     if g.mode != "ordering":
-        if spec.algorithm not in ("ifocus", "ifocusr"):
+        if algorithm not in ("ifocus", "ifocusr"):
             raise ValueError(
-                f"guarantee mode {g.mode!r} is implemented by the IFOCUS "
-                f"reference loop; algorithm {spec.algorithm!r} is not "
-                "supported with it (drop .using() or use 'ifocus')"
+                f"guarantee mode {g.mode!r} is a leave rule of the IFOCUS "
+                f"executor; algorithm {spec.algorithm!r} is not supported with "
+                "it (drop .using() or use 'ifocus')"
             )
-        if spec.algorithm in RESOLUTION_VARIANTS and g.resolution <= 0:
-            raise ValueError(f"{spec.algorithm} requires resolution > 0")
+        if algorithm in RESOLUTION_VARIANTS and g.resolution <= 0:
+            raise ValueError(f"{algorithm} requires resolution > 0")
     common = dict(delta=g.delta, resolution=g.resolution, seed=seed, **runner_kwargs)
     if deadline is not None:
         common["deadline"] = deadline
+    if on_finalize is not None:
+        common["on_finalize"] = on_finalize
     if g.mode == "top":
-        topt = run_ifocus_topt(
-            engine, g.top_t, largest=g.top_largest, on_finalize=on_finalize, **common
-        )
+        topt = run_ifocus_topt(engine, g.top_t, largest=g.top_largest, **common)
         return topt.result, {
             "t": topt.t,
             "largest": topt.largest,
@@ -501,21 +507,13 @@ def _run_avg(
         neighbors = (
             [list(adj) for adj in g.neighbors] if g.neighbors is not None else None
         )
-        raw = run_ifocus_trends(
-            engine, neighbors=neighbors, on_finalize=on_finalize, **common
-        )
-        return raw, {}
+        return run_ifocus_trends(engine, neighbors=neighbors, **common), {}
     if g.mode == "values":
-        raw = run_ifocus_values(
-            engine, d=g.value_tolerance, on_finalize=on_finalize, **common
-        )
+        raw = run_ifocus_values(engine, d=g.value_tolerance, **common)
         return raw, {"value_tolerance": g.value_tolerance}
     if g.mode == "mistakes":
         raw = run_ifocus_mistakes(
-            engine,
-            min_correct_fraction=g.min_correct_fraction,
-            on_finalize=on_finalize,
-            **common,
+            engine, min_correct_fraction=g.min_correct_fraction, **common
         )
         return raw, {}
     # mode == "ordering"
@@ -529,18 +527,7 @@ def _run_avg(
             **runner_kwargs,
         )
         return raw, {}
-    if on_finalize is not None:
-        if spec.algorithm in RESOLUTION_VARIANTS and g.resolution <= 0:
-            raise ValueError(f"{spec.algorithm} requires resolution > 0")
-        raw = run_ifocus_reference(
-            engine,
-            on_finalize=on_finalize,
-            algorithm_name="ifocus-partial",
-            **common,
-        )
-        return raw, {}
-    raw = run_algorithm(spec.algorithm, engine, **common)
-    return raw, {}
+    return run_algorithm(algorithm, engine, **common), {}
 
 
 def _execute_planned(
@@ -721,7 +708,7 @@ def _live_streamable(spec: QuerySpec, ctx: _PlanContext) -> bool:
     if ctx.engine_def.avg_runner is not None:
         return False
     if spec.guarantee.mode != "ordering":
-        return True  # all guarantee variants run through the reference loop
+        return True  # every guarantee variant is an IFOCUS leave rule
     return spec.algorithm in ("ifocus", "ifocusr")
 
 
@@ -821,13 +808,13 @@ def stream_spec(
 ) -> ResultStream:
     """Incremental execution: yields one PartialUpdate per finalized group.
 
-    Every workload streams.  Single-AVG queries (all guarantee modes) emit
-    *live*: each group surfaces the moment it leaves the active set, while
-    contentious groups keep sampling on a background thread.  Other workloads
-    (SUM, COUNT, multi-AVG, no-index, non-IFOCUS algorithms) compute the full
-    answer first and then replay it in true finalization order
-    (``PartialUpdate.live`` is False).  In both cases ``stream.result`` holds
-    the unified :class:`Result` once the stream is exhausted.
+    Every workload streams.  Single-AVG IFOCUS queries (all guarantee modes)
+    emit *live* through the executor's ``on_finalize``: each group surfaces
+    the moment it leaves the active set, while contentious groups keep
+    sampling on a background thread.  Other workloads (SUM, COUNT, multi-AVG,
+    no-index, non-IFOCUS algorithms) compute the full answer first and then
+    replay it in true finalization order (``PartialUpdate.live`` is False).
+    Either way ``stream.result`` is the ``.run()`` Result, bit for bit.
     """
     if deadline is None and spec.deadline_ms is not None:
         deadline = Deadline.after_ms(spec.deadline_ms)
@@ -879,7 +866,7 @@ def describe_spec(spec: QuerySpec) -> str:
             runner = (
                 "noindex whole-table sampling"
                 if _ENGINES[spec.engine].avg_runner == "noindex"
-                else spec.algorithm
+                else _algorithm(spec)
             )
             lines.append(f"{key}: {runner} (guarantee mode: {mode})")
         elif agg.func == "SUM":

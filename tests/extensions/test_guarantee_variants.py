@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.reference import run_ifocus_reference
+from repro.core.ifocus import run_ifocus
 from repro.engines.memory import InMemoryEngine
 from repro.extensions.mistakes import run_ifocus_mistakes
 from repro.extensions.values import run_ifocus_values
@@ -24,7 +24,7 @@ class TestMistakes:
         )
         engine = InMemoryEngine(pop)
         relaxed = run_ifocus_mistakes(engine, min_correct_fraction=0.3, delta=0.05, seed=2)
-        full = run_ifocus_reference(engine, delta=0.05, seed=2)
+        full = run_ifocus(engine, delta=0.05, seed=2)
         assert relaxed.total_samples < full.total_samples
         assert relaxed.params["early_terminated"]
         assert relaxed.params["resolved_pair_fraction"] >= 0.3
@@ -41,7 +41,7 @@ class TestMistakes:
 
     def test_fraction_one_is_plain_ifocus(self, small_engine):
         a = run_ifocus_mistakes(small_engine, min_correct_fraction=1.0, delta=0.05, seed=5)
-        b = run_ifocus_reference(small_engine, delta=0.05, seed=5)
+        b = run_ifocus(small_engine, delta=0.05, seed=5)
         assert a.total_samples == b.total_samples
 
     def test_invalid_fraction(self, small_engine):
@@ -62,7 +62,7 @@ class TestValues:
                 assert g.half_width < d / 2
 
     def test_costs_more_than_plain(self, small_engine):
-        plain = run_ifocus_reference(small_engine, delta=0.05, seed=8)
+        plain = run_ifocus(small_engine, delta=0.05, seed=8)
         accurate = run_ifocus_values(small_engine, d=1.0, delta=0.05, seed=8)
         assert accurate.total_samples > plain.total_samples
 
@@ -87,7 +87,7 @@ def _stream(engine, seed):
 class TestPartial:
     def test_callback_receives_groups_in_finalization_order(self, close_engine):
         emitted = []
-        res = run_ifocus_reference(
+        res = run_ifocus(
             close_engine,
             delta=0.05,
             seed=9,
@@ -110,7 +110,7 @@ class TestPartial:
             order_true = np.argsort(trues)
             assert np.array_equal(order_est, order_true)
 
-        run_ifocus_reference(close_engine, delta=0.05, seed=10, on_finalize=check)
+        run_ifocus(close_engine, delta=0.05, seed=10, on_finalize=check)
 
     def test_stream_yields_all_updates(self, small_engine):
         updates = list(_stream(small_engine, seed=11))
@@ -121,7 +121,7 @@ class TestPartial:
     def test_stream_matches_callback(self, small_engine):
         updates = list(_stream(small_engine, seed=12))
         emitted = []
-        run_ifocus_reference(
+        run_ifocus(
             small_engine,
             delta=0.05,
             seed=12,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.reference import run_ifocus_reference
+from repro.core.ifocus import run_ifocus
 from repro.engines.memory import InMemoryEngine
 from repro.extensions.topt import run_ifocus_topt
 from repro.extensions.trends import chain_neighbors, grid_neighbors, run_ifocus_trends
@@ -46,7 +46,7 @@ class TestTrends:
         )
         engine = InMemoryEngine(pop)
         trends = run_ifocus_trends(engine, delta=0.05, seed=4)
-        full = run_ifocus_reference(engine, delta=0.05, seed=4)
+        full = run_ifocus(engine, delta=0.05, seed=4)
         assert trends.total_samples < full.total_samples
 
     def test_custom_graph_validation(self):
@@ -97,7 +97,7 @@ class TestTopT:
         )
         engine = InMemoryEngine(pop)
         top = run_ifocus_topt(engine, t=2, delta=0.05, seed=12)
-        full = run_ifocus_reference(engine, delta=0.05, seed=12)
+        full = run_ifocus(engine, delta=0.05, seed=12)
         assert top.result.total_samples < full.total_samples
 
     def test_t_validation(self, small_engine):

@@ -32,6 +32,7 @@ from repro.serve import (
     QueryService,
     TenantConfig,
     TenantRegistry,
+    canonical_json,
     serve_in_thread,
 )
 
@@ -479,6 +480,31 @@ class TestStreaming:
         assert json.dumps(second_frames[-1][2]["result"], sort_keys=True) == (
             json.dumps(first_frames[-1][2]["result"], sort_keys=True)
         )
+
+
+    def test_query_hit_after_stream_is_a_fresh_miss(self, server):
+        """/stream and /query run one executor, so a cache entry's bytes do
+        not depend on which door filled it."""
+        port, _service = server
+        body = {"sql": FLIGHTS_SQL, "seed": 502}
+        assert sse_request(port, body)[0] == 200
+        status, hit, _ = request(port, "POST", "/query", body)
+        assert status == 200 and hit["cache"] == "hit"
+
+        session = connect(delta=0.1, seed=0)
+        session.attach("flights", SourceSpec("flights", rows=20_000, seed=0))
+        handle = serve_in_thread(QueryService(session, sessions=1, default_seed=0))
+        try:
+            status, miss, _ = request(handle.port, "POST", "/query", body)
+        finally:
+            handle.stop()
+        assert status == 200 and miss["cache"] == "miss"
+        hit_bytes = canonical_json(hit["result"])
+        assert hit_bytes == canonical_json(miss["result"])
+        assert b"ifocus-partial" not in hit_bytes
+        for agg in hit["result"]["aggregates"].values():
+            assert agg["algorithm"] == "ifocus"
+            assert "reactivation" not in agg["raw"]["params"]
 
 
 class TestCacheCoherence:

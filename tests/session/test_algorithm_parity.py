@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core.ifocus import run_ifocus
-from repro.core.reference import run_ifocus_reference
 from repro.extensions import (
     run_count_known,
     run_ifocus_mistakes,
@@ -115,9 +114,9 @@ def test_run_noindex(engine, session):
     assert_same_ordering_result(direct, res.first.raw)
 
 
-def test_reference_callback_matches_stream(engine, session):
+def test_run_ifocus_callback_matches_stream(engine, session):
     emitted = []
-    direct = run_ifocus_reference(
+    direct = run_ifocus(
         engine,
         delta=0.05,
         seed=3,
@@ -130,4 +129,5 @@ def test_reference_callback_matches_stream(engine, session):
         assert outcome.name == update.group.label
         assert outcome.estimate == update.group.estimate
         assert outcome.samples == update.group.samples
+    assert emitted == [direct.groups[g] for g in direct.inactive_order]
     assert_same_ordering_result(direct, stream.result.first.raw)

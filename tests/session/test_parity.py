@@ -266,19 +266,8 @@ class TestStreamingParity:
         builder = session.table("flights").group_by("name").agg(avg("delay"))
         run_res = builder.run(seed=11)
         stream = builder.stream(seed=11)
-        stream_res = stream.drain()
-        # run() uses the batched executor, stream() the reference loop; the
-        # repo asserts their equivalence, so estimates agree to fp tolerance.
-        np.testing.assert_allclose(
-            run_res.first.raw.estimates,
-            stream_res.first.raw.estimates,
-            rtol=1e-12,
-            atol=1e-9,
-        )
-        np.testing.assert_array_equal(
-            run_res.first.raw.samples_per_group,
-            stream_res.first.raw.samples_per_group,
-        )
+        # One executor serves both doors: the stream is its on_finalize hook.
+        assert_bit_identical(run_res, stream.drain())
 
     def test_sum_streams_posthoc(self, session):
         stream = (

@@ -264,12 +264,12 @@ class TestStreaming:
             if update.done:
                 break
         # live streams: .result drains the worker's final item on access
-        assert stream.result.first.algorithm == "ifocus-partial"
+        assert stream.result.first.algorithm == "ifocus"
 
 
 class TestPlannerValidation:
     def test_mode_rejects_non_ifocus_algorithm(self, session):
-        with pytest.raises(ValueError, match="reference loop"):
+        with pytest.raises(ValueError, match="IFOCUS executor"):
             session.table("t").group_by("g").agg(avg("y")).using("roundrobin").top(
                 2
             ).run(seed=1)

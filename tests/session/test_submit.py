@@ -80,9 +80,6 @@ class TestSubmit:
         with _flights_session(engine="memory", submit_workers=8) as session:
             base = session.table("flights").group_by("carrier").agg(avg("arrival_delay"))
             jobs = [(base.sharded(2, executor="process"), seed) for seed in range(4)]
-            # All jobs stay on the batched executor: the reference-loop modes
-            # (top/trends/...) draw one sample per IPC round trip, which is
-            # exactly the pattern the process executor is not built for.
             jobs += [
                 (base.sharded(3, executor="process"), 100),
                 (base.sharded(2, max_workers=1, executor="process"), 100),

@@ -193,37 +193,41 @@ class TestStartClassmethod:
         already in flight raises QueryCancelled at its next round instead
         of running the window to completion."""
         from repro.errors import QueryCancelled
+        from repro.resilience.faults import Fault, FaultPlan, inject
         from repro.streaming.runner import WindowUpdate
 
         rng = np.random.default_rng(0)
         # Group "a" separates (and finalizes) almost immediately; "b"/"c"
-        # have nearly equal means, so the window keeps sampling long after
-        # the first per-group update is emitted.
+        # have nearly equal means and need many more rounds.  Every shard
+        # draw sleeps first, so the window is still sampling - not just not
+        # yet reported - when cancel() fires.
         data = {
             "g": np.concatenate(
-                [np.repeat("a", 2_000), np.tile(np.array(["b", "c"]), 100_000)]
+                [np.repeat("a", 2_000), np.tile(np.array(["b", "c"]), 20_000)]
             ),
             "v": np.concatenate(
-                [
-                    rng.normal(5.0, 1.0, 2_000),
-                    rng.normal(25.0, 1.0, 200_000),
-                ]
+                [rng.normal(5.0, 1.0, 2_000), rng.normal(25.0, 1.0, 40_000)]
             ).clip(0, 50),
         }
         data["ts"] = np.arange(len(data["g"]), dtype=np.float64)
-        session = connect(engine="memory", seed=0, delta=0.01)
+        session = connect(engine="memory", seed=0, delta=0.01, shards=2, executor="process")
         session.register("events", data)
         spec = (
             session.table("events").group_by("g").agg("AVG(v)")
             .window(float(len(data["g"])), on="ts").spec()
         )
-        runner = WindowRunner(spec, session.catalog, seed=0, emit_updates=True)
-        events = runner.run()
-        # The generator suspends at the first per-group update: the window
-        # is genuinely mid-evaluation when cancel() fires.
-        first = next(e for e in events if isinstance(e, WindowUpdate))
-        assert first.update.group.label == "a"
-        runner.cancel()
-        with pytest.raises(QueryCancelled):
-            list(events)
+        plan = FaultPlan([Fault("delay_shard", delay_s=0.1, times=1_000)])
+        with inject(plan):
+            runner = WindowRunner(spec, session.catalog, seed=0, emit_updates=True)
+            events = runner.run()
+            # The generator suspends at the first per-group update: the
+            # window is genuinely mid-evaluation when cancel() fires.
+            first = next(e for e in events if isinstance(e, WindowUpdate))
+            assert first.update.group.label == "a"
+            fired_at_cancel = len(plan.fired())
+            runner.cancel()
+            with pytest.raises(QueryCancelled):
+                list(events)
+        # At most the batch in flight finished drawing after the cancel.
+        assert len(plan.fired()) <= fired_at_cancel + 2
         session.close()

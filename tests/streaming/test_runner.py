@@ -93,6 +93,18 @@ class TestTumblingBitIdentity:
             oneshot.close()
         session.close()
 
+    def test_emit_updates_does_not_change_results(self):
+        """Live updates are the executor's on_finalize hook, not another run:
+        emit_updates=True and False close bit-identical windows."""
+        results = {}
+        for emit in (True, False):
+            session = make_session()
+            cq = windowed(session, size=200.0, on="ts").subscribe(seed=5, emit_updates=emit)
+            results[emit] = [canon(wr.result) for wr in results_of(cq)]
+            session.close()
+        assert len(results[True]) == 3
+        assert results[True] == results[False]
+
     def test_row_count_windows(self):
         session = make_session(chunk_rows=100)
         cq = windowed(session, size=150).subscribe(seed=3, emit_updates=False)

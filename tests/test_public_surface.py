@@ -9,6 +9,7 @@ package never warns, and the version has a single source.
 from __future__ import annotations
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -51,6 +52,20 @@ def test_module_surface(name):
         and callable(namespace.get(f"_{attr}"))
     ]
     assert not twins, f"{name} defines both name and _name for {twins}"
+
+
+def test_one_ifocus_executor():
+    """3.0: the reference loop is an oracle with one hook; the executor
+    takes the partial-results callback and the Section 6 leave rules."""
+    import repro.core
+
+    assert not {"LoopContext", "PolicyFn"} & set(dir(repro.core.reference))
+    assert not {"LoopContext", "PolicyFn"} & set(repro.core.__all__)
+    reference = inspect.signature(repro.core.run_ifocus_reference).parameters
+    for gone in ("policy", "terminate_when", "min_half_width", "on_finalize", "algorithm_name"):
+        assert gone not in reference
+    assert {"rule", "reactivation"} <= set(reference)
+    assert {"rule", "on_finalize"} <= set(inspect.signature(repro.run_ifocus).parameters)
 
 
 def test_session_registers_through_one_door():

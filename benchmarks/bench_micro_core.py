@@ -4,8 +4,8 @@ The ``bench``-marked cases track the fused-sampling path at k=1000:
 ``draw_block`` vs the per-group Python loop it replaced, and a full IFOCUS
 run through the fused executor (whose end-to-end guard is the ``wide_k1000``
 workload of ``bench_e2e``; ``repro.core.reference`` is the correctness
-oracle).  ``session_stream_dense`` guards the live-stream door, which runs
-the same executor.  Export with ``python -m repro bench-export`` (writes
+oracle).  ``session_stream_dense`` guards the live-stream door and
+``session_sum_sparse`` the SUM door, which run the same executor.  Export with ``python -m repro bench-export`` (writes
 BENCH_micro.json).
 """
 
@@ -20,7 +20,7 @@ from repro.core.intervals import separated_equal_width_batch
 from repro.data.synthetic import make_mixture_dataset
 from repro.engines.memory import InMemoryEngine
 from repro import SourceSpec
-from repro.session import avg, connect
+from repro.session import avg, connect, total
 
 
 def test_bench_ifocus_run(benchmark):
@@ -76,6 +76,27 @@ def test_bench_needletail_repeat_query(benchmark):
     benchmark.extra_info["k"] = 8
     session.close()
     assert len(result.labels) == 8
+
+
+def test_bench_session_sum_sparse(benchmark):
+    """``SUM(v)`` ``.run()`` on a warm needletail Session: 200k rows, k=8.
+
+    Guards SUM on the one executor: Algorithm 4 is a leave rule of the
+    batched IFOCUS loop, so it costs about an AVG run.  A per-sample SUM
+    loop (~55 us a sample) is many times that, far above
+    ``check_bench.py``'s 2x threshold.
+    """
+    rng = np.random.default_rng(11)
+    gid = rng.integers(0, 8, 200_000)
+    values = (np.linspace(10.0, 90.0, 8)[gid] + rng.normal(0.0, 10.0, gid.size)).clip(0.0, 100.0)
+    session = connect(engine="needletail", delta=0.05)
+    session.attach("t", {"g": np.array([f"g{i}" for i in range(8)])[gid], "v": values})
+    query = session.table("t").group_by("g").agg(total("v"))
+    query.run(seed=7)  # the one cold build, off the clock
+    result = benchmark(lambda: query.run(seed=7))
+    benchmark.extra_info["k"] = 8
+    session.close()
+    assert result.first.algorithm == "ifocus-sum"
 
 
 def test_bench_session_stream_dense(benchmark):

@@ -112,7 +112,7 @@ from repro.session import (
 )
 from repro.streaming import ContinuousQuery, WindowResult, WindowSpec
 
-__version__ = "3.0.0"
+__version__ = "3.1.0"
 
 __all__ = [
     # Session API (primary surface)

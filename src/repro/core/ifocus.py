@@ -51,8 +51,8 @@ Supported configuration (all of Section 3 and 5 of the paper):
 Partial results and the Section 6 variants change only *when a group may
 leave the active set* or *when the loop stops*, so they are two hooks on this
 one loop: ``on_finalize`` (Problem 7's partial-results stream) and a
-:class:`LeaveRule` (top-t, trends, values and mistakes live in
-:mod:`repro.extensions`).
+:class:`LeaveRule` (top-t, trends, values, mistakes and SUM's Algorithm 4
+live in :mod:`repro.extensions`).
 
 Groups removed from the active set are never re-activated (alternative (a) in
 Section 3.1, the optimality-preserving choice; alternative (b) is available in
@@ -61,7 +61,9 @@ the reference implementation for the ablation benchmark).
 One deliberate strengthening beyond the paper's pseudocode: a group sampled
 to exhaustion freezes at its *exact* mean, and that frozen value remains an
 obstacle - no active group may leave the active set while its interval still
-covers a frozen exact mean.  Algorithm 1 never considers exhaustion; without
+covers a frozen exact mean (under a rule with a ``scale``, SUM's sizes n_i:
+while n_i * (nu_i +- eps_m) covers a frozen exact sum).  Algorithm 1 never
+considers exhaustion; without
 this rule a group could finalize on the wrong side of a fully-read
 neighbor's exact average, silently breaking strict ordering on hard
 instances (this is why the paper's real-data runs read *both* sides of every
@@ -108,9 +110,17 @@ class LeaveRule:
     :meth:`leave` on galloping windows of pre-drawn rounds, the reference
     loop on one round at a time - one object, so the two cannot drift apart.
     Both executors AND the result with the exhausted-mean obstacle test.
+
+    ``scale`` is the unit the rule orders in: ``None`` for means, or a
+    per-group factor (SUM's group sizes n_i, Algorithm 4) so that group i's
+    interval is scale_i * (nu_i +- eps_m).  The executors read it in the only
+    two places they compare values themselves - the exhausted-value obstacle
+    test and the resolution cap (stop once the largest live scale_i * eps_m
+    is below r/4) - and :meth:`leave` applies it to its own test.
     """
 
     algorithm = "ifocus"
+    scale: np.ndarray | None = None
 
     def leave(self, est, eps, gids, inactive: Inactive) -> np.ndarray:
         """(W, L) mask: which live groups may leave at each row of a window of
@@ -452,6 +462,9 @@ def _walk_batch(
     # leave while its interval still covers a frozen exact mean (otherwise
     # its final estimate could land on the wrong side of that exact value).
     frozen = state.estimates[state.exhausted]
+    scale = None if rule is None else rule.scale
+    if scale is not None:  # obstacles in the rule's units: frozen exact sums
+        frozen = frozen * scale[state.exhausted]
     row = 0
     n_max = _n_max(state, active_idx, without_replacement)
     eps_full = np.asarray(schedule.segment(rounds, n_max), dtype=np.float64)
@@ -463,6 +476,10 @@ def _walk_batch(
             n_max = new_n_max
             eps_full[row:] = schedule.segment(rounds[row:], n_max)
             res_at = first_resolution_row(eps_full, resolution, row)
+        if scale is not None and resolution > 0.0:
+            # The cap is on the widest live interval, max scale_i * eps_m,
+            # which changes whenever a group leaves.
+            res_at = first_resolution_row(eps_full * scale[gids].max(), resolution, row)
 
         # A resolution stop at ``res_at`` makes later events moot, so the
         # scan is capped there.
@@ -514,12 +531,16 @@ def _first_leave_row(rule, est, eps, gids, state, frozen, start_window=64):
     first row at which some live column may leave, and the mask of those."""
     inactive = Inactive(state.estimates[~state.active], state.half_widths[~state.active])
     obstacles = np.sort(frozen)
+    scale = None if rule.scale is None else rule.scale[gids]
     row, window = 0, start_window
     while row < est.shape[0]:
         hi = min(row + window, est.shape[0])
         ok = rule.leave(est[row:hi], eps[row:hi], gids, inactive)
         if obstacles.size:
-            ok = ok & (_obstacle_clearance(est[row:hi], obstacles) > eps[row:hi, None])
+            values, widths = est[row:hi], eps[row:hi, None]
+            if scale is not None:
+                values, widths = values * scale, widths * scale
+            ok = ok & (_obstacle_clearance(values, obstacles) > widths)
         hits = np.flatnonzero(ok.any(axis=1))
         if hits.size:
             return row + int(hits[0]), ok[int(hits[0])]

@@ -10,9 +10,9 @@ Two regimes:
 * equal half-widths (the IFOCUS common case: one shared eps per round) - a
   group is separated iff its gap to the *nearest* other active estimate
   exceeds 2*eps, so a sorted adjacent-gap sweep is exact and O(k log k);
-* heterogeneous half-widths (IREFINE, exhausted zero-width groups, SUM
-  variants) - we use the O(k^2) pairwise test, which is fine for the paper's
-  regime of k <= 100.
+* heterogeneous half-widths (IREFINE, exhausted zero-width groups, SUM's
+  n_i-scaled intervals) - we use the O(k^2) pairwise test, which is fine for
+  the paper's regime of k <= 100.
 
 Both are provided in single-round and batched (rounds x groups) forms; the
 batched forms power the vectorized executor.
@@ -26,6 +26,7 @@ __all__ = [
     "separated_equal_width",
     "separated_general",
     "separated_equal_width_batch",
+    "separated_general_batch",
     "first_event_row",
     "first_resolution_row",
     "pairwise_overlap_matrix",
@@ -105,6 +106,48 @@ def separated_equal_width_batch(estimates: np.ndarray, eps: np.ndarray) -> np.nd
     sep_sorted = ok_left & ok_right
     out = np.empty((b, k), dtype=bool)
     np.put_along_axis(out, order, sep_sorted, axis=1)
+    return out
+
+
+#: Pairs per chunk in :func:`separated_general_batch` (bounds its temporaries).
+_PAIR_BUDGET = 1 << 18
+
+
+def separated_general_batch(
+    centers: np.ndarray, halfwidths: np.ndarray
+) -> np.ndarray:
+    """Batched :func:`separated_general` over rounds.
+
+    Args:
+        centers: shape (B, k) - per-round interval centers.
+        halfwidths: shape (B, k) - per-round, per-interval half-widths.
+
+    Returns:
+        Boolean array of shape (B, k), row b equal to
+        ``separated_general(centers[b], halfwidths[b])`` (same comparison, so
+        ties and zero widths resolve identically).  Rows are processed in
+        chunks of about ``_PAIR_BUDGET`` pairs to bound the (B, k, k)
+        temporaries.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    halfwidths = np.asarray(halfwidths, dtype=np.float64)
+    if centers.ndim != 2 or halfwidths.shape != centers.shape:
+        raise ValueError(
+            f"need 2-D centers and half-widths of one shape, got "
+            f"{centers.shape} and {halfwidths.shape}"
+        )
+    b, k = centers.shape
+    if k <= 1:
+        return np.ones((b, k), dtype=bool)
+    out = np.empty((b, k), dtype=bool)
+    diag = np.arange(k)
+    step = max(1, _PAIR_BUDGET // (k * k))
+    for lo in range(0, b, step):
+        c = centers[lo : lo + step]
+        w = halfwidths[lo : lo + step]
+        overlap = np.abs(c[:, :, None] - c[:, None, :]) <= w[:, :, None] + w[:, None, :]
+        overlap[:, diag, diag] = False
+        out[lo : lo + step] = ~overlap.any(axis=2)
     return out
 
 

@@ -8,8 +8,10 @@ two reasons:
    produce exactly the same estimates, removal rounds and sample counts; the
    test suite asserts this on randomized instances for :func:`default_policy`
    (the pairwise Algorithm 1 rule, independent of the executor's sorted
-   adjacent-gap scan) and for every Section 6 ``LeaveRule``, evaluated here
-   on one round at a time.
+   adjacent-gap scan) and for every Section 6 ``LeaveRule`` (SUM's
+   ``SumRule`` included), evaluated here on one round at a time.  Like the
+   executor, it reads a rule's ``scale`` in its two own comparisons: the
+   exhausted-value obstacle test and the resolution cap.
 2. **Alternative (b)** - Section 3.1 discusses letting inactive groups
    re-activate when another estimate drifts into them; that variant
    (``reactivation=True``) loses the optimality guarantee and exists here for
@@ -68,7 +70,9 @@ def run_ifocus_reference(
             interval re-enter the active set (``rule=None`` only).
         rule: a :class:`~repro.core.ifocus.LeaveRule` replacing
             :func:`default_policy`: ``leave`` on each round's active
-            estimates (one row), ``stop`` once per round after removals.
+            estimates (one row), ``stop`` once per round after removals;
+            its ``scale`` sets the units of the obstacle test and the
+            resolution cap.
     """
     check_probability(delta, "delta")
     check_nonnegative(resolution, "resolution")
@@ -77,6 +81,8 @@ def run_ifocus_reference(
     run = engine.open_run(seed, without_replacement=without_replacement)
     k = run.k
     sizes = run.sizes()
+    # The units of the obstacle test and the resolution cap (LeaveRule.scale).
+    scale = np.ones(k) if rule is None or rule.scale is None else rule.scale
     schedule = EpsilonSchedule(k, delta, c=run.c, kappa=kappa, heuristic_factor=heuristic_factor)
 
     sums = np.zeros(k, dtype=np.float64)
@@ -168,7 +174,7 @@ def run_ifocus_reference(
                         active[gid] = True
                         inactive_order.remove(int(gid))
 
-        active_eps = half_widths[active]
+        active_eps = half_widths[active] * scale[active]
         # Resolution relaxation (Problem 2): stop once eps < r/4.
         if resolution > 0.0 and active_eps.size and float(active_eps.max()) < resolution / 4.0:
             finalize_active()
@@ -186,12 +192,14 @@ def run_ifocus_reference(
                 estimates[idx][None, :], half_widths[idx[:1]], idx, inactive
             )[0]
         # Exhausted groups are zero-width obstacles: a group may not leave
-        # while its interval still covers a frozen exact mean (mirrors the
-        # batched executor; keeps ordering sound vs fully-read groups).
-        frozen = estimates[exhausted]
+        # while its interval still covers a frozen exact value, both in the
+        # rule's units (mirrors the batched executor; keeps ordering sound vs
+        # fully-read groups).
+        frozen = estimates[exhausted] * scale[exhausted]
         if frozen.size:
             for gid in np.flatnonzero(may_leave):
-                if np.any(np.abs(estimates[gid] - frozen) <= half_widths[gid]):
+                reach = half_widths[gid] * scale[gid]
+                if np.any(np.abs(estimates[gid] * scale[gid] - frozen) <= reach):
                     may_leave[gid] = False
         for gid in np.flatnonzero(may_leave):
             finalize(int(gid), float(half_widths[gid]), m, False)

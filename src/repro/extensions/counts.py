@@ -18,6 +18,7 @@ from repro.data.distributions import TwoPoint
 from repro.data.population import Population, VirtualGroup
 from repro.engines.base import SamplingEngine
 from repro.engines.memory import InMemoryEngine
+from repro.extensions.sums import _rescaled
 
 __all__ = ["run_count_known", "run_count_unknown"]
 
@@ -64,7 +65,8 @@ def run_count_unknown(
     belonging to S_i (a Bernoulli(s_i) draw in [0, 1]); IFOCUS orders the
     indicator means - and hence the counts - with probability >= 1 - delta.
     ``resolution_fraction`` is the Problem-2 resolution on the [0, 1]
-    fraction scale.  Returned estimates are scaled back to counts.
+    fraction scale.  Returned estimates and half-widths are scaled back to
+    counts (x N, the shared sum-units helper of :mod:`repro.extensions.sums`).
     """
     sizes = engine.population.sizes().astype(np.float64)
     total = float(sizes.sum())
@@ -86,26 +88,4 @@ def run_count_unknown(
         seed=seed,
         max_rounds=max_rounds,
     )
-    scaled = OrderingResult(
-        algorithm="count-unknown",
-        estimates=result.estimates * total,
-        samples_per_group=result.samples_per_group,
-        rounds=result.rounds,
-        groups=[
-            GroupOutcome(
-                index=g.index,
-                name=g.name,
-                estimate=g.estimate * total,
-                samples=g.samples,
-                half_width=g.half_width * total,
-                exhausted=g.exhausted,
-                finalized_round=g.finalized_round,
-            )
-            for g in result.groups
-        ],
-        inactive_order=result.inactive_order,
-        trace=result.trace,
-        params={**result.params, "total_rows": total},
-        stats=result.stats,
-    )
-    return scaled
+    return _rescaled(result, total, "count-unknown", total_rows=total)

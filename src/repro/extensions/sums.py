@@ -1,11 +1,14 @@
-"""SUM aggregation (Algorithms 4 and 5, §6.3.1).
+"""SUM aggregation (Algorithms 4 and 5, §6.3.1), on the one IFOCUS executor.
 
 Two regimes:
 
 * **Known group sizes** (:func:`run_ifocus_sum`) - sum_i = mu_i * n_i, so the
   IFOCUS machinery carries over with each group's estimate and interval
-  scaled by its size (Algorithm 4).  Interval widths now differ across
-  groups, so the active-set test is the general heterogeneous-width one.
+  scaled by its size (Algorithm 4).  That is a :class:`SumRule` for
+  :func:`~repro.core.ifocus.run_ifocus`: interval widths n_i * eps_m differ
+  across groups, so its leave test is the general heterogeneous-width one,
+  and its ``scale`` puts the executor's exhausted-value obstacles and
+  resolution cap in sum units too.
 * **Unknown group sizes** (:func:`run_ifocus_sum_unknown`) - the algorithm
   simultaneously estimates each group's fractional size s_i and mean via the
   unbiased product estimator x*z of the *normalized sum* s_i * mu_i
@@ -14,58 +17,60 @@ Two regimes:
   simulate the same unbiased draw as a group-membership indicator of a
   uniformly random tuple (E[z] = s_i), which preserves unbiasedness and the
   [0, c] range of x*z, hence the identical confidence-interval computation
-  the paper highlights.
+  the paper highlights.  Plain IFOCUS with replacement then runs over a view
+  of the engine whose samples are x*z (:class:`_ProductEngine`).
+
+Both run :func:`~repro.core.ifocus.run_ifocus` in mean units and report in
+sum units through :func:`_rescaled`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from repro._util import check_nonnegative, check_probability
-from repro.core.confidence import EpsilonSchedule
-from repro.core.intervals import separated_general
-from repro.core.types import GroupOutcome, OrderingResult
-from repro.engines.base import SamplingEngine
+from repro._util import rngs_from_seed_seqs, spawn_group_seed_seqs
+from repro.core.ifocus import LeaveRule, run_ifocus
+from repro.core.intervals import separated_general_batch
+from repro.core.types import OrderingResult
+from repro.engines.base import EngineRun, SamplingEngine
 from repro.resilience.deadline import Deadline
 
-__all__ = ["run_ifocus_sum", "run_ifocus_sum_unknown"]
+__all__ = ["SumRule", "run_ifocus_sum", "run_ifocus_sum_unknown"]
 
 
-def _finalize_result(
-    algorithm: str,
-    run,
-    estimates: np.ndarray,
-    counts: np.ndarray,
-    half_widths: np.ndarray,
-    finalized_round: np.ndarray,
-    exhausted: np.ndarray,
-    inactive_order: list[int],
-    m: int,
-    params: dict,
-) -> OrderingResult:
-    names = run.group_names()
-    groups = [
-        GroupOutcome(
-            index=i,
-            name=names[i],
-            estimate=float(estimates[i]),
-            samples=int(counts[i]),
-            half_width=float(half_widths[i]),
-            exhausted=bool(exhausted[i]),
-            finalized_round=int(finalized_round[i]),
-        )
-        for i in range(len(names))
-    ]
-    return OrderingResult(
+class SumRule(LeaveRule):
+    """Algorithm 4's leave test: group i's interval is n_i * (nu_i +- eps_m),
+    and a live group leaves once it is disjoint from every other live one."""
+
+    algorithm = "ifocus-sum"
+
+    def __init__(self, sizes) -> None:
+        self.scale = np.asarray(sizes, dtype=np.float64)
+
+    def leave(self, est, eps, gids, inactive):
+        n = self.scale[gids]
+        return separated_general_batch(est * n, eps[:, None] * n)
+
+
+def _rescaled(result: OrderingResult, factor, algorithm: str, **params) -> OrderingResult:
+    """``result`` with estimates and half-widths multiplied by ``factor`` (a
+    scalar or one value per group), relabelled, with ``params`` added."""
+    factor = np.broadcast_to(np.asarray(factor, dtype=np.float64), result.estimates.shape)
+    return dataclasses.replace(
+        result,
         algorithm=algorithm,
-        estimates=estimates.copy(),
-        samples_per_group=counts.copy(),
-        rounds=m,
-        groups=groups,
-        inactive_order=inactive_order,
-        trace=None,
-        params=params,
-        stats=run.stats,
+        estimates=result.estimates * factor,
+        groups=[
+            dataclasses.replace(
+                g,
+                estimate=g.estimate * float(factor[g.index]),
+                half_width=g.half_width * float(factor[g.index]),
+            )
+            for g in result.groups
+        ],
+        params={**result.params, **params},
     )
 
 
@@ -83,98 +88,68 @@ def run_ifocus_sum(
 
     Returns estimates of the group *sums* sigma_i = n_i * mu_i, ordered
     correctly with probability >= 1 - delta.  ``resolution`` is interpreted
-    on the sum scale.
+    on the sum scale: the run stops once every live n_i * eps_m < r/4.  A
+    group read in full freezes at its exact sum, which no live interval may
+    leave while covering it.
     """
-    check_probability(delta, "delta")
-    check_nonnegative(resolution, "resolution")
-    run = engine.open_run(seed, without_replacement=without_replacement)
-    k = run.k
-    sizes = run.sizes().astype(np.float64)
-    schedule = EpsilonSchedule(k, delta, c=run.c)
-
-    sums = np.zeros(k)
-    counts = np.zeros(k, dtype=np.int64)
-    estimates = np.zeros(k)  # scaled: n_i * mean_i
-    half_widths = np.full(k, np.inf)
-    active = np.ones(k, dtype=bool)
-    exhausted = np.zeros(k, dtype=bool)
-    finalized_round = np.zeros(k, dtype=np.int64)
-    inactive_order: list[int] = []
-
-    def finalize(gid: int, width: float, m: int, is_exhausted: bool) -> None:
-        active[gid] = False
-        half_widths[gid] = width
-        finalized_round[gid] = m
-        exhausted[gid] = is_exhausted
-        inactive_order.append(gid)
-        if is_exhausted:
-            estimates[gid] = sizes[gid] * run.exact_mean(gid)
-
-    for gid in range(k):
-        value = float(run.draw(gid, 1)[0])
-        sums[gid] = value
-        counts[gid] = 1
-        estimates[gid] = sizes[gid] * value
-        run.charge(gid, 1)
-    m = 1
-    truncated = False
-    deadline_exceeded = False
-
-    while active.any():
-        if max_rounds is not None and m >= max_rounds:
-            truncated = True
-            for gid in np.flatnonzero(active):
-                finalize(int(gid), float(half_widths[gid]), m, False)
-            break
-        if deadline is not None and deadline.check():
-            deadline_exceeded = True
-            for gid in np.flatnonzero(active):
-                finalize(int(gid), float(half_widths[gid]), m, False)
-            break
-        if without_replacement:
-            for gid in np.flatnonzero(active & (run.sizes() <= counts)):
-                finalize(int(gid), 0.0, m, True)
-            if not active.any():
-                break
-        m += 1
-        idx = np.flatnonzero(active)
-        n_max = float(run.sizes()[idx].max()) if without_replacement else None
-        base_eps = float(schedule(float(m), n_max))
-        for gid in idx:
-            gid = int(gid)
-            value = float(run.draw(gid, 1)[0])
-            sums[gid] += value
-            counts[gid] += 1
-            estimates[gid] = sizes[gid] * sums[gid] / counts[gid]
-            run.charge(gid, 1)
-        half_widths[idx] = sizes[idx] * base_eps  # Alg. 4 line 7: eps_i = n_i * eps_m
-        if resolution > 0.0 and float(half_widths[idx].max()) < resolution / 4.0:
-            for gid in idx:
-                finalize(int(gid), float(half_widths[gid]), m, False)
-            break
-        sep = separated_general(estimates[idx], half_widths[idx])
-        for pos, gid in enumerate(idx):
-            if sep[pos]:
-                finalize(int(gid), float(half_widths[gid]), m, False)
-
-    return _finalize_result(
-        "ifocus-sum",
-        run,
-        estimates,
-        counts,
-        np.where(exhausted, 0.0, half_widths),
-        finalized_round,
-        exhausted,
-        inactive_order,
-        m,
-        {
-            "delta": delta,
-            "resolution": resolution,
-            "known_sizes": True,
-            "truncated": truncated,
-            "deadline_exceeded": deadline_exceeded,
-        },
+    sizes = engine.population.sizes()
+    result = run_ifocus(
+        engine,
+        delta=delta,
+        resolution=resolution,
+        without_replacement=without_replacement,
+        seed=seed,
+        max_rounds=max_rounds,
+        deadline=deadline,
+        rule=SumRule(sizes),
     )
+    return _rescaled(result, sizes, "ifocus-sum", known_sizes=True)
+
+
+class _ProductRun:
+    """An :class:`~repro.engines.base.EngineRun` whose samples are x*z.
+
+    z ~ Bernoulli(s_i) comes from its own per-group stream, so the view is
+    stream-stable (a block of B draws equals B single draws) like the run it
+    wraps.  z is free (bitmap metadata): charging and stats pass through to
+    the wrapped run, which is charged for the x draws only.
+    """
+
+    def __init__(self, run: EngineRun, fractions: np.ndarray, z_rngs) -> None:
+        self._run = run
+        self._fractions = fractions
+        self._z_rngs = z_rngs
+
+    def __getattr__(self, name):
+        return getattr(self._run, name)
+
+    def _z(self, gid: int, count: int) -> np.ndarray:
+        return self._z_rngs[gid].random(count) < self._fractions[gid]
+
+    def draw(self, gid: int, count: int) -> np.ndarray:
+        return self._run.draw(gid, count) * self._z(gid, count)
+
+    def draw_block(self, gids: np.ndarray, count: int) -> np.ndarray:
+        block = self._run.draw_block(gids, count)
+        for col, gid in enumerate(gids):
+            block[:, col] *= self._z(int(gid), count)
+        return block
+
+
+class _ProductEngine:
+    """Algorithm 5's sample stream: ``engine``'s runs viewed as x*z."""
+
+    def __init__(self, engine: SamplingEngine) -> None:
+        self._engine = engine
+        sizes = engine.population.sizes().astype(np.float64)
+        self._fractions = sizes / sizes.sum()
+
+    def open_run(self, seed=None, without_replacement: bool = False) -> _ProductRun:
+        run = self._engine.open_run(seed, without_replacement=without_replacement)
+        # z_i is a child of group i's x seed sequence: reproducible for any
+        # integer seed, and never the x stream itself.
+        z_seqs = [s.spawn(1)[0] for s in spawn_group_seed_seqs(seed, run.k)]
+        return _ProductRun(run, self._fractions, rngs_from_seed_seqs(z_seqs))
 
 
 def run_ifocus_sum_unknown(
@@ -190,98 +165,27 @@ def run_ifocus_sum_unknown(
     """IFOCUS-Sum with unknown group sizes (Algorithm 5).
 
     Estimates the *normalized sums* s_i * mu_i (``normalized=True``) or, when
-    the total row count is known, the raw sums N * s_i * mu_i.  The
-    size-estimate draws z are free (bitmap metadata, no disk reads), so only
-    the value samples are charged, matching the paper's accounting.
+    the total row count is known, the raw sums N * s_i * mu_i; ``resolution``
+    is on the reported scale.  The size-estimate draws z are free (bitmap
+    metadata, no disk reads), so only the value samples are charged,
+    matching the paper's accounting.
     """
-    check_probability(delta, "delta")
-    check_nonnegative(resolution, "resolution")
-    run = engine.open_run(seed, without_replacement=False)  # x*z needs i.i.d. draws
-    k = run.k
-    sizes = run.sizes().astype(np.float64)
-    total = float(sizes.sum())
-    fractions = sizes / total
-    schedule = EpsilonSchedule(k, delta, c=run.c)
-    scale = 1.0 if normalized else total
-
-    seed_seq = np.random.SeedSequence(
-        entropy=seed if isinstance(seed, int) else None, spawn_key=(0xC0DE,)
+    total = float(engine.population.sizes().sum())
+    factor = 1.0 if normalized else total
+    result = run_ifocus(
+        _ProductEngine(engine),
+        delta=delta,
+        resolution=resolution / factor,
+        without_replacement=False,  # x*z needs i.i.d. draws
+        seed=seed,
+        max_rounds=max_rounds,
+        deadline=deadline,
     )
-    z_rng = np.random.default_rng(seed_seq)
-
-    sums = np.zeros(k)  # running sums of x*z
-    counts = np.zeros(k, dtype=np.int64)
-    estimates = np.zeros(k)
-    half_widths = np.full(k, np.inf)
-    active = np.ones(k, dtype=bool)
-    finalized_round = np.zeros(k, dtype=np.int64)
-    inactive_order: list[int] = []
-
-    def draw_xz(gid: int) -> float:
-        x = float(run.draw(gid, 1)[0])
-        z = 1.0 if z_rng.random() < fractions[gid] else 0.0
-        run.charge(gid, 1)
-        return x * z
-
-    def finalize(gid: int, width: float, m: int) -> None:
-        active[gid] = False
-        half_widths[gid] = width
-        finalized_round[gid] = m
-        inactive_order.append(gid)
-
-    for gid in range(k):
-        sums[gid] = draw_xz(gid)
-        counts[gid] = 1
-        estimates[gid] = scale * sums[gid]
-    m = 1
-    truncated = False
-    deadline_exceeded = False
-
-    while active.any():
-        if max_rounds is not None and m >= max_rounds:
-            truncated = True
-            for gid in np.flatnonzero(active):
-                finalize(int(gid), float(half_widths[gid]), m)
-            break
-        if deadline is not None and deadline.check():
-            deadline_exceeded = True
-            for gid in np.flatnonzero(active):
-                finalize(int(gid), float(half_widths[gid]), m)
-            break
-        m += 1
-        idx = np.flatnonzero(active)
-        eps = float(schedule(float(m), None)) * scale
-        for gid in idx:
-            gid = int(gid)
-            sums[gid] += draw_xz(gid)
-            counts[gid] += 1
-            estimates[gid] = scale * sums[gid] / counts[gid]
-        half_widths[idx] = eps
-        if resolution > 0.0 and eps < resolution / 4.0:
-            for gid in idx:
-                finalize(int(gid), eps, m)
-            break
-        sep = separated_general(estimates[idx], half_widths[idx])
-        for pos, gid in enumerate(idx):
-            if sep[pos]:
-                finalize(int(gid), eps, m)
-
-    return _finalize_result(
+    return _rescaled(
+        result,
+        factor,
         "ifocus-sum-unknown",
-        run,
-        estimates,
-        counts,
-        half_widths,
-        finalized_round,
-        np.zeros(k, dtype=bool),
-        inactive_order,
-        m,
-        {
-            "delta": delta,
-            "resolution": resolution,
-            "known_sizes": False,
-            "normalized": normalized,
-            "truncated": truncated,
-            "deadline_exceeded": deadline_exceeded,
-        },
+        resolution=resolution,
+        known_sizes=False,
+        normalized=normalized,
     )

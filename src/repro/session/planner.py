@@ -8,7 +8,9 @@ form.  Dispatch rules:
 * ``AVG(Y)`` - the core algorithms (ifocus/ifocusr/irefine/...), specialized
   by the guarantee mode: top-t (§6.1.2), trends (§6.1.1), values (§6.2.1),
   mistakes (§6.1.3);
-* ``SUM(Y)`` - Algorithm 4 (group sizes are engine metadata);
+* ``SUM(Y)`` - Algorithm 4 (group sizes are engine metadata): the IFOCUS
+  executor with :class:`~repro.extensions.sums.SumRule`, resolution in sum
+  units;
 * ``COUNT(*)``/``COUNT(Y)`` - exact from engine metadata;
 * two AVG aggregates - the two-phase Problem 8 schedule;
 * multiple GROUP BY columns - the cross-product composite key (§6.3.4);
@@ -581,7 +583,12 @@ def _execute_planned(
         if agg.func == "SUM":
             sum_engine = ctx.build_engine(agg.column)
             raw = run_ifocus_sum(
-                sum_engine, delta=spec.guarantee.delta, seed=seed, deadline=deadline
+                sum_engine,
+                delta=spec.guarantee.delta,
+                resolution=spec.guarantee.resolution,  # in SUM's own units
+                seed=seed,
+                max_rounds=runner_kwargs.get("max_rounds"),
+                deadline=deadline,
             )
             results[spec.agg_key(agg)] = (raw, {})
             charged += raw.total_samples
@@ -870,7 +877,10 @@ def describe_spec(spec: QuerySpec) -> str:
             )
             lines.append(f"{key}: {runner} (guarantee mode: {mode})")
         elif agg.func == "SUM":
-            lines.append(f"{key}: IFOCUS-Sum, known group sizes (Algorithm 4)")
+            line = f"{key}: IFOCUS-Sum, known group sizes (Algorithm 4)"
+            if spec.guarantee.resolution > 0:
+                line += f", resolution r={spec.guarantee.resolution:g} in sum units"
+            lines.append(line)
         else:
             lines.append(f"{key}: exact from engine metadata")
     if spec.having is not None:

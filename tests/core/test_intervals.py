@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.intervals as intervals
 from repro.core.intervals import (
     pairwise_overlap_matrix,
     separated_equal_width,
     separated_equal_width_batch,
     separated_general,
+    separated_general_batch,
 )
 
 
@@ -113,6 +116,39 @@ class TestSeparatedEqualWidthBatch:
             separated_equal_width_batch(np.zeros(5), np.ones(5))
         with pytest.raises(ValueError):
             separated_equal_width_batch(np.zeros((5, 2)), np.ones(4))
+
+
+class TestSeparatedGeneralBatch:
+    @staticmethod
+    def random_rows(rng, b, k):
+        """Rows with exact ties (duplicate centers, touching intervals) and
+        zero widths mixed in."""
+        centers = rng.integers(0, 12, size=(b, k)).astype(np.float64)
+        centers[: b // 2] += rng.uniform(0, 1, size=(b // 2, k))
+        widths = rng.integers(0, 3, size=(b, k)) * 0.5
+        widths[rng.random((b, k)) < 0.2] = 0.0
+        return centers, widths
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_matches_per_row(self, k):
+        rng = np.random.default_rng(k)
+        centers, widths = self.random_rows(rng, 300, k)
+        batch = separated_general_batch(centers, widths)
+        for b in range(300):
+            assert batch[b].tolist() == separated_general(centers[b], widths[b]).tolist()
+
+    def test_row_chunks_do_not_change_the_answer(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        centers, widths = self.random_rows(rng, 101, 6)
+        whole = separated_general_batch(centers, widths)
+        monkeypatch.setattr(intervals, "_PAIR_BUDGET", 3 * 36)  # 3 rows a chunk
+        assert np.array_equal(separated_general_batch(centers, widths), whole)
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            separated_general_batch(np.zeros(5), np.ones(5))
+        with pytest.raises(ValueError):
+            separated_general_batch(np.zeros((5, 2)), np.ones((5, 3)))
 
 
 class TestPairwiseOverlapMatrix:

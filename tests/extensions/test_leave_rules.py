@@ -25,6 +25,7 @@ from repro.core.intervals import separated_general
 from repro.core.reference import run_ifocus_reference
 from repro.engines.memory import InMemoryEngine
 from repro.extensions.mistakes import MistakesRule, resolved_pair_fraction
+from repro.extensions.sums import SumRule, _ProductEngine
 from repro.extensions.topt import TopRule
 from repro.extensions.trends import TrendsRule, chain_neighbors
 from repro.extensions.values import ValuesRule
@@ -146,6 +147,19 @@ def test_values_rule_matches_brute_force(k):
         assert got.tolist() == expected.tolist()
 
 
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_sum_rule_is_separation_of_scaled_intervals(k):
+    """Algorithm 4: interval i is n_i * (nu_i +- eps)."""
+    rng = np.random.default_rng(50 + k)
+    for _ in range(TRIALS):
+        est, hw, active, eps = random_round(rng, k)
+        sizes = rng.choice([1, 40, 400, 1000], k)
+        hw = np.where(active, eps, hw)
+        expected = brute_separated(est * sizes, hw * sizes, active)
+        got = evaluate(SumRule(sizes), est, hw, active, eps)
+        assert got.tolist() == expected.tolist()
+
+
 def test_rules_evaluate_every_row_of_a_window():
     """A window of W rows is W independent one-row evaluations."""
     rng = np.random.default_rng(40)
@@ -160,6 +174,7 @@ def test_rules_evaluate_every_row_of_a_window():
         TopRule(3, largest=False),
         TrendsRule(chain_neighbors(k + 1)),
         ValuesRule(3.0),
+        SumRule(rng.integers(1, 500, k)),
     ):
         window = rule.leave(est, eps, gids, inactive)
         rows = [rule.leave(est[r : r + 1], eps[r : r + 1], gids, inactive)[0] for r in range(w)]
@@ -245,3 +260,59 @@ def test_fused_equals_reference(mode, data):
     assert fast.algorithm == fast_rule.algorithm
     if mode == "mistakes":
         assert (fast_rule.fired, fast_rule.fraction) == (ref_rule.fired, ref_rule.fraction)
+
+
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_sum_rule_fused_equals_reference(data):
+    """Algorithm 4 on both executors: the rule, and the obstacle test and
+    resolution cap both executors read in sum units (``SumRule.scale``)."""
+    seed = data.draw(st.integers(min_value=0, max_value=10_000), label="seed")
+    k = data.draw(st.integers(min_value=1, max_value=8), label="k")
+    # 40-row groups force exhaustion: their exact sums become obstacles.
+    sizes = data.draw(st.lists(st.sampled_from([40, 120, 400]), min_size=k, max_size=k))
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label="close_sums"):
+        # Sums within 2x of each other across sizes: exhausted small groups
+        # then sit among the large groups' sum intervals.
+        means = (rng.uniform(1_600, 3_200, k) / np.array(sizes)).tolist()
+    else:
+        means = rng.uniform(20, 80, k).tolist()
+    pop = make_materialized_population(means, sizes=sizes, spread=10.0, seed=seed + 1)
+    kw = dict(
+        delta=0.1,
+        seed=seed,
+        without_replacement=data.draw(st.booleans(), label="wor"),
+        # r in sum units: a few rows' worth of the largest group's values.
+        resolution=data.draw(st.sampled_from([0.0, 0.0, 150.0 * max(sizes)]), label="r"),
+        max_rounds=data.draw(st.sampled_from([None, None, 60]), label="max_rounds"),
+    )
+    if not kw["without_replacement"] and kw["max_rounds"] is None:
+        kw["max_rounds"] = 2_000
+    engine = InMemoryEngine(pop)
+    fast = run_ifocus(engine, rule=SumRule(pop.sizes()), **kw)
+    ref = run_ifocus_reference(engine, rule=SumRule(pop.sizes()), **kw)
+    assert_equivalent(fast, ref)
+    assert fast.algorithm == "ifocus-sum"
+
+
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_product_stream_fused_equals_reference(data):
+    """Algorithm 5: plain IFOCUS with replacement over the x*z view."""
+    seed = data.draw(st.integers(min_value=0, max_value=10_000), label="seed")
+    k = data.draw(st.integers(min_value=1, max_value=6), label="k")
+    sizes = data.draw(st.lists(st.sampled_from([40, 400, 4000]), min_size=k, max_size=k))
+    rng = np.random.default_rng(seed)
+    pop = make_materialized_population(
+        rng.uniform(20, 80, k).tolist(), sizes=sizes, spread=10.0, seed=seed + 1
+    )
+    view = _ProductEngine(InMemoryEngine(pop))
+    kw = dict(
+        delta=0.1,
+        seed=seed,
+        without_replacement=False,
+        resolution=data.draw(st.sampled_from([0.0, 40.0]), label="r"),
+        max_rounds=data.draw(st.sampled_from([300, 2_000]), label="max_rounds"),
+    )
+    assert_equivalent(run_ifocus(view, **kw), run_ifocus_reference(view, **kw))

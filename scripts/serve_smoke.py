@@ -11,11 +11,15 @@ Runs the full serving path end to end on an ephemeral port:
    ending in a single ``done`` event;
 4. start a never-converging query and DELETE it - the submitter must get
    the structured 499 ``cancelled`` error;
-5. drain: flip the service into drain mode - ``/readyz`` goes 503 while
+5. POST /query twice with ``"shards": 2, "executor": "process"`` and
+   different seeds - both must run on one cached pool of two workers
+   (``GET /tables`` lists one fan-out, no third worker is spawned);
+6. drain: flip the service into drain mode - ``/readyz`` goes 503 while
    ``/healthz`` stays 200, and new work is shed with 503 + ``Retry-After``;
-6. shut down and assert the shared-memory registry is empty (the shm-leak
-   oracle: an abandoned worker segment fails CI here);
-7. SIGTERM a real ``repro serve`` subprocess - it must announce the drain
+7. shut down and assert no worker process is left and the shared-memory
+   registry is empty (the leak oracle: an abandoned worker or segment
+   fails CI here);
+8. SIGTERM a real ``repro serve`` subprocess - it must announce the drain
    and exit 0 (the path a rolling restart takes in production).
 
 Usage: python scripts/serve_smoke.py [--rows N]
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -41,6 +46,14 @@ from repro.engines.shm import REGISTRY  # noqa: E402
 from repro.serve import QueryService, serve_in_thread  # noqa: E402
 
 FLIGHTS_SQL = "SELECT carrier, AVG(arrival_delay) FROM flights GROUP BY carrier"
+PROCESS_SPEC = {
+    "table": "flights",
+    "group_by": ["carrier"],
+    "aggregates": [{"func": "AVG", "column": "arrival_delay"}],
+    "engine": "memory",
+    "shards": 2,
+    "executor": "process",
+}
 SLOW_SPEC = {
     "table": "slow",
     "group_by": ["g"],
@@ -169,6 +182,21 @@ def main() -> int:
             "cancelled submitter gets the structured 499",
         )
 
+        workers = set()
+        for seed in (11, 12):
+            status, body = request(
+                handle.port, "POST", "/query", {"spec": PROCESS_SPEC, "seed": seed}
+            )
+            check(status == 200 and body["cache"] == "miss", f"process query seed={seed} runs")
+            workers |= {p.pid for p in multiprocessing.active_children()}
+        status, body = request(handle.port, "GET", "/tables")
+        flights = next(t for t in body["tables"] if t["name"] == "flights")
+        check(
+            flights["cached_fanouts"] == [{"shards": 2, "executor": "process", "workers": 2}]
+            and len(workers) == 2,
+            "two process queries share one cached pool of two workers",
+        )
+
         status, body = request(handle.port, "GET", "/readyz")
         check(status == 200 and body["ready"], "readyz is 200 before the drain")
         service.begin_drain()
@@ -187,6 +215,7 @@ def main() -> int:
     finally:
         handle.stop()
 
+    check(multiprocessing.active_children() == [], "shutdown leaves no worker process")
     check(REGISTRY.active_count() == 0, "shutdown leaves the shm registry empty")
     check(sigterm_drains_cleanly(), "SIGTERM drains a real serve process to exit 0")
     print("serve smoke passed")

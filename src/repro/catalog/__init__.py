@@ -19,6 +19,7 @@ from repro.catalog.attach import SourceSpec
 from repro.catalog.catalog import (
     Catalog,
     EngineBuild,
+    FanoutBuild,
     PopulationBuild,
     SourceInfo,
     population_from_chunks,
@@ -39,6 +40,7 @@ __all__ = [
     "SourceSpec",
     "SourceInfo",
     "EngineBuild",
+    "FanoutBuild",
     "PopulationBuild",
     "population_from_chunks",
     "Schema",

@@ -21,6 +21,13 @@ objects and owns the derived artifacts engines consume:
   value_col, predicate, value_bound)``, under the same LRU bound - and a
   repeated query pays no index build, no WHERE evaluation and no table
   materialization.
+* :meth:`Catalog.fanout` - the :class:`~repro.engines.sharded.ShardedEngine`
+  a ``.sharded()`` query runs on, with its fan-out threads or spawn workers
+  and their shared-memory payloads.  Workers belong to the catalog, not the
+  query: one engine per ``(table, GROUP BY list, value_col, predicate,
+  value_bound, engine, shards, max_workers, executor)``, lent to each query
+  under a lease, so ``executor="process"`` spawns once per session and key.
+  At most :data:`Catalog.MAX_CACHED_FANOUTS` stay resident.
 
 Re-registering a name drops that name's cached builds.  All cache state is
 lock-protected so one catalog can serve concurrent ``Session.submit``
@@ -31,6 +38,7 @@ that later registrations cannot disturb.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -43,7 +51,15 @@ from repro.data.population import MaterializedGroup, Population
 from repro.needletail.table import Table
 from repro.query.ast import Predicate
 
-__all__ = ["Catalog", "SourceInfo", "PopulationBuild", "EngineBuild", "population_from_chunks"]
+__all__ = [
+    "Catalog",
+    "SourceInfo",
+    "PopulationBuild",
+    "EngineBuild",
+    "FanoutBuild",
+    "FanoutLease",
+    "population_from_chunks",
+]
 
 
 def population_from_chunks(
@@ -104,6 +120,70 @@ EngineBuild = tuple[tuple[str, ...], str, "Predicate | None", "float | None"]
 
 
 @dataclass(frozen=True)
+class FanoutBuild:
+    """One cached fan-out, as reported by :meth:`Catalog.describe`."""
+
+    group_by: tuple[str, ...]
+    value_column: str
+    engine: str
+    shards: int
+    executor: str
+    #: Live worker processes (process executor), or the thread bound of a
+    #: started fan-out pool (thread executor).
+    workers: int
+
+
+class FanoutLease:
+    """One query's hold on a fan-out engine.
+
+    ``engine`` is usable until :meth:`release`, which the query calls
+    exactly once when it is done (later calls are no-ops).  A cached engine
+    that was dropped meanwhile (invalidation, eviction, ``close()``) is shut
+    down by the release of its last lease - never under the catalog lock.
+    """
+
+    __slots__ = ("engine", "_release")
+
+    def __init__(self, engine, release) -> None:
+        self.engine = engine
+        self._release = release
+
+    def release(self) -> None:
+        release, self._release = self._release, None
+        if release is not None:
+            release()
+
+
+class _Fanout:
+    """A cached fan-out engine and the number of queries leasing it."""
+
+    __slots__ = ("engine", "leases", "dropped")
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.leases = 0
+        self.dropped = False
+
+
+class _FanoutCache:
+    """The fan-out entries of one catalog and all its snapshots.
+
+    A separate object so that the pools outlive any one view: when the last
+    view (and the last lease) is garbage-collected without ``close()``, the
+    finalizer shuts every pool down.
+    """
+
+    def __init__(self) -> None:
+        self.entries: "OrderedDict[tuple, _Fanout]" = OrderedDict()
+        self.closed = False
+        weakref.finalize(self, _close_fanouts, self.entries)
+
+
+def _close_fanouts(entries: "OrderedDict[tuple, _Fanout]") -> None:
+    _close_engines([entry.engine for entry in entries.values()])
+
+
+@dataclass(frozen=True)
 class SourceInfo:
     """One catalog entry's metadata, as shown by ``repro tables``/``describe``."""
 
@@ -115,6 +195,7 @@ class SourceInfo:
     table_cached: bool
     cached_populations: tuple[PopulationBuild, ...]
     cached_engines: tuple[EngineBuild, ...]
+    cached_fanouts: tuple[FanoutBuild, ...]
 
 
 class Catalog:
@@ -128,12 +209,18 @@ class Catalog:
     scans its source exactly once.
 
     Bounds and freshness: population builds and engine builds each live in
-    an LRU capped at :data:`MAX_CACHED_POPULATIONS` (long-lived sessions
-    serving ad-hoc predicates - e.g. a moving ``WHERE ts > <now>`` literal -
-    evict old builds instead of growing without bound); sources with
-    ``cacheable = False`` (live streams) are never cached, so every query
-    sees current data; and :meth:`invalidate` drops a name's builds
+    an LRU capped at :data:`MAX_CACHED_POPULATIONS`, fan-outs in one capped
+    at :data:`MAX_CACHED_FANOUTS` (long-lived sessions serving ad-hoc
+    predicates - e.g. a moving ``WHERE ts > <now>`` literal - evict old
+    builds instead of growing without bound); sources
+    with ``cacheable = False`` (live streams) are never cached, so every
+    query sees current data; and :meth:`invalidate` drops a name's builds
     explicitly (e.g. after a CSV file changed on disk).
+
+    Cached fan-outs hold threads or worker processes, so a catalog is a
+    resource: :meth:`close` (or ``with Catalog() as catalog:``) shuts them
+    down; ``Session.close()`` closes the catalog the session created, and a
+    catalog collected unclosed releases them through a finalizer.
     """
 
     #: Upper bound on cached population builds, and on cached engine builds
@@ -142,12 +229,21 @@ class Catalog:
     #: so this caps resident memory at ~MAX * relation-column size for
     #: pathological workloads.
     MAX_CACHED_POPULATIONS = 64
+    #: Upper bound on cached fan-outs (LRU eviction beyond it).  Far below
+    #: the population bound because an entry is live processes, not bytes:
+    #: one process fan-out holds ``shards`` spawn workers (60-72 MB RSS each
+    #: at ``wide_k1000``) plus its shared-memory payload and output
+    #: segments (~23 MB there), so two entries stay inside a 64 MB
+    #: ``/dev/shm``.  A query whose key was evicted pays one spawn - what
+    #: every query paid before fan-outs were cached.
+    MAX_CACHED_FANOUTS = 2
 
     def __init__(self) -> None:
         self._sources: dict[str, DataSource] = {}
         self._tables: dict[DataSource, Table] = {}
         self._populations: "OrderedDict[tuple, Population]" = OrderedDict()
         self._engines: "OrderedDict[tuple, object]" = OrderedDict()
+        self._fanouts = _FanoutCache()
         self._lock = threading.Lock()
         #: Callbacks fired (outside the lock) whenever a name's builds are
         #: dropped - explicit invalidate() or a rebinding register().  Shared
@@ -170,13 +266,15 @@ class Catalog:
         """
         if not isinstance(source, DataSource):
             source = TableSource(source, name=name)
+        doomed = []
         with self._lock:
             old = self._sources.get(name)
             self._sources[name] = source
             if old is not None and old is not source and not any(
                 s is old for s in self._sources.values()
             ):
-                self._drop_builds(old)
+                doomed = self._drop_builds(old)
+        _close_engines(doomed)
         if old is not None and old is not source:
             self._notify_invalidation(name)
         return self
@@ -195,12 +293,28 @@ class Catalog:
 
         return self.register(name, resolve_target(name, target, opts))
 
-    def _drop_builds(self, source: DataSource) -> None:
-        """Drop cached builds for one source (caller holds the lock)."""
+    def _drop_builds(self, source: DataSource) -> list:
+        """Drop cached builds for one source (caller holds the lock).
+
+        Returns the fan-out engines no query leases any more; the caller
+        closes them once it has released the lock.
+        """
         self._tables.pop(source, None)
         for cache in (self._populations, self._engines):
             for key in [k for k in cache if k[0] is source]:
                 del cache[key]
+        fanouts = self._fanouts.entries
+        return [
+            engine
+            for key in [k for k in fanouts if k[0] is source]
+            for engine in self._drop_fanout(key)
+        ]
+
+    def _drop_fanout(self, key: tuple) -> list:
+        """Uncache one fan-out (lock held); its engine if nobody leases it."""
+        entry = self._fanouts.entries.pop(key)
+        entry.dropped = True
+        return [entry.engine] if entry.leases == 0 else []
 
     def _share_build(self, cache: OrderedDict, key: tuple, build):
         """Enter ``build`` under ``key`` unless a concurrent query already did.
@@ -227,7 +341,8 @@ class Catalog:
         """
         source = self.source(name)
         with self._lock:
-            self._drop_builds(source)
+            doomed = self._drop_builds(source)
+        _close_engines(doomed)
         source.refresh()
         self._notify_invalidation(name)
         return self
@@ -412,6 +527,118 @@ class Catalog:
             return engine
         return self._share_build(self._engines, key, engine)
 
+    def fanout(
+        self,
+        name: str,
+        group_spec,
+        value_column: str,
+        *,
+        predicate: "Predicate | None",
+        value_bound: float | None,
+        engine,
+        shards: int,
+        max_workers: int | None,
+        executor: str,
+        builder,
+    ) -> FanoutLease:
+        """Lease the sharded engine for one build coordinate.
+
+        ``builder`` (the planner's backend build plus its ``ShardedEngine``
+        wrap; threads and workers start lazily on the first run) runs on a
+        miss, outside the lock.  The entry is keyed like
+        :meth:`indexed_engine`'s plus ``engine`` (the planner's engine
+        definition, so re-registering a name never serves the old factory's
+        build), ``shards``, ``max_workers`` and the requested executor, and
+        follows the other caches' rules: dropped by :meth:`invalidate` and
+        rebinding, shared with snapshots.  Its LRU bound is
+        :data:`MAX_CACHED_FANOUTS`, not the population bound: an entry holds
+        live threads or worker processes.  A non-cacheable source (or a
+        closed catalog) gets a fresh engine whose pool the lease releases.
+
+        Concurrent queries share one engine, and so one worker per shard:
+        their draws on a shard are serialized by that worker.  A closed
+        engine (``Result.engine.close()``) is never handed out: the lookup
+        replaces it.  One whose breaker opened or whose restart budget ran
+        out is dropped when the query that saw it go bad returns its lease
+        (runs opened on it meanwhile go thread-side, with a caveat), and the
+        next query builds a fresh one - fresh budget, fresh breaker.
+        """
+        source = self.source(name)
+        key = (
+            source, tuple(group_spec), value_column, predicate, value_bound,
+            engine, shards, max_workers, executor,
+        )
+        entries = self._fanouts.entries
+        entry = None
+        if source.cacheable:
+            with self._lock:
+                entry = self._lease_fanout(key)
+        if entry is None:
+            built = builder()
+            doomed = []
+            with self._lock:  # so a racing close() cannot miss an entry added here
+                if source.cacheable and not self._fanouts.closed:
+                    entry = self._lease_fanout(key)
+                    if entry is None:  # first in wins, as in _share_build
+                        entry = entries[key] = _Fanout(built)
+                        entry.leases += 1
+                        while len(entries) > self.MAX_CACHED_FANOUTS:
+                            doomed += self._drop_fanout(next(iter(entries)))
+            _close_engines(doomed)
+            if entry is None:
+                return FanoutLease(built, built.release_pool)
+            if entry.engine is not built:
+                built.close()  # lost the race; nothing was started on it
+        return FanoutLease(entry.engine, lambda: self._return_fanout(key, entry))
+
+    def _lease_fanout(self, key: tuple) -> "_Fanout | None":
+        """The live entry under ``key`` with one more lease, or None (lock held).
+
+        A closed entry (``Result.engine.close()``) is dropped here; it is
+        shut down already, so nothing is left to close.
+        """
+        entry = self._fanouts.entries.get(key)
+        if entry is None or self._fanouts.closed:
+            return None
+        if entry.engine.closed:
+            self._drop_fanout(key)
+            return None
+        self._fanouts.entries.move_to_end(key)
+        entry.leases += 1
+        return entry
+
+    def _return_fanout(self, key: tuple, entry: _Fanout) -> None:
+        """One lease ended: drop a gone-bad engine, close an orphaned one."""
+        with self._lock:
+            entry.leases -= 1
+            if not entry.dropped and not entry.engine.reusable:
+                self._drop_fanout(key)
+            orphaned = entry.dropped and entry.leases == 0
+        if orphaned:
+            entry.engine.close()
+
+    def close(self) -> None:
+        """Shut down every cached fan-out (idempotent).
+
+        Pools leased by in-flight queries shut down when those queries
+        finish.  The catalog stays usable: later sharded queries get a
+        per-query fan-out, released when they finish.
+        """
+        with self._lock:
+            self._fanouts.closed = True
+            doomed = [
+                engine
+                for key in list(self._fanouts.entries)
+                for engine in self._drop_fanout(key)
+            ]
+        _close_engines(doomed)
+
+    def __enter__(self) -> "Catalog":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def drain_resilience_events(self) -> list[str]:
         """Self-healing events since the last drain.
 
@@ -431,6 +658,11 @@ class Catalog:
             table_cached = source in self._tables
             builds = tuple(k[1:] for k in self._populations if k[0] is source)
             engines = tuple(k[1:] for k in self._engines if k[0] is source)
+            fanouts = [
+                (k, entry.engine)
+                for k, entry in self._fanouts.entries.items()
+                if k[0] is source
+            ]
         return SourceInfo(
             name=name,
             kind=source.kind,
@@ -440,6 +672,17 @@ class Catalog:
             table_cached=table_cached,
             cached_populations=builds,
             cached_engines=engines,
+            cached_fanouts=tuple(
+                FanoutBuild(
+                    group_by=key[1],
+                    value_column=key[2],
+                    engine=key[5].name,
+                    shards=engine.shards,
+                    executor=engine.executor,
+                    workers=engine.live_workers,
+                )
+                for key, engine in fanouts
+            ),
         )
 
     def snapshot(self) -> "Catalog":
@@ -462,3 +705,10 @@ class Catalog:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Catalog(tables={self.names})"
+
+
+def _close_engines(engines: list) -> None:
+    """Shut dropped fan-outs down; callers must not hold the catalog lock
+    (a process pool's shutdown joins its workers)."""
+    for engine in engines:
+        engine.close()

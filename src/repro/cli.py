@@ -453,6 +453,16 @@ def _cmd_describe(args: argparse.Namespace) -> int:
             suffix = f"  ({', '.join(extras)})" if extras else ""
             group = group if isinstance(group, str) else ", ".join(group)
             print(f"  group by {group}, value {value_col}{suffix}")
+    if info.cached_fanouts:
+        print("cached fan-outs:")
+        for fan in info.cached_fanouts:
+            print(
+                f"  group by {', '.join(fan.group_by)}, value {fan.value_column}"
+                f"  ({fan.engine}, {fan.shards} shards, {fan.executor} executor, "
+                f"{fan.workers} live workers)"
+            )
+    else:
+        print("cached fan-outs: none (the first sharded query starts one)")
     return 0
 
 

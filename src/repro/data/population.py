@@ -152,7 +152,11 @@ class _ColumnarPermutations(BlockKernel):
 
     def __init__(self, samplers: list["_MaterializedWithoutReplacement"], gids: np.ndarray) -> None:
         super().__init__(gids)
-        self._samplers = samplers
+        # The samplers' columns and streams, not the samplers: they point
+        # back here once bound, and that cycle would keep this run's buffer
+        # alive until a cyclic GC - unbounded growth in a long-lived worker.
+        self._columns = [s._values for s in samplers]
+        self._rngs = [s._rng for s in samplers]
         self._sizes = np.array([s.size for s in samplers], dtype=np.int64)
         self._offsets = np.zeros(len(samplers) + 1, dtype=np.int64)
         np.cumsum(self._sizes, out=self._offsets[1:])
@@ -172,13 +176,12 @@ class _ColumnarPermutations(BlockKernel):
             # in-place shuffle below then consumes each group's stream
             # exactly like ``rng.permutation(values)`` (numpy's permutation
             # is copy-then-shuffle, asserted in the test suite).
-            np.concatenate([s._values for s in self._samplers], out=self._perm_flat)
+            np.concatenate(self._columns, out=self._perm_flat)
             self._filled = True
         for slot in missing:
             slot = int(slot)
-            sampler = self._samplers[slot]
-            lo = int(self._offsets[slot])
-            sampler._rng.shuffle(self._perm_flat[lo : lo + sampler.size])
+            lo, hi = int(self._offsets[slot]), int(self._offsets[slot + 1])
+            self._rngs[slot].shuffle(self._perm_flat[lo:hi])
             self._ready[slot] = True
 
     def _check_capacity(self, slots: np.ndarray, count: int) -> None:
@@ -235,8 +238,12 @@ class _VirtualBlockKernel(BlockKernel):
 
     def __init__(self, samplers: list["_VirtualSampler"], gids: np.ndarray) -> None:
         super().__init__(gids)
-        self._samplers = samplers
         self._fused = np.array([s._dist.fusable for s in samplers], dtype=bool)
+        # Only the unbound (non-fusable) samplers: bound ones point back
+        # here, and holding them would make every run a reference cycle.
+        self._unfused = {
+            slot: s for slot, s in enumerate(samplers) if not self._fused[slot]
+        }
         self.consumed = np.zeros(len(samplers), dtype=np.int64)
         fused_slots = np.flatnonzero(self._fused)
         self._rng = samplers[int(fused_slots[0])]._rng if fused_slots.size else None
@@ -286,7 +293,7 @@ class _VirtualBlockKernel(BlockKernel):
             self.consumed[fslots] += count
         if not fused.all():
             for slot, col in zip(slots[~fused], cols[~fused]):
-                out[:, col] = self._samplers[int(slot)].draw(count)
+                out[:, col] = self._unfused[int(slot)].draw(count)
 
 
 class _MaterializedWithReplacement(GroupSampler):

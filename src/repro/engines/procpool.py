@@ -185,8 +185,10 @@ class _Worker:
     entries stored *without* their out-buffer handle - old out segments are
     unlinked when the buffer grows, so replay substitutes the current one
     (always big enough: growth is monotone).  ``commands`` counts fresh
-    (non-replay) commands; it is the fault-injection index and survives a
-    respawn, so a plan's per-shard coordinates stay stable across crashes.
+    (non-replay) commands over the pool's whole lifetime - every query a
+    cached pool serves adds to it; it is the fault-injection index and
+    survives a respawn, so a plan's per-shard coordinates stay stable
+    across crashes.
     """
 
     __slots__ = ("process", "conn", "lock", "out_ref", "alive", "log", "commands")
@@ -215,6 +217,9 @@ class ProcessShardPool:
         on_crash: optional observer called as ``on_crash(shard, exc)`` for
             every crash the pool attempts to recover from - the sharded
             engine feeds its circuit breaker with this.
+        on_event: optional observer called with each crash/recovery event
+            text as it is recorded, on the thread whose command observed it
+            - the sharded engine attributes events to queries with this.
     """
 
     def __init__(
@@ -226,6 +231,7 @@ class ProcessShardPool:
         max_restarts: int = _DEFAULT_MAX_RESTARTS,
         handshake_timeout: float = _DEFAULT_HANDSHAKE_TIMEOUT,
         on_crash=None,
+        on_event=None,
     ) -> None:
         if int(max_restarts) < 0:
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
@@ -239,6 +245,7 @@ class ProcessShardPool:
         self._restarts_left = int(max_restarts)
         self._handshake_timeout = float(handshake_timeout)
         self._on_crash = on_crash
+        self._on_event = on_event
         # Guards _closed, _owned, and _events: a draw racing shutdown() must
         # either complete against live state or fail the closed check - never
         # register a fresh segment after shutdown drained the owned list.
@@ -275,6 +282,13 @@ class ProcessShardPool:
     def restarts_remaining(self) -> int:
         return self._restarts_left
 
+    @property
+    def live_workers(self) -> int:
+        """Worker processes currently alive (0 once shut down)."""
+        if self._closed:
+            return 0
+        return sum(w.alive and w.process.is_alive() for w in self._workers)
+
     def events(self) -> list[str]:
         """Crash/recovery events recorded so far (for Result caveats)."""
         with self._state_lock:
@@ -283,6 +297,8 @@ class ProcessShardPool:
     def _record_event(self, text: str) -> None:
         with self._state_lock:
             self._events.append(text)
+        if self._on_event is not None:
+            self._on_event(text)
 
     # -- spawning and recovery ----------------------------------------------
 
@@ -355,14 +371,16 @@ class ProcessShardPool:
             with self._state_lock:
                 if self._closed:
                     raise cause
-                if self._restarts_left <= 0:
-                    self._events.append(
-                        f"shard worker {shard} died and the pool restart "
-                        f"budget (max_restarts={self._max_restarts}) is "
-                        "exhausted; no recovery attempted"
-                    )
-                    raise cause
-                self._restarts_left -= 1
+                exhausted = self._restarts_left <= 0
+                if not exhausted:
+                    self._restarts_left -= 1
+            if exhausted:
+                self._record_event(
+                    f"shard worker {shard} died and the pool restart "
+                    f"budget (max_restarts={self._max_restarts}) is "
+                    "exhausted; no recovery attempted"
+                )
+                raise cause
             if self._on_crash is not None:
                 self._on_crash(shard, cause)
             self._reap(worker)

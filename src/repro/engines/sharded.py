@@ -45,13 +45,30 @@ Two executors serve the fan-out (``executor=`` at construction):
   groups' RNG streams from the same ``SeedSequence`` children, so the whole
   determinism contract above holds verbatim; elapsed time scales with cores.
   Requires a process-shareable population (:func:`repro.engines.shm.shareable`).
+
+Lifetime: an engine keeps its fan-out (threads or workers, and their
+shared-memory payloads) until :meth:`ShardedEngine.close`.  The planner does
+not build one per query: the :class:`~repro.catalog.Catalog` caches one
+engine per build coordinate and lends it to every query over that
+coordinate, so ``executor="process"`` spawns once per session and key.  Runs
+never share state - each owns its streams, its worker-side samplers and its
+replay-log entries - which is why reuse cannot move a single sample.
+
+Resilience events (crashes, respawns, degradations, an open breaker) are
+kept twice: :meth:`ShardedEngine.resilience_events` is the engine's lifetime
+list, and the list installed by :func:`collect_query_events` receives each
+event observed by the query that installed it, exactly once - so on a
+shared engine one crash is one caveat, on the query that saw it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -62,10 +79,46 @@ from repro.engines.base import EngineRun, NullCostModel, SamplingEngine
 from repro.errors import WorkerCrashed
 from repro.resilience.breaker import CircuitBreaker
 
-__all__ = ["SHARD_EXECUTORS", "ShardedEngine", "ShardedRun", "ProcessShardedRun"]
+__all__ = [
+    "SHARD_EXECUTORS",
+    "ShardedEngine",
+    "ShardedRun",
+    "ProcessShardedRun",
+    "collect_query_events",
+]
 
 #: Recognised fan-out executors for ``ShardedEngine``/``QuerySpec.executor``.
 SHARD_EXECUTORS = ("thread", "process")
+
+#: The event list of the query running in this context (see
+#: :func:`collect_query_events`).  A context variable, not an engine field:
+#: one cached engine serves many concurrent queries, and each command runs
+#: on a thread acting for exactly one of them.
+_QUERY_EVENTS: contextvars.ContextVar["list[str] | None"] = contextvars.ContextVar(
+    "repro_query_events", default=None
+)
+
+
+@contextlib.contextmanager
+def collect_query_events(sink: list[str]):
+    """Route resilience events observed in this context into ``sink``.
+
+    Every crash, respawn, degradation or open-breaker note a sharded run
+    observes while the block is active - on this thread, or on the fan-out
+    threads its draws dispatch to, which inherit the context - is appended
+    to ``sink`` as well as to the engine's lifetime list.
+    """
+    token = _QUERY_EVENTS.set(sink)
+    try:
+        yield sink
+    finally:
+        _QUERY_EVENTS.reset(token)
+
+
+def _report_to_query(text: str) -> None:
+    sink = _QUERY_EVENTS.get()
+    if sink is not None:
+        sink.append(text)
 
 
 class ShardedRun(EngineRun):
@@ -149,8 +202,13 @@ class ShardedRun(EngineRun):
             for shard, cols, local in tasks:
                 self._draw_shard(shard, out, cols, local, count)
         else:
+            # Each task runs in a copy of this context, so events its
+            # commands observe reach the query that issued the draw.
             futures = [
-                pool.submit(self._draw_shard, shard, out, cols, local, count)
+                pool.submit(
+                    contextvars.copy_context().run,
+                    self._draw_shard, shard, out, cols, local, count,
+                )
                 for shard, cols, local in tasks
             ]
             for future in futures:
@@ -382,12 +440,46 @@ class ShardedEngine(SamplingEngine):
         #: runs are built thread-side instead of respawning workers against
         #: whatever keeps killing them.  Sticky for the engine's lifetime.
         self.breaker = CircuitBreaker(threshold=breaker_threshold)
+        #: Lifetime resilience events (each also goes to the observing
+        #: query's list, see :func:`collect_query_events`).
         self._events: list[str] = []
 
     @property
     def shards(self) -> int:
         """Effective (non-empty) shard count."""
         return len(self.shard_gids)
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` ran; a closed engine never fans out again."""
+        return self._closed
+
+    @property
+    def reusable(self) -> bool:
+        """Whether a later query may be handed this engine.
+
+        False once it is closed, its breaker opened, or its worker pool has
+        no restart left; a cache then builds a fresh engine (fresh budget,
+        fresh breaker) instead.  Reads without the pool lock, which a
+        spawning pool holds for the whole spawn.
+        """
+        procpool = self._procpool
+        return (
+            not self._closed
+            and self.breaker.closed
+            and (procpool is None or procpool.restarts_remaining > 0)
+        )
+
+    @property
+    def live_workers(self) -> int:
+        """Live worker processes (process executor), or the fan-out pool's
+        thread bound (thread executor); 0 while no pool is up."""
+        procpool, pool = self._procpool, self._pool
+        if procpool is not None:
+            return procpool.live_workers
+        if pool is None:
+            return 0
+        return self.max_workers if self.max_workers is not None else self.shards
 
     def _get_pool(self) -> ThreadPoolExecutor | None:
         """The shared fan-out pool, created lazily; ``None`` when disabled."""
@@ -417,10 +509,21 @@ class ShardedEngine(SamplingEngine):
                     name=f"repro-shard-{self.population.name}",
                     max_restarts=self.max_restarts,
                     on_crash=self._record_crash,
+                    on_event=self._note,
                 )
         return self._procpool
 
     # -- resilience ----------------------------------------------------------
+
+    def _note(self, text: str) -> None:
+        """Record one event for the engine's lifetime and the observing query.
+
+        Runs on the thread whose command observed the event (pool recovery
+        and degradation both happen inside the failing command), so the
+        context's query list is the right owner.
+        """
+        self._events.append(text)  # list.append is atomic; no lock needed
+        _report_to_query(text)
 
     def _record_crash(self, shard: int, exc: BaseException) -> None:
         """Pool crash observer: feed the circuit breaker (thread-safe)."""
@@ -428,35 +531,29 @@ class ShardedEngine(SamplingEngine):
             f"shard workers crashed {self.breaker.threshold} times "
             f"(last: shard {shard}: {exc})"
         ):
-            with self._pool_lock:
-                self._events.append(
-                    f"circuit breaker opened ({self.breaker.reason}); "
-                    "subsequent runs use the thread executor"
-                )
+            self._note(
+                f"circuit breaker opened ({self.breaker.reason}); "
+                "subsequent runs use the thread executor"
+            )
 
     def _note_degraded_shard(self, shard: int, cause: BaseException) -> None:
         """A live run lost shard ``shard`` for good and went thread-side."""
         self.breaker.trip(f"shard {shard} worker unrecoverable: {cause}")
-        with self._pool_lock:
-            self._events.append(
-                f"shard {shard} degraded to the thread executor mid-run "
-                f"after an unrecoverable worker crash ({cause}); the shard "
-                "was rebuilt from its seeds and replayed bit-identically"
-            )
+        self._note(
+            f"shard {shard} degraded to the thread executor mid-run "
+            f"after an unrecoverable worker crash ({cause}); the shard "
+            "was rebuilt from its seeds and replayed bit-identically"
+        )
 
     def resilience_events(self) -> list[str]:
-        """Crash/recovery/degradation events, for ``Result.caveats``.
+        """Every crash/recovery/degradation event of the engine's lifetime.
 
-        Includes the process pool's own crash-recovery log; pool events are
-        folded into the engine's list when the pool is released, so they
-        survive ``release_pool()``.
+        Includes the process pool's crash-recovery events (the pool reports
+        each one here as it happens, so they survive ``release_pool()``).
+        A query's own caveats come from :func:`collect_query_events`, not
+        from this list, which on a shared engine spans many queries.
         """
-        with self._pool_lock:
-            events = list(self._events)
-            procpool = self._procpool
-        if procpool is not None:
-            events.extend(procpool.events())
-        return list(dict.fromkeys(events))
+        return list(dict.fromkeys(self._events))
 
     def open_run(
         self,
@@ -471,8 +568,14 @@ class ShardedEngine(SamplingEngine):
         the shard layout (and of the executor: worker processes rebuild the
         same streams from the same children).
         """
-        if self.executor == "process" and self.breaker.closed:
-            return self._open_process_run(seed, without_replacement)
+        if self.executor == "process":
+            if self.breaker.closed:
+                return self._open_process_run(seed, without_replacement)
+            _report_to_query(
+                f"executor='process' ran thread-side: the circuit breaker is "
+                f"open ({self.breaker.reason}). Results are identical; only "
+                "elapsed-time scaling differs."
+            )
         groups = self.population.groups
         rngs = spawn_group_rngs(seed, self.population.k)
         samplers = [
@@ -529,8 +632,6 @@ class ShardedEngine(SamplingEngine):
         return EngineRun(sub, samplers, NullCostModel(), self.row_bytes)
 
     def _open_process_run(self, seed, without_replacement: bool) -> "ProcessShardedRun":
-        import weakref
-
         pool = self._get_procpool()
         seeds = spawn_group_seed_seqs(seed, self.population.k)
         run_id = next(self._run_ids)
@@ -568,9 +669,10 @@ class ShardedEngine(SamplingEngine):
         recreate them.
 
         Non-terminal, unlike :meth:`close`: the engine stays fully usable.
-        The planner calls this when a query finishes so per-query sharded
-        engines pinned by ``Result.engine`` retain neither idle threads nor
-        worker processes (nor their shared-memory segments).
+        Runs opened before the release cannot draw afterwards.  The catalog
+        calls this after each query only for engines it does not cache
+        (non-cacheable sources); cached engines keep their pools until the
+        catalog drops them and calls :meth:`close`.
         """
         with self._pool_lock:
             pool, self._pool = self._pool, None
@@ -578,13 +680,7 @@ class ShardedEngine(SamplingEngine):
         if pool is not None:
             pool.shutdown(wait=True)
         if procpool is not None:
-            events = procpool.events()
             procpool.shutdown()
-            if events:  # keep crash history visible after the pool is gone
-                with self._pool_lock:
-                    self._events.extend(
-                        e for e in events if e not in self._events
-                    )
 
     def close(self) -> None:
         """Shut down the fan-out pool and refuse new fan-outs (idempotent)."""

@@ -236,8 +236,12 @@ class SessionPool:
         return session
 
     def close(self) -> None:
-        """Close every session (including the primary); in-flight work drains."""
-        for session in self._sessions:
+        """Close every session; in-flight work drains.
+
+        The primary closes last: it closes the shared catalog it created
+        (and with it every cached fan-out) once the clones are done.
+        """
+        for session in reversed(self._sessions):
             session.close()
 
 
@@ -500,6 +504,14 @@ class QueryService:
                     "table_cached": info.table_cached,
                     "cached_populations": len(info.cached_populations),
                     "cached_engines": len(info.cached_engines),
+                    "cached_fanouts": [
+                        {
+                            "shards": fan.shards,
+                            "executor": fan.executor,
+                            "workers": fan.workers,
+                        }
+                        for fan in info.cached_fanouts
+                    ],
                 }
             )
         return _json_response(200, {"tables": tables})

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import queue
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -45,7 +46,7 @@ from repro.core.registry import ALGORITHMS, RESOLUTION_VARIANTS, run_algorithm
 from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
 from repro.engines.memory import InMemoryEngine
-from repro.engines.sharded import ShardedEngine
+from repro.engines.sharded import ShardedEngine, collect_query_events
 from repro.extensions.counts import run_count_known
 from repro.extensions.mistakes import run_ifocus_mistakes
 from repro.extensions.multi import composite_group_column, run_ifocus_multi_avg
@@ -144,12 +145,15 @@ class _PlanContext:
     def __post_init__(self) -> None:
         self._table: Table | None = None
         self._bitvector = None
-        self._built_engines: list[SamplingEngine] = []
+        self._leases: list = []
         #: Reasons the process executor was downgraded to threads (one per
         #: affected engine build); surfaced as Result caveats.
         self.executor_fallbacks: list[str] = []
         #: Transient scan failures that were retried; surfaced as caveats.
         self.scan_retries: list[str] = []
+        #: Fan-out resilience events this query's runs observed (filled
+        #: through :func:`~repro.engines.sharded.collect_query_events`).
+        self.shard_events: list[str] = []
 
     @property
     def table(self) -> Table:
@@ -217,36 +221,54 @@ class _PlanContext:
         return self._bitvector
 
     def build_engine(self, value_column: str) -> SamplingEngine:
-        engine = self.engine_def.factory(self, value_column)
-        if self.spec.shards > 1 and self.engine_def.shardable:
-            executor = self.spec.executor
-            if executor == "process":
-                from repro.engines.shm import shareable
+        spec, engine_def = self.spec, self.engine_def
+        if spec.shards <= 1 or not engine_def.shardable:
+            return engine_def.factory(self, value_column)
+        from repro.engines.shm import shareable
 
-                reason = shareable(engine.population)
-                if reason is not None:
-                    executor = "thread"
-                    self.executor_fallbacks.append(reason)
-            engine = ShardedEngine(
-                engine,
-                self.spec.shards,
-                max_workers=self.spec.max_workers,
-                executor=executor,
+        def build() -> ShardedEngine:
+            backend = engine_def.factory(self, value_column)
+            executor = spec.executor
+            if executor == "process" and shareable(backend.population) is not None:
+                executor = "thread"
+            return ShardedEngine(
+                backend, spec.shards, max_workers=spec.max_workers, executor=executor
             )
-        self._built_engines.append(engine)
+
+        # The backend is built only on a miss; the key carries the engine
+        # definition itself, so re-registering a name invalidates its hits.
+        lease = self.catalog.fanout(
+            spec.table,
+            spec.group_by,
+            value_column,
+            predicate=spec.where,
+            value_bound=spec.value_bound,
+            engine=engine_def,
+            shards=spec.shards,
+            max_workers=spec.max_workers,
+            executor=spec.executor,
+            builder=build,
+        )
+        self._leases.append(lease)
+        engine = lease.engine
+        if engine.executor != spec.executor:
+            # Shareability is a function of the key, so a hit falls back
+            # exactly when its miss did; every query reports it.
+            self.executor_fallbacks.append(shareable(engine.population))
         return engine
 
     def release_engines(self) -> None:
-        """Release per-query fan-out pools once the query is done.
+        """Return this query's fan-out leases; the single exit of a query.
 
-        ``Result.engine`` keeps engines reachable for metadata, so without
-        this a session retaining many sharded Results would also retain
-        their idle pool threads.  Releasing is non-terminal - a later draw
-        on the same engine lazily recreates its pool.
+        Cached fan-outs keep their threads or workers for the next query
+        (the catalog shuts one down only once it is dropped and no query
+        leases it); a per-query fan-out over a non-cacheable source has its
+        pool released here, as ``Result.engine`` keeps the engine reachable.
+        Idempotent.
         """
-        for engine in self._built_engines:
-            if isinstance(engine, ShardedEngine):
-                engine.release_pool()
+        leases, self._leases = self._leases, []
+        for lease in leases:
+            lease.release()
 
 
 EngineFactory = Callable[[_PlanContext, str], SamplingEngine]
@@ -648,10 +670,9 @@ def _assemble_result(
             caveats.append(_DEADLINE_CAVEAT.format(key=key))
     for note in dict.fromkeys(ctx.scan_retries):
         caveats.append(_RETRY_CAVEAT.format(note=note))
-    events: list[str] = []
-    for built in ctx._built_engines:
-        if isinstance(built, ShardedEngine):
-            events.extend(built.resilience_events())
+    # Only what this query's runs observed: a cached engine's lifetime list
+    # would repeat one crash on every later query.
+    events = list(ctx.shard_events)
     # Catalog-level self-healing (storage quarantines, write degradation)
     # rides the same caveat surface as worker recovery.
     events.extend(ctx.catalog.drain_resilience_events())
@@ -696,9 +717,10 @@ def execute_spec(
         deadline = Deadline.after_ms(spec.deadline_ms)
     ctx = _plan(spec, catalog)
     try:
-        return _execute_planned(
-            spec, ctx, seed, dict(runner_kwargs or {}), deadline=deadline
-        )
+        with collect_query_events(ctx.shard_events):
+            return _execute_planned(
+                spec, ctx, seed, dict(runner_kwargs or {}), deadline=deadline
+            )
     finally:
         ctx.release_engines()
 
@@ -747,16 +769,17 @@ def _stream_live(
 
     def worker() -> None:
         try:
-            out.put(
-                _run_avg(
-                    spec, ctx, engine, seed, runner_kwargs, on_finalize, deadline
+            with collect_query_events(ctx.shard_events):
+                out.put(
+                    _run_avg(
+                        spec, ctx, engine, seed, runner_kwargs, on_finalize, deadline
+                    )
                 )
-            )
         except BaseException as exc:
             out.put(exc)
         finally:
             # Sampling is over on every exit path (success, error, abandoned
-            # consumer), so the fan-out pool can release its threads here.
+            # consumer), so the query's fan-out lease is returned here.
             ctx.release_engines()
 
     thread = threading.Thread(target=worker, daemon=True, name="session-stream")
@@ -777,6 +800,9 @@ def _stream_live(
         )
 
     stream = ResultStream(updates())
+    # A stream never iterated never starts its worker: return its lease
+    # when it is collected instead.
+    weakref.finalize(stream, lambda: thread.ident is None and ctx.release_engines())
     return stream
 
 
@@ -830,7 +856,8 @@ def stream_spec(
     if _live_streamable(spec, ctx):
         return _stream_live(spec, ctx, seed, kwargs, deadline)
     try:
-        result = _execute_planned(spec, ctx, seed, kwargs, deadline=deadline)
+        with collect_query_events(ctx.shard_events):
+            result = _execute_planned(spec, ctx, seed, kwargs, deadline=deadline)
     finally:
         ctx.release_engines()
     stream = ResultStream(iter(_replay_updates(result)))
@@ -902,8 +929,9 @@ def describe_spec(spec: QuerySpec) -> str:
         and _ENGINES[spec.engine].shardable
     ):
         lines.append(
-            "executor: one worker process per shard over shared memory; "
-            "falls back to the thread fan-out (with a caveat on the Result) "
+            "executor: one worker process per shard over shared memory, "
+            "spawned once per catalog and build key and reused by later "
+            "queries; falls back to the thread fan-out (with a caveat on the Result) "
             "when the population cannot cross the process boundary "
             "(e.g. rejection-sampled virtual groups)"
         )

@@ -150,6 +150,9 @@ class Session:
         # and build caches (the repro.serve session pool); default sessions
         # stay fully isolated.
         self._catalog = catalog if catalog is not None else Catalog()
+        #: Whether close() closes the catalog: the session's own, yes; an
+        #: injected one is closed by whoever created it.
+        self._owns_catalog = catalog is None
         self.delta = delta
         self.resolution = resolution
         self.algorithm = algorithm
@@ -489,12 +492,19 @@ class Session:
         return self._pool
 
     def close(self) -> None:
-        """Shut down the submit pool; in-flight futures finish first."""
+        """Shut down the submit pool, then the catalog the session created.
+
+        In-flight futures finish first; closing the catalog then shuts down
+        its cached fan-outs (worker processes reaped, shared memory
+        released).  An injected catalog stays open for its creator.
+        """
         with self._pool_lock:
             self._closed = True
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+        if self._owns_catalog:
+            self._catalog.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -572,7 +582,7 @@ def connect(
         from repro.storage import DurableCatalog
 
         catalog = DurableCatalog(store)
-    return Session(
+    session = Session(
         delta=delta,
         resolution=resolution,
         algorithm=algorithm,
@@ -586,3 +596,7 @@ def connect(
         max_retries=max_retries,
         catalog=catalog,
     )
+    if store is not None:
+        # Opened here on the session's behalf, so the session closes it.
+        session._owns_catalog = True
+    return session

@@ -108,14 +108,9 @@ class DurableCatalog(Catalog):
         return self._store
 
     def close(self) -> None:
-        """Close the backing store's database connection."""
+        """Shut down cached fan-outs, then close the store's connection."""
+        super().close()
         self._store.close()
-
-    def __enter__(self) -> "DurableCatalog":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- self-healing --------------------------------------------------------
 

@@ -658,6 +658,9 @@ class WindowRunner:
                 )
         finally:
             self._active_deadline = None
+            # The window's catalog dies with the window: shut its fan-out
+            # down now so a sharded subscription holds one pool at a time.
+            catalog.close()
         self._check_cancel()
         yield self._emit(
             WindowResult(

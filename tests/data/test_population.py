@@ -139,3 +139,33 @@ class TestPopulation:
         assert pop.k == 2 and pop.total_size == 6
         with pytest.raises(ValueError):
             Population.from_arrays(["x"], [np.ones(1), np.ones(1)], c=1.0)
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        [MaterializedGroup("a", np.arange(100.0)), MaterializedGroup("b", np.arange(50.0))],
+        [VirtualGroup("a", TwoPoint(0.4, 0.0, 100.0), 100), VirtualGroup("b", TwoPoint(0.6), 50)],
+    ],
+    ids=["materialized", "virtual"],
+)
+def test_a_finished_run_is_freed_without_the_cyclic_gc(groups):
+    """Bound samplers point at their run's fused kernel, so the kernel must
+    not point back: a cycle keeps each run's buffers alive until a full
+    collection, which a long-lived shard worker (few Python allocations per
+    run) reaches rarely - its memory grew with every query it served."""
+    import gc
+    import weakref
+
+    from repro.engines.memory import InMemoryEngine
+
+    engine = InMemoryEngine(Population(groups=groups, c=100.0))
+    gc.disable()
+    try:
+        run = engine.open_run(0)
+        run.draw_block(np.array([0, 1]), 5)
+        kernel = weakref.ref(run._samplers[0]._store)
+        del run
+        assert kernel() is None
+    finally:
+        gc.enable()

@@ -69,12 +69,13 @@ class TestSubmit:
         """The ISSUE-5 stress bar: 8 in-flight ``executor="process"`` queries
         on one session.
 
-        Every worker builds an isolated process engine (own spawn workers,
-        own shared-memory segments, own run state), results are bit-identical
+        Concurrent queries with the same build key share one cached process
+        engine (one set of spawn workers and shared-memory segments per
+        key; every query keeps its own run state), results are bit-identical
         to the same queries run serially through the *unsharded* engine
         (materialized tables: any shard count and executor matches), and the
-        shm registry is empty once the queries and the session are done -
-        no segment outlives its query.
+        shm registry is empty once the session is closed - no segment
+        outlives the catalog that cached it.
         """
         baseline = REGISTRY.active_count()
         with _flights_session(engine="memory", submit_workers=8) as session:
@@ -182,17 +183,23 @@ class TestShardedQueries:
             assert "sharded x4" in text and "2 workers" in text
 
     def test_sharded_queries_release_their_pool_threads(self):
-        """Retained Results must not pin idle fan-out threads (leak guard)."""
+        """The fan-out pool belongs to the catalog: repeated queries reuse
+        its threads (the count does not grow with the query count, even
+        with every Result retained), and ``close()`` returns them."""
         import threading
 
+        before = threading.active_count()
         with _flights_session(engine="memory") as session:
             builder = (
                 session.table("flights").group_by("carrier").agg(avg("arrival_delay")).sharded(4)
             )
-            before = threading.active_count()
-            results = [builder.run(seed=s) for s in range(3)]
-            assert len(results) == 3  # Results (and their engines) stay alive
-            assert threading.active_count() == before
+            results = [builder.run(seed=0)]
+            warm = threading.active_count()
+            results += [builder.run(seed=s) for s in range(1, 6)]
+            assert len(results) == 6  # Results (and their engine) stay alive
+            assert threading.active_count() == warm
+            assert all(r.engine is results[0].engine for r in results)
+        assert threading.active_count() == before
 
     def test_multi_avg_rejects_sharding_loudly(self):
         with _flights_session() as session:

@@ -136,6 +136,7 @@ def test_procpool_job_runs_lifecycle_tests_and_smoke_bench(workflow):
     commands = " ".join(step.get("run", "") for step in job["steps"])
     assert "tests/engines/test_procpool.py" in commands
     assert "tests/engines/test_sharded.py" in commands
+    assert "tests/catalog/test_fanout_cache.py" in commands
     assert "bench_export.py --smoke" in commands
     for step in job["steps"]:
         line = step.get("run", "").strip()

@@ -174,12 +174,16 @@ class TestCommands:
         session = connect().attach("t", data)
         monkeypatch.setattr("repro.cli._catalog_session", lambda args: session)
         assert main(["describe", "t"]) == 0
-        assert "cached engines: none" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "cached engines: none" in out and "cached fan-outs: none" in out
         session.table("t").group_by("g", "h").agg(avg("y")).where("y >= 10").bound(200).run(seed=0)
+        session.table("t").group_by("g").agg(avg("y")).sharded(2).run(seed=0)
         assert main(["describe", "t"]) == 0
         out = capsys.readouterr().out
         assert "cached engines:\n  group by g, h, value y  (where " in out
         assert "c=200" in out
+        assert "cached fan-outs:\n  group by g, value y  (needletail, 2 shards, thread" in out
+        session.close()
 
     def test_describe_unknown_table(self, capsys):
         assert main(["describe", "nope", "--rows", "5000"]) == 2

@@ -4,8 +4,9 @@ The ``bench``-marked cases track the fused-sampling path at k=1000:
 ``draw_block`` vs the per-group Python loop it replaced, and a full IFOCUS
 run through the fused executor (whose end-to-end guard is the ``wide_k1000``
 workload of ``bench_e2e``; ``repro.core.reference`` is the correctness
-oracle).  ``session_stream_dense`` guards the live-stream door and
-``session_sum_sparse`` the SUM door, which run the same executor;
+oracle).  ``session_stream_dense`` guards the live-stream door,
+``session_sum_sparse`` the SUM door and ``session_multi_avg_dense`` the
+two-AVG door (Problem 8), which all run the same executor;
 ``session_process_repeat_query`` guards the catalog's fan-out cache.  Export with ``python -m repro bench-export`` (writes
 BENCH_micro.json).
 """
@@ -98,6 +99,30 @@ def test_bench_session_sum_sparse(benchmark):
     benchmark.extra_info["k"] = 8
     session.close()
     assert result.first.algorithm == "ifocus-sum"
+
+
+def test_bench_session_multi_avg_dense(benchmark):
+    """A two-AVG ``.run()`` on a warm needletail Session: flights 200k, k=19.
+
+    Guards Problem 8 on the one executor: the query is two batched IFOCUS
+    runs at delta/2 over shared permutations, so it costs about two
+    single-AVG runs.  A per-sample two-phase loop is ~80x a single run
+    (~6 s), far above ``check_bench.py``'s 2x threshold.
+    """
+    session = connect(engine="needletail", delta=0.05)
+    session.attach("flights", SourceSpec("flights", rows=200_000, seed=0))
+    query = (
+        session.table("flights")
+        .group_by("carrier")
+        .agg(avg("arrival_delay"), avg("departure_delay"))
+    )
+    query.run(seed=1)  # the cold index builds, off the clock
+    result = benchmark.pedantic(
+        lambda: query.run(seed=1), rounds=5, iterations=1, warmup_rounds=1
+    )
+    benchmark.extra_info["k"] = len(result.labels)
+    session.close()
+    assert result.engine is not None
 
 
 def test_bench_session_stream_dense(benchmark):

@@ -16,6 +16,7 @@ __all__ = [
     "spawn_group_seed_seqs",
     "rngs_from_seed_seqs",
     "as_rng",
+    "reusable_seed",
     "check_probability",
     "check_positive",
     "check_nonnegative",
@@ -65,6 +66,18 @@ def spawn_group_rngs(seed: int | np.random.Generator | None, k: int) -> list[np.
     independent of how draws to other groups are interleaved.
     """
     return rngs_from_seed_seqs(spawn_group_seed_seqs(seed, k))
+
+
+def reusable_seed(seed: int | np.random.Generator | None) -> int:
+    """``seed`` as a value that yields the same streams on every use.
+
+    An int seed already does; ``None`` (fresh entropy) and a Generator (whose
+    seed sequence advances on each spawn) are pinned to one drawn int, so
+    several runs given the result read the same per-group permutations.
+    """
+    if seed is None or isinstance(seed, np.random.Generator):
+        return int(as_rng(seed).integers(2**63))
+    return seed
 
 
 def check_probability(value: float, name: str) -> float:

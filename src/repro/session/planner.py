@@ -12,7 +12,9 @@ form.  Dispatch rules:
   executor with :class:`~repro.extensions.sums.SumRule`, resolution in sum
   units;
 * ``COUNT(*)``/``COUNT(Y)`` - exact from engine metadata;
-* two AVG aggregates - the two-phase Problem 8 schedule;
+* two AVG aggregates (Problem 8) - one IFOCUS run each at delta/2 (union
+  bound); both read prefixes of one seeded per-group permutation, so a
+  sampled row is charged once;
 * multiple GROUP BY columns - the cross-product composite key (§6.3.4);
 * WHERE - lowered into the :class:`~repro.catalog.Catalog` source scan for
   population engines (rows filtered chunk-by-chunk before anything is
@@ -39,6 +41,9 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
+from repro._util import reusable_seed
 from repro.catalog.catalog import Catalog, population_from_chunks
 from repro.catalog.schema import Schema
 from repro.catalog.source import TableSource
@@ -49,7 +54,7 @@ from repro.engines.memory import InMemoryEngine
 from repro.engines.sharded import ShardedEngine, collect_query_events
 from repro.extensions.counts import run_count_known
 from repro.extensions.mistakes import run_ifocus_mistakes
-from repro.extensions.multi import composite_group_column, run_ifocus_multi_avg
+from repro.extensions.multi import composite_group_column
 from repro.extensions.noindex import run_noindex
 from repro.extensions.sums import run_ifocus_sum
 from repro.extensions.topt import run_ifocus_topt
@@ -564,42 +569,21 @@ def _execute_planned(
     results: dict[str, tuple[OrderingResult, dict[str, Any]]] = {}
     engine: SamplingEngine | None = None
     avgs = spec.avg_aggregates
-    charged = 0  # tuples actually sampled; shared multi-AVG run counted once
-
-    if len(avgs) == 2:
-        if spec.where is not None:
-            raise ValueError("two-aggregate queries do not support WHERE yet")
-        if spec.engine != "needletail":
-            raise ValueError(
-                "two-aggregate queries run on the bitmap-index substrate; "
-                f"engine {spec.engine!r} is not supported with them yet"
-            )
-        if spec.guarantee.resolution > 0:
-            raise ValueError("two-aggregate queries do not support resolution yet")
-        if spec.shards > 1:
-            raise ValueError(
-                "two-aggregate queries drive their own bitmap-index schedule "
-                "and do not support sharding yet (drop .sharded())"
-            )
-        multi = run_ifocus_multi_avg(
-            ctx.table,
-            ctx.group_col,
-            avgs[0].column,
-            avgs[1].column,
-            delta=spec.guarantee.delta,
-            c_y=spec.value_bound,
-            c_z=spec.value_bound,
-            seed=seed,
-            **runner_kwargs,
-        )
-        results[spec.agg_key(avgs[0])] = (multi.y, {})
-        results[spec.agg_key(avgs[1])] = (multi.z, {})
-        charged += multi.total_samples
-    elif len(avgs) == 1:
-        engine = ctx.build_engine(avgs[0].column)
-        raw, meta = _run_avg(spec, ctx, engine, seed, runner_kwargs, deadline=deadline)
-        results[spec.agg_key(avgs[0])] = (raw, meta)
-        charged += raw.total_samples
+    # Problem 8: one IFOCUS run per AVG at delta/len(avgs) (union bound).
+    # Every engine reads group g as a prefix of one seeded permutation, so
+    # the runs share rows and the query is charged sum_g max_a n_a,g.
+    avg_spec = spec
+    if len(avgs) > 1:
+        avg_spec = spec.with_guarantee(delta=spec.guarantee.delta / len(avgs))
+        seed = reusable_seed(seed)
+    avg_rows = 0  # per-group rows read by any AVG run
+    for agg in avgs:
+        avg_engine = ctx.build_engine(agg.column)
+        raw, meta = _run_avg(avg_spec, ctx, avg_engine, seed, runner_kwargs, deadline=deadline)
+        results[spec.agg_key(agg)] = (raw, meta)
+        avg_rows = np.maximum(avg_rows, raw.samples_per_group)
+        engine = engine or avg_engine
+    charged = int(np.sum(avg_rows))  # tuples actually sampled
 
     for agg in spec.aggregates:
         if agg.func == "SUM":
@@ -626,8 +610,6 @@ def _execute_planned(
 
     if not results:
         raise ValueError("query produced no executable aggregate")
-    # Pure multi-AVG queries leave engine None: the two-phase schedule drives
-    # its own bitmap index, there is no per-aggregate engine to expose.
     return _assemble_result(spec, ctx, results, engine, charged)
 
 
@@ -893,16 +875,20 @@ def describe_spec(spec: QuerySpec) -> str:
     avgs = spec.avg_aggregates
     for agg in spec.aggregates:
         key = spec.agg_key(agg)
-        if agg.func == "AVG" and len(avgs) == 2:
-            lines.append(f"{key}: two-phase multi-AVG schedule (Problem 8)")
-        elif agg.func == "AVG":
-            mode = spec.guarantee.mode
+        if agg.func == "AVG":
             runner = (
                 "noindex whole-table sampling"
                 if _ENGINES[spec.engine].avg_runner == "noindex"
                 else _algorithm(spec)
             )
-            lines.append(f"{key}: {runner} (guarantee mode: {mode})")
+            if len(avgs) > 1:
+                others = ", ".join(spec.agg_key(a) for a in avgs if a is not agg)
+                lines.append(
+                    f"{key}: {runner} at δ/{len(avgs)} "
+                    f"(Problem 8, rows shared with {others})"
+                )
+            else:
+                lines.append(f"{key}: {runner} (guarantee mode: {spec.guarantee.mode})")
         elif agg.func == "SUM":
             line = f"{key}: IFOCUS-Sum, known group sizes (Algorithm 4)"
             if spec.guarantee.resolution > 0:

@@ -186,12 +186,13 @@ class Result:
         caveats: human-readable warnings the display layer should surface
             (e.g. HAVING filtering estimates, truncated runs).
         dropped_by_having: labels removed by the HAVING post-filter.
-        engine: the sampling engine that served the query (None for pure
-            multi-AVG queries, whose two-phase schedule drives its own index,
-            and for hand-built results).
-        total_samples: tuples actually sampled for the whole query - runs
-            shared between aggregates (multi-AVG) count once, independent
-            runs (e.g. AVG + SUM) sum.
+        engine: the sampling engine that served the query - the first AVG
+            aggregate's for multi-aggregate queries (None for hand-built
+            results).
+        total_samples: tuples actually sampled for the whole query - rows
+            shared between AVG aggregates (Problem 8: sum over groups of the
+            largest per-aggregate count) count once, independent runs (e.g.
+            AVG + SUM) sum.
     """
 
     spec: QuerySpec

@@ -6,12 +6,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.ifocus import run_ifocus
 from repro.engines.memory import InMemoryEngine
 from repro.extensions.multi import (
     composite_group_column,
     run_ifocus_multi_avg,
 )
 from repro.extensions.noindex import run_noindex
+from repro.needletail.engine import NeedletailEngine
 from repro.needletail.table import Table
 from repro.session import avg, connect
 from repro.viz.properties import check_ordering
@@ -71,10 +73,46 @@ class TestMultiAvg:
     def test_shared_samples(self):
         t = two_dim_table(seed=4)
         res = run_ifocus_multi_avg(t, "carrier", "delay", "dist", delta=0.05, seed=5)
-        # Both aggregates report the same per-group sample counts (each
-        # sampled row contributes to both).
-        assert np.array_equal(res.y.samples_per_group, res.z.samples_per_group)
-        assert res.total_samples == res.y.samples_per_group.sum()
+        # Each aggregate is its own IFOCUS run at delta/2 and reports its own
+        # counts; both read prefixes of one per-group permutation, so the
+        # rows read are the per-group maximum.
+        for agg, column in ((res.y, "delay"), (res.z, "dist")):
+            single = run_ifocus(NeedletailEngine(t, "carrier", column), delta=0.025, seed=5)
+            np.testing.assert_array_equal(agg.estimates, single.estimates)
+            np.testing.assert_array_equal(agg.samples_per_group, single.samples_per_group)
+        np.testing.assert_array_equal(
+            res.samples_per_group,
+            np.maximum(res.y.samples_per_group, res.z.samples_per_group),
+        )
+        assert res.total_samples == res.samples_per_group.sum()
+
+    def test_unseeded_runs_share_their_rows(self):
+        t = two_dim_table(seed=4)
+        res = run_ifocus_multi_avg(t, "carrier", "delay", "delay", delta=0.05, seed=None)
+        np.testing.assert_array_equal(res.y.estimates, res.z.estimates)
+        np.testing.assert_array_equal(res.samples_per_group, res.y.samples_per_group)
+
+    def test_exhausted_means_are_obstacles(self):
+        """A group read to exhaustion has an exact mean that the other
+        groups' intervals must clear before they leave (the executor's
+        obstacle rule).  Group j (1,000 rows) exhausts long before group i
+        (4,000 rows, mean 0.05 above j's) separates from it; leaving i at
+        that point misorders AVG(Y) in ~44% of seeds.
+        """
+        rng = np.random.default_rng(0)
+        j = rng.normal(50.0, 7.0, 1_000)
+        i = rng.normal(50.0, 7.0, 4_000)
+        i += j.mean() + 0.05 - i.mean()
+        g = np.array(["j"] * j.size + ["i"] * i.size)
+        y = np.clip(np.concatenate([j, i]), 0.0, 100.0)
+        z = np.clip(np.where(g == "j", 20.0, 80.0) + rng.normal(0.0, 5.0, g.size), 0.0, 100.0)
+        t = Table.from_dict("t", {"g": g, "y": y, "z": z})
+        true_y = np.array([y[g == key].mean() for key in ("i", "j")])  # index order
+        misordered = 0
+        for seed in range(60):
+            res = run_ifocus_multi_avg(t, "g", "y", "z", delta=0.05, seed=seed)
+            misordered += not check_ordering(res.y.estimates, true_y)
+        assert misordered <= 3
 
     def test_estimates_close(self):
         t = two_dim_table(seed=6)

@@ -92,6 +92,20 @@ class TestDeadline:
         assert result.deadline_exceeded
         assert any("deadline_exceeded" in c for c in result.caveats)
 
+    def test_two_avg_query_honours_the_deadline(self):
+        with repro.connect(delta=0.05) as session:
+            session.attach("flights", repro.SourceSpec("flights", rows=200_000, seed=0))
+            out = (
+                session.table("flights")
+                .group_by("carrier")
+                .agg(repro.avg("arrival_delay"), repro.avg("departure_delay"))
+                .deadline(1.0)
+                .run(seed=1)
+            )
+        assert out.deadline_exceeded
+        for key in ("AVG(arrival_delay)", "AVG(departure_delay)"):
+            assert any(f"the {key} run hit its deadline" in c for c in out.caveats)
+
     def test_session_default_deadline_is_inherited(self):
         rng = np.random.default_rng(0)
         session = repro.connect(delta=0.05, engine="memory", deadline_ms=0.001)

@@ -274,20 +274,6 @@ class TestPlannerValidation:
                 2
             ).run(seed=1)
 
-    def test_multi_avg_rejects_other_engines(self, session, columns):
-        sess = session.register("u", columns)
-        builder = (
-            sess.table("t").group_by("g").agg(avg("y"), avg("year")).on_engine("memory")
-        )
-        with pytest.raises(ValueError, match="bitmap-index"):
-            builder.run(seed=1)
-
-    def test_multi_avg_rejects_resolution(self, session):
-        with pytest.raises(ValueError, match="resolution"):
-            session.table("t").group_by("g").agg(avg("y"), avg("year")).guarantee(
-                resolution=1.0
-            ).run(seed=1)
-
     def test_duplicate_aggregates_rejected(self, session):
         with pytest.raises(ValueError, match="duplicate aggregate"):
             session.table("t").group_by("g").agg(avg("y"), avg("y")).spec()
@@ -316,7 +302,22 @@ class TestPlannerValidation:
 
     def test_multi_avg_counts_shared_run_once(self, session):
         res = session.table("t").group_by("g").agg(avg("y"), avg("year")).run(seed=1)
-        # both aggregates ride the same two-phase run; no double counting
-        per_agg = [a.total_samples for a in res.aggregates.values()]
-        assert res.total_samples == max(per_agg)
-        assert res.engine is None  # the schedule drives its own index
+        # both runs read prefixes of one per-group permutation: a row read
+        # by both aggregates is charged once
+        per_group = np.maximum(
+            res["AVG(y)"].raw.samples_per_group, res["AVG(year)"].raw.samples_per_group
+        )
+        assert res.total_samples == per_group.sum()
+        assert res.engine.value_column == "y"  # the first AVG's engine
+
+    @pytest.mark.parametrize(
+        "seed", [1, None, np.random.default_rng(1)], ids=["int", "entropy", "generator"]
+    )
+    def test_multi_avg_over_a_copied_column_reads_each_row_once(self, columns, seed):
+        session = connect().register("t", {**columns, "y2": columns["y"].copy()})
+        res = session.table("t").group_by("g").agg(avg("y"), avg("y2")).run(seed=seed)
+        y, y2 = res["AVG(y)"].raw, res["AVG(y2)"].raw
+        np.testing.assert_array_equal(y.estimates, y2.estimates)
+        np.testing.assert_array_equal(y.samples_per_group, y2.samples_per_group)
+        assert y.inactive_order == y2.inactive_order
+        assert res.total_samples == y.samples_per_group.sum()

@@ -11,6 +11,7 @@ materialized tables.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -25,6 +26,13 @@ def _flights_session(**kwargs):
     session = connect(delta=0.1, seed=0, **kwargs)
     session.attach("flights", SourceSpec("flights", rows=30_000, seed=0))
     return session
+
+
+def _assert_same_aggregate(a, b):
+    np.testing.assert_array_equal(a.raw.estimates, b.raw.estimates)
+    np.testing.assert_array_equal(a.raw.samples_per_group, b.raw.samples_per_group)
+    assert a.raw.inactive_order == b.raw.inactive_order
+    assert [g.half_width for g in a] == [g.half_width for g in b]
 
 
 def _result_fingerprint(result):
@@ -201,16 +209,65 @@ class TestShardedQueries:
             assert all(r.engine is results[0].engine for r in results)
         assert threading.active_count() == before
 
-    def test_multi_avg_rejects_sharding_loudly(self):
-        with _flights_session() as session:
-            builder = (
-                session.table("flights")
-                .group_by("carrier")
-                .agg(avg("arrival_delay"), avg("departure_delay"))
-                .sharded(2)
-            )
-            with pytest.raises(ValueError, match="do not support sharding"):
-                builder.run(seed=0)
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            pytest.param(dict(engine="needletail"), id="needletail"),
+            pytest.param(dict(engine="memory"), id="memory"),
+            pytest.param(dict(engine="needletail", where="year >= 1995"), id="needletail-where"),
+            pytest.param(
+                dict(engine="memory", where="year >= 1995", resolution=2.0),
+                id="memory-where-resolution",
+            ),
+            pytest.param(dict(engine="needletail", resolution=2.0), id="needletail-resolution"),
+            pytest.param(dict(engine="memory", shards=2, executor="thread"), id="memory-x2-thread"),
+            pytest.param(
+                dict(engine="needletail", shards=2, executor="thread", where="year >= 1995"),
+                id="needletail-x2-thread-where",
+            ),
+            pytest.param(
+                dict(engine="needletail", shards=2, executor="process"),
+                id="needletail-x2-process",
+            ),
+            pytest.param(
+                dict(engine="memory", shards=2, executor="process", where="year >= 1995"),
+                id="memory-x2-process-where",
+            ),
+        ],
+    )
+    def test_multi_avg_is_two_single_avgs_at_half_delta(self, cell):
+        """Problem 8 on every engine/shard/executor cell: each aggregate of a
+        two-AVG query is bit-identical to its single-AVG query at delta/2,
+        and the rows both runs read are charged once."""
+        cell = dict(cell)
+        engine, where = cell.pop("engine"), cell.pop("where", None)
+        resolution = cell.pop("resolution", 0.0)
+        baseline = REGISTRY.active_count()
+        with _flights_session(engine=engine) as session:
+
+            def run(*columns, delta):
+                builder = (
+                    session.table("flights")
+                    .group_by("carrier")
+                    .agg(*(avg(c) for c in columns))
+                    .guarantee(delta=delta, resolution=resolution)
+                )
+                if where is not None:
+                    builder = builder.where(where)
+                if cell:
+                    builder = builder.sharded(cell["shards"], executor=cell["executor"])
+                return builder.run(seed=11)
+
+            both = run("arrival_delay", "departure_delay", delta=0.1)
+            singles = [run(c, delta=0.05) for c in ("arrival_delay", "departure_delay")]
+            for single in singles:
+                _assert_same_aggregate(both[single.first.key], single.first)
+            per_group = np.maximum(*(s.first.raw.samples_per_group for s in singles))
+            assert both.total_samples == per_group.sum()
+            if cell:
+                assert both.engine.executor == cell["executor"]
+        assert REGISTRY.active_count() == baseline
+        assert multiprocessing.active_children() == []
 
     def test_sql_door_carries_session_shards(self):
         with _flights_session(shards=3) as session:

@@ -16,9 +16,9 @@ Runs the full serving path end to end on an ephemeral port:
    (``GET /tables`` lists one fan-out, no third worker is spawned);
 6. drain: flip the service into drain mode - ``/readyz`` goes 503 while
    ``/healthz`` stays 200, and new work is shed with 503 + ``Retry-After``;
-7. shut down and assert no worker process is left and the shared-memory
-   registry is empty (the leak oracle: an abandoned worker or segment
-   fails CI here);
+7. shut down and assert no worker process and no worker pool directory is
+   left (the leak oracle: an abandoned worker or payload file fails CI
+   here);
 8. SIGTERM a real ``repro serve`` subprocess - it must announce the drain
    and exit 0 (the path a rolling restart takes in production).
 
@@ -42,7 +42,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro import SourceSpec, connect  # noqa: E402
-from repro.engines.shm import REGISTRY  # noqa: E402
+from repro.engines.payload import live_pool_dirs  # noqa: E402
 from repro.serve import QueryService, serve_in_thread  # noqa: E402
 
 FLIGHTS_SQL = "SELECT carrier, AVG(arrival_delay) FROM flights GROUP BY carrier"
@@ -216,7 +216,7 @@ def main() -> int:
         handle.stop()
 
     check(multiprocessing.active_children() == [], "shutdown leaves no worker process")
-    check(REGISTRY.active_count() == 0, "shutdown leaves the shm registry empty")
+    check(live_pool_dirs() == [], "shutdown leaves no worker pool directory")
     check(sigterm_drains_cleanly(), "SIGTERM drains a real serve process to exit 0")
     print("serve smoke passed")
     return 0

@@ -13,7 +13,7 @@ Runs the streaming path end to end over HTTP on an ephemeral port:
    show up in the done-event stats;
 4. open a second, unbounded subscription and DELETE it - the stream must
    end with a clean ``done`` carrying ``cancelled: true``;
-5. shut down and assert the shared-memory registry is empty.
+5. shut down and assert no worker pool directory is left.
 
 Usage: python scripts/streaming_smoke.py
 """
@@ -33,7 +33,7 @@ import numpy as np  # noqa: E402
 
 from repro import connect  # noqa: E402
 from repro.catalog import IteratorSource, Schema  # noqa: E402
-from repro.engines.shm import REGISTRY  # noqa: E402
+from repro.engines.payload import live_pool_dirs  # noqa: E402
 from repro.serve import QueryService, serve_in_thread  # noqa: E402
 
 EVENTS_SQL = "SELECT g, AVG(v) FROM events GROUP BY g"
@@ -198,7 +198,7 @@ def main() -> int:
     finally:
         handle.stop()
 
-    check(REGISTRY.active_count() == 0, "shutdown leaves the shm registry empty")
+    check(live_pool_dirs() == [], "shutdown leaves no worker pool directory")
     print("streaming smoke passed")
     return 0
 

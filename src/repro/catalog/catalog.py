@@ -23,7 +23,7 @@ objects and owns the derived artifacts engines consume:
   materialization.
 * :meth:`Catalog.fanout` - the :class:`~repro.engines.sharded.ShardedEngine`
   a ``.sharded()`` query runs on, with its fan-out threads or spawn workers
-  and their shared-memory payloads.  Workers belong to the catalog, not the
+  and their payload files.  Workers belong to the catalog, not the
   query: one engine per ``(table, GROUP BY list, value_col, predicate,
   value_bound, engine, shards, max_workers, executor)``, lent to each query
   under a lease, so ``executor="process"`` spawns once per session and key.
@@ -232,10 +232,11 @@ class Catalog:
     #: Upper bound on cached fan-outs (LRU eviction beyond it).  Far below
     #: the population bound because an entry is live processes, not bytes:
     #: one process fan-out holds ``shards`` spawn workers (60-72 MB RSS each
-    #: at ``wide_k1000``) plus its shared-memory payload and output
-    #: segments (~23 MB there), so two entries stay inside a 64 MB
-    #: ``/dev/shm``.  A query whose key was evicted pays one spawn - what
-    #: every query paid before fan-outs were cached.
+    #: at ``wide_k1000``) plus its pool directory of payload and output
+    #: buffer files (~23 MB there, on the ``/dev/shm`` tmpfs when it is
+    #: writable), so two entries stay inside a 64 MB ``/dev/shm``.  A query
+    #: whose key was evicted pays one spawn - what every query paid before
+    #: fan-outs were cached.
     MAX_CACHED_FANOUTS = 2
 
     def __init__(self) -> None:

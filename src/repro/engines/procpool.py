@@ -1,16 +1,17 @@
-"""Process-backed shard execution: persistent spawn workers over shared memory.
+"""Process-backed shard execution: persistent spawn workers over mapped files.
 
 :class:`ProcessShardPool` is the muscle behind
 ``ShardedEngine(executor="process")``: one persistent worker process per
 non-empty shard (``spawn`` context - no inherited state, identical semantics
 on every platform), each owning its shard's
 :class:`~repro.engines.base.EngineRun` and fused block kernels over a
-sub-population rebuilt zero-copy from shared-memory segments
-(:mod:`repro.engines.shm`).  The parent never ships data - only tiny
+sub-population rebuilt zero-copy from mapped buffer files
+(:mod:`repro.engines.payload`).  The parent never ships data - only tiny
 ``(command, gids, count)`` tuples travel down each worker's pipe, and result
-matrices come back through a preallocated per-worker shared output buffer
-(grown geometrically, parent-owned), so a fused draw moves exactly one
-``(count, m)`` float64 block through memory, not through pickle.
+matrices come back through a preallocated per-worker output buffer file
+(grown geometrically, parent-owned, mapped by both sides), so a fused draw
+moves exactly one ``(count, m)`` float64 block through memory, not through
+pickle.
 
 Determinism: workers rebuild per-group RNG streams from the *same*
 ``SeedSequence`` children the thread executor (and the plain engines) spawn
@@ -19,7 +20,7 @@ PR-3 shard-merge contract holds verbatim - asserted by running the sharded
 determinism test matrix against ``executor="process"``.
 
 Deterministic worker recovery: everything a worker holds is either owned by
-the parent (the shm payload segments) or a pure function of the parent-side
+the parent (the payload files) or a pure function of the parent-side
 command history (sampler streams are rebuilt from ``SeedSequence`` children;
 every draw advances them by amounts fixed by the command sequence and the
 static data).  So the pool logs each state-mutating command per shard, and
@@ -31,11 +32,10 @@ by a pool-wide restart budget (``max_restarts``); past it the original
 ``WorkerCrashed`` surfaces.  Crash/recovery events are recorded for
 ``Result.caveats`` and reported to the engine's circuit breaker.
 
-Lifecycle: the pool owns every segment it created and each worker process.
-``shutdown()`` stops workers against one shared deadline (terminate -> kill
-escalation, so N stuck workers cost one timeout, not N) and releases each
-owned segment exactly once through the
-:class:`~repro.engines.shm.ShmRegistry`.
+Lifecycle: the pool owns one :class:`~repro.engines.payload.PoolDir` (every
+buffer file it wrote) and each worker process.  ``shutdown()`` stops workers
+against one shared deadline (terminate -> kill escalation, so N stuck
+workers cost one timeout, not N) and then removes the directory.
 
 Fault-injection sites (:mod:`repro.resilience.faults`): ``procpool.command``
 (parent-side, per fresh command: ``kill_worker``, ``kill_mid_command``,
@@ -47,6 +47,7 @@ budgets, so a respawned worker replaying its log can never re-trigger them.
 from __future__ import annotations
 
 import collections
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -56,7 +57,7 @@ import traceback
 
 import numpy as np
 
-from repro.engines.shm import REGISTRY, SharedArrayRef, ShardPayload, build_shard_payloads
+from repro.engines.payload import FileArrayRef, PoolDir, ShardPayload, build_shard_payloads
 from repro.errors import WorkerCrashed
 from repro.resilience.faults import fault_at
 
@@ -65,11 +66,17 @@ __all__ = ["ProcessShardPool", "WorkerCrashed"]
 #: Initial per-worker output buffer (bytes); grown geometrically on demand.
 _MIN_OUT_BYTES = 1 << 16
 
+#: What a draw on a shut-down pool raises.
+_SHUT_DOWN = (
+    "process shard pool is shut down; runs opened before a "
+    "release_pool()/close() cannot draw - open a new run"
+)
+
 #: Default pool-wide worker-restart budget.
 _DEFAULT_MAX_RESTARTS = 3
 
 #: Default build-handshake timeout (seconds).  Generous: a spawn-context
-#: worker must import numpy and map its segments before it can answer.
+#: worker must import numpy and map its buffer files before it can answer.
 _DEFAULT_HANDSHAKE_TIMEOUT = 30.0
 
 
@@ -95,20 +102,15 @@ def _worker_main(conn, payload: ShardPayload, shard: int = 0, spawn_index: int =
     """
     from repro._util import rngs_from_seed_seqs
     from repro.engines.base import EngineRun, NullCostModel
-    from repro.engines.shm import ShmRegistry
 
-    registry = ShmRegistry()  # this worker's private segment table
     runs: dict[int, EngineRun] = {}
-    out_name: str | None = None
+    mapped: FileArrayRef | None = None
     out_view: np.ndarray | None = None
 
-    def out_buffer(ref: SharedArrayRef) -> np.ndarray:
-        nonlocal out_name, out_view
-        if ref.name != out_name:
-            if out_name is not None:
-                registry.release(out_name)
-            out_view = registry.attach(ref)
-            out_name = ref.name
+    def out_buffer(ref: FileArrayRef) -> np.ndarray:
+        nonlocal mapped, out_view
+        if ref != mapped:  # the parent grew the buffer into a new file
+            mapped, out_view = ref, ref.map("r+")
         return out_view
 
     try:
@@ -116,7 +118,7 @@ def _worker_main(conn, payload: ShardPayload, shard: int = 0, spawn_index: int =
         if fault is not None and fault.kind == "corrupt_handshake":
             conn.send(("garbled", spawn_index))
             return
-        population = payload.build_population(registry)
+        population = payload.build_population()
         conn.send(("ok", "ready"))
         while True:
             try:
@@ -167,8 +169,6 @@ def _worker_main(conn, payload: ShardPayload, shard: int = 0, spawn_index: int =
                         ("err", RuntimeError(f"{type(exc).__name__}: {exc}"), text)
                     )
     finally:
-        for name in list(registry.active_names()):
-            registry.release(name)
         conn.close()
 
 
@@ -182,22 +182,26 @@ class _Worker:
 
     ``log`` is the shard's replay journal: one normalized entry per
     state-mutating command (``open_run``/``draw_block``/``draw``), with draw
-    entries stored *without* their out-buffer handle - old out segments are
-    unlinked when the buffer grows, so replay substitutes the current one
-    (always big enough: growth is monotone).  ``commands`` counts fresh
+    entries stored *without* their out-buffer handle - an outgrown out file
+    is unlinked, so replay substitutes the current one (always big enough:
+    growth is monotone).  ``out_ref`` names the current out file and
+    ``out_view`` is the parent's mapping of it.  ``commands`` counts fresh
     (non-replay) commands over the pool's whole lifetime - every query a
     cached pool serves adds to it; it is the fault-injection index and
     survives a respawn, so a plan's per-shard coordinates stay stable
     across crashes.
     """
 
-    __slots__ = ("process", "conn", "lock", "out_ref", "alive", "log", "commands")
+    __slots__ = (
+        "process", "conn", "lock", "out_ref", "out_view", "alive", "log", "commands"
+    )
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
         self.lock = threading.Lock()
-        self.out_ref: SharedArrayRef | None = None
+        self.out_ref: FileArrayRef | None = None
+        self.out_view: np.ndarray | None = None
         self.alive = True
         self.log: list[tuple] = []
         self.commands = 0
@@ -246,13 +250,11 @@ class ProcessShardPool:
         self._handshake_timeout = float(handshake_timeout)
         self._on_crash = on_crash
         self._on_event = on_event
-        # Guards _closed, _owned, and _events: a draw racing shutdown() must
-        # either complete against live state or fail the closed check - never
-        # register a fresh segment after shutdown drained the owned list.
+        # Guards _closed and _events: a draw racing shutdown() must either
+        # complete against live state or fail the closed check - never create
+        # an out file after shutdown removed the directory.
         self._state_lock = threading.Lock()
-        self._payloads, self._owned = build_shard_payloads(population, shard_gids)
         self._workers: list[_Worker] = []
-        self._spawned = [0] * len(self._payloads)
         self._events: list[str] = []
         self._closed = False
         # Run ids whose parent-side run was garbage collected; drained (with
@@ -260,7 +262,10 @@ class ProcessShardPool:
         # ever append here - a deque append is lock-free and never blocks,
         # so collection can never deadlock on a worker lock or touch a pipe.
         self._retired: collections.deque[int] = collections.deque()
+        self._dir = PoolDir()
         try:
+            self._payloads = build_shard_payloads(population, shard_gids, self._dir)
+            self._spawned = [0] * len(self._payloads)
             for shard in range(len(self._payloads)):
                 process, conn = self._spawn_process(shard)
                 self._workers.append(_Worker(process, conn))
@@ -455,10 +460,7 @@ class ProcessShardPool:
 
     def _worker(self, shard: int) -> _Worker:
         if self._closed:
-            raise RuntimeError(
-                "process shard pool is shut down; runs opened before a "
-                "release_pool()/close() cannot draw - open a new run"
-            )
+            raise RuntimeError(_SHUT_DOWN)
         return self._workers[shard]
 
     def _kill_worker(self, worker: _Worker) -> None:
@@ -517,28 +519,23 @@ class ProcessShardPool:
                     return last
                 # Unlogged command (close_run): re-send it this iteration.
 
-    def _ensure_out(self, worker: _Worker, nbytes: int) -> SharedArrayRef:
+    def _ensure_out(self, worker: _Worker, nbytes: int) -> FileArrayRef:
         ref = worker.out_ref
         if ref is not None and ref.nbytes >= nbytes:
             return ref
         size = max(_MIN_OUT_BYTES, nbytes)
         if ref is not None:
             size = max(size, 2 * ref.nbytes)
+        # Check, create and map under one lock: shutdown() flips _closed under
+        # it and only then removes the directory.
         with self._state_lock:
             if self._closed:
-                raise RuntimeError(
-                    "process shard pool is shut down; runs opened before a "
-                    "release_pool()/close() cannot draw - open a new run"
-                )
-            shm = REGISTRY.create(size)
-            self._owned.append(shm.name)
-            if ref is not None:
-                self._owned.remove(ref.name)
+                raise RuntimeError(_SHUT_DOWN)
+            worker.out_ref = self._dir.create(size)
+            worker.out_view = worker.out_ref.map("r+")
         if ref is not None:
-            REGISTRY.release(ref.name)
-        worker.out_ref = SharedArrayRef(
-            shm.name, np.dtype(np.float64).str, (size // 8,)
-        )
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(ref.path)
         return worker.out_ref
 
     # -- commands -----------------------------------------------------------
@@ -587,7 +584,7 @@ class ProcessShardPool:
                         worker.log = [e for e in worker.log if e[1] != run_id]
 
     def _fetch(self, shard: int, message_head: tuple, count: int, width: int):
-        """Send a draw command and copy the result out of the shared buffer.
+        """Send a draw command and copy the result out of the out buffer.
 
         The copy happens under the worker lock: the buffer is reused by the
         very next command, so the bytes must be lifted before another run's
@@ -601,7 +598,7 @@ class ProcessShardPool:
             )
             n = int(np.prod(shape)) if shape else 0
             block = np.empty(shape, dtype=np.float64)
-            block.reshape(-1)[...] = REGISTRY.ndarray(worker.out_ref)[:n]
+            block.reshape(-1)[...] = worker.out_view[:n]
         return block, float(seconds)
 
     def draw_block(
@@ -620,12 +617,11 @@ class ProcessShardPool:
     # -- lifecycle ----------------------------------------------------------
 
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop workers and release every owned segment, exactly once.
+        """Stop workers, then remove the pool directory (idempotent).
 
         An in-flight draw either finishes first (the stop loop waits on its
-        worker lock, and its out segment is in ``_owned`` by then) or fails
-        the closed check in ``_ensure_out``/``_worker`` - so the final drain
-        below always sees every owned segment.
+        worker lock) or fails the closed check in ``_ensure_out``/``_worker``
+        - so no out file is created after the directory is removed.
 
         Join discipline: all workers share *one* deadline.  Any worker
         still alive at the deadline is terminated; any still alive a grace
@@ -662,7 +658,4 @@ class ProcessShardPool:
         # _closed just before it flipped may still index it, and must get a
         # clean closed/crashed error from the ensuing request - never an
         # IndexError from a vanished list.
-        with self._state_lock:
-            owned, self._owned = self._owned, []
-        for name in owned:
-            REGISTRY.release(name)
+        self._dir.close()

@@ -41,13 +41,13 @@ Two executors serve the fan-out (``executor=`` at construction):
   the Python half of each draw, so elapsed time does not parallelize.
 * ``"process"`` - persistent per-shard worker processes
   (:mod:`repro.engines.procpool`) mapping the population's buffers zero-copy
-  from shared memory (:mod:`repro.engines.shm`).  Workers rebuild their
+  from files (:mod:`repro.engines.payload`).  Workers rebuild their
   groups' RNG streams from the same ``SeedSequence`` children, so the whole
   determinism contract above holds verbatim; elapsed time scales with cores.
-  Requires a process-shareable population (:func:`repro.engines.shm.shareable`).
+  Requires a process-shareable population (:func:`repro.engines.payload.shareable`).
 
 Lifetime: an engine keeps its fan-out (threads or workers, and their
-shared-memory payloads) until :meth:`ShardedEngine.close`.  The planner does
+pool directory of payload files) until :meth:`ShardedEngine.close`.  The planner does
 not build one per query: the :class:`~repro.catalog.Catalog` caches one
 engine per build coordinate and lends it to every query over that
 coordinate, so ``executor="process"`` spawns once per session and key.  Runs
@@ -367,9 +367,9 @@ class ShardedEngine(SamplingEngine):
         record_timings: accumulate per-shard draw thread-CPU seconds on each
             run (``ShardedRun.shard_seconds``) for scaling measurements.
         executor: ``"thread"`` (in-process fan-out, default) or ``"process"``
-            (persistent spawn workers over shared memory; requires a
+            (persistent spawn workers over mapped payload files; requires a
             process-shareable population, see
-            :func:`repro.engines.shm.shareable`).
+            :func:`repro.engines.payload.shareable`).
         max_restarts: worker-respawn budget handed to the process pool
             (``0`` disables recovery: a crash surfaces as ``WorkerCrashed``
             immediately, the pre-resilience contract).
@@ -405,7 +405,7 @@ class ShardedEngine(SamplingEngine):
                 f"unknown executor {executor!r}; known: {SHARD_EXECUTORS}"
             )
         if executor == "process":
-            from repro.engines.shm import shareable
+            from repro.engines.payload import shareable
 
             reason = shareable(backend.population)
             if reason is not None:

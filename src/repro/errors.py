@@ -1,6 +1,6 @@
 """Structured error taxonomy shared across the stack.
 
-Every layer that can fail - data-source scans, shared-memory transport,
+Every layer that can fail - data-source scans, the worker payload transport,
 worker processes, the planner - classifies its failures along one axis the
 resilience layer (:mod:`repro.resilience`) can act on:
 
@@ -60,7 +60,7 @@ class WorkerCrashed(TransientError, RuntimeError):
     """A shard worker process died before answering a command.
 
     Transient: the process pool can respawn the worker from the parent-owned
-    shared-memory payloads and replay its command log (deterministic
+    payload files and replay its command log (deterministic
     recovery, see :mod:`repro.engines.procpool`).  Also a ``RuntimeError``
     so callers from before the taxonomy existed keep catching it.
     """

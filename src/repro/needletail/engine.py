@@ -50,7 +50,7 @@ def base_bitvector(selector) -> BitVector | None:
     """The flat :class:`BitVector` under a selector, or ``None``.
 
     The one definition of the "has flat bitmap words" predicate: the fused
-    select kernel gates fusion on it, and :mod:`repro.engines.shm` gates
+    select kernel gates fusion on it, and :mod:`repro.engines.payload` gates
     process-shareability on it - the two must never drift.
     """
     base = getattr(selector, "bits", selector)

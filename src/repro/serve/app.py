@@ -1108,8 +1108,8 @@ class QueryService:
         """Cancel in-flight queries and close every session.
 
         After this returns the submit pools are drained, every engine
-        fan-out pool is released, and (asserted by the CI smoke) the
-        shared-memory registry is empty.
+        fan-out pool is released, and (asserted by the CI smoke) no worker
+        pool directory is left on disk.
         """
         if self._closed:
             return

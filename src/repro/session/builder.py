@@ -231,7 +231,7 @@ class QueryBuilder:
         workers and merge deterministically (see DESIGN_PERF.md).
         ``max_workers`` bounds the fan-out pool (``None``: one per shard).
         ``executor="process"`` runs one worker *process* per shard over
-        shared memory - true multicore elapsed-time scaling; the planner
+        mapped payload files - true multicore elapsed-time scaling; the planner
         falls back to threads (with a caveat) for populations that cannot
         cross the process boundary.  ``None`` keeps the session default.
         """

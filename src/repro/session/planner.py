@@ -12,9 +12,9 @@ form.  Dispatch rules:
   executor with :class:`~repro.extensions.sums.SumRule`, resolution in sum
   units;
 * ``COUNT(*)``/``COUNT(Y)`` - exact from engine metadata;
-* two AVG aggregates (Problem 8) - one IFOCUS run each at delta/2 (union
-  bound); both read prefixes of one seeded per-group permutation, so a
-  sampled row is charged once;
+* several sampled aggregates (AVG and SUM, Problem 8) - one IFOCUS run each
+  at delta/m (union bound); all read prefixes of one seeded per-group
+  permutation, so a sampled row is charged once;
 * multiple GROUP BY columns - the cross-product composite key (§6.3.4);
 * WHERE - lowered into the :class:`~repro.catalog.Catalog` source scan for
   population engines (rows filtered chunk-by-chunk before anything is
@@ -229,7 +229,7 @@ class _PlanContext:
         spec, engine_def = self.spec, self.engine_def
         if spec.shards <= 1 or not engine_def.shardable:
             return engine_def.factory(self, value_column)
-        from repro.engines.shm import shareable
+        from repro.engines.payload import shareable
 
         def build() -> ShardedEngine:
             backend = engine_def.factory(self, value_column)
@@ -559,6 +559,11 @@ def _run_avg(
     return run_algorithm(algorithm, engine, **common), {}
 
 
+def _sampled_aggregates(spec: QuerySpec) -> list:
+    """The aggregates that sample, and so split the query's delta."""
+    return [a for a in spec.aggregates if a.func != "COUNT"]
+
+
 def _execute_planned(
     spec: QuerySpec,
     ctx: _PlanContext,
@@ -568,45 +573,47 @@ def _execute_planned(
 ) -> Result:
     results: dict[str, tuple[OrderingResult, dict[str, Any]]] = {}
     engine: SamplingEngine | None = None
-    avgs = spec.avg_aggregates
-    # Problem 8: one IFOCUS run per AVG at delta/len(avgs) (union bound).
-    # Every engine reads group g as a prefix of one seeded permutation, so
-    # the runs share rows and the query is charged sum_g max_a n_a,g.
-    avg_spec = spec
-    if len(avgs) > 1:
-        avg_spec = spec.with_guarantee(delta=spec.guarantee.delta / len(avgs))
+    # Problem 8: each of the m sampled aggregates (AVG, SUM) runs at delta/m
+    # (union bound).  Every engine reads group g as a prefix of one seeded
+    # permutation, so the runs share rows and the query is charged
+    # sum_g max_a n_a,g.  COUNT is exact and spends no delta.
+    m = len(_sampled_aggregates(spec))
+    shared = spec
+    if m > 1:
+        shared = spec.with_guarantee(delta=spec.guarantee.delta / m)
         seed = reusable_seed(seed)
-    avg_rows = 0  # per-group rows read by any AVG run
-    for agg in avgs:
-        avg_engine = ctx.build_engine(agg.column)
-        raw, meta = _run_avg(avg_spec, ctx, avg_engine, seed, runner_kwargs, deadline=deadline)
-        results[spec.agg_key(agg)] = (raw, meta)
-        avg_rows = np.maximum(avg_rows, raw.samples_per_group)
-        engine = engine or avg_engine
-    charged = int(np.sum(avg_rows))  # tuples actually sampled
-
-    for agg in spec.aggregates:
-        if agg.func == "SUM":
-            sum_engine = ctx.build_engine(agg.column)
+    rows = 0  # per-group rows read by any sampled run
+    # AVGs first: Result.engine and the aggregate order lead with them.
+    avgs = spec.avg_aggregates
+    for agg in (*avgs, *(a for a in spec.aggregates if a.func != "AVG")):
+        if agg.func == "COUNT":
+            count_col = spec.group_by[0] if agg.column == "*" else agg.column
+            # COUNT needs any engine over the same groups; sizes are metadata.
+            count_engine = engine or ctx.build_engine(
+                _numeric_column(ctx.schema, count_col)
+            )
+            results[spec.agg_key(agg)] = (run_count_known(count_engine), {})
+            engine = engine or count_engine
+            continue
+        agg_engine = ctx.build_engine(agg.column)
+        if agg.func == "AVG":
+            raw, meta = _run_avg(
+                shared, ctx, agg_engine, seed, runner_kwargs, deadline=deadline
+            )
+        else:  # SUM
             raw = run_ifocus_sum(
-                sum_engine,
-                delta=spec.guarantee.delta,
+                agg_engine,
+                delta=shared.guarantee.delta,
                 resolution=spec.guarantee.resolution,  # in SUM's own units
                 seed=seed,
                 max_rounds=runner_kwargs.get("max_rounds"),
                 deadline=deadline,
             )
-            results[spec.agg_key(agg)] = (raw, {})
-            charged += raw.total_samples
-            engine = engine or sum_engine
-        elif agg.func == "COUNT":
-            count_col = spec.group_by[0] if agg.column == "*" else agg.column
-            # COUNT needs any engine over the same groups; sizes are metadata.
-            count_engine = engine or ctx.build_engine(
-                avgs[0].column if avgs else _numeric_column(ctx.schema, count_col)
-            )
-            results[spec.agg_key(agg)] = (run_count_known(count_engine), {})
-            engine = engine or count_engine
+            meta = {}
+        results[spec.agg_key(agg)] = (raw, meta)
+        rows = np.maximum(rows, raw.samples_per_group)
+        engine = engine or agg_engine
+    charged = int(np.sum(rows))  # tuples actually sampled
 
     if not results:
         raise ValueError("query produced no executable aggregate")
@@ -872,7 +879,7 @@ def describe_spec(spec: QuerySpec) -> str:
             else "pushed into the source scan"
         )
         lines.append(f"where: {spec.where!r}  [{how}]")
-    avgs = spec.avg_aggregates
+    sampled = _sampled_aggregates(spec)
     for agg in spec.aggregates:
         key = spec.agg_key(agg)
         if agg.func == "AVG":
@@ -881,21 +888,20 @@ def describe_spec(spec: QuerySpec) -> str:
                 if _ENGINES[spec.engine].avg_runner == "noindex"
                 else _algorithm(spec)
             )
-            if len(avgs) > 1:
-                others = ", ".join(spec.agg_key(a) for a in avgs if a is not agg)
-                lines.append(
-                    f"{key}: {runner} at δ/{len(avgs)} "
-                    f"(Problem 8, rows shared with {others})"
-                )
-            else:
-                lines.append(f"{key}: {runner} (guarantee mode: {spec.guarantee.mode})")
+            line = f"{key}: {runner} (guarantee mode: {spec.guarantee.mode})"
         elif agg.func == "SUM":
             line = f"{key}: IFOCUS-Sum, known group sizes (Algorithm 4)"
             if spec.guarantee.resolution > 0:
                 line += f", resolution r={spec.guarantee.resolution:g} in sum units"
-            lines.append(line)
         else:
-            lines.append(f"{key}: exact from engine metadata")
+            line = f"{key}: exact from engine metadata, spends no δ"
+        if agg in sampled and len(sampled) > 1:
+            others = ", ".join(spec.agg_key(a) for a in sampled if a is not agg)
+            line += (
+                f"; δ/{len(sampled)} = {spec.guarantee.delta / len(sampled):g} "
+                f"(Problem 8, rows shared with {others})"
+            )
+        lines.append(line)
     if spec.having is not None:
         h = spec.having
         lines.append(
@@ -915,7 +921,7 @@ def describe_spec(spec: QuerySpec) -> str:
         and _ENGINES[spec.engine].shardable
     ):
         lines.append(
-            "executor: one worker process per shard over shared memory, "
+            "executor: one worker process per shard over mapped payload files, "
             "spawned once per catalog and build key and reused by later "
             "queries; falls back to the thread fan-out (with a caveat on the Result) "
             "when the population cannot cross the process boundary "

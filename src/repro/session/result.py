@@ -190,9 +190,9 @@ class Result:
             aggregate's for multi-aggregate queries (None for hand-built
             results).
         total_samples: tuples actually sampled for the whole query - rows
-            shared between AVG aggregates (Problem 8: sum over groups of the
-            largest per-aggregate count) count once, independent runs (e.g.
-            AVG + SUM) sum.
+            shared between sampled aggregates (Problem 8: AVGs and SUMs read
+            prefixes of one per-group permutation) count once: the sum over
+            groups of the largest per-aggregate count.
     """
 
     spec: QuerySpec

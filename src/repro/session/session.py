@@ -495,8 +495,8 @@ class Session:
         """Shut down the submit pool, then the catalog the session created.
 
         In-flight futures finish first; closing the catalog then shuts down
-        its cached fan-outs (worker processes reaped, shared memory
-        released).  An injected catalog stays open for its creator.
+        its cached fan-outs (worker processes reaped, pool directories
+        removed).  An injected catalog stays open for its creator.
         """
         with self._pool_lock:
             self._closed = True
@@ -549,7 +549,7 @@ def connect(
             worker per shard; ``1``: sequential fan-out).
         executor: default shard fan-out executor - ``"thread"``
             (in-process) or ``"process"`` (one worker process per shard
-            over shared memory, true multicore elapsed-time scaling; the
+            over mapped payload files, true multicore elapsed-time scaling; the
             planner falls back to threads, with a caveat, when the
             population cannot cross the process boundary).
         submit_workers: size of the :meth:`Session.submit` pool

@@ -5,7 +5,7 @@ This is the serializer layer between the live objects the planner builds
 :class:`~repro.data.population.Population` objects, row-store
 :class:`~repro.needletail.table.Table` objects) and the flat arrays a
 :class:`~repro.storage.store.Store` persists as segments.  It mirrors the
-packing discipline of :func:`repro.engines.shm.build_shard_payloads`: bitmap
+packing discipline of :func:`repro.engines.payload.build_shard_payloads`: bitmap
 words concatenate into one uint64 array with per-group word ranges, group
 values concatenate into one float64 array with per-group offsets, and the
 deduped row-store value column is stored exactly once.
@@ -83,7 +83,7 @@ def pack_index(engine) -> tuple[dict, dict[str, np.ndarray]] | None:
 
     Packs only engines whose every group selector exposes flat bitmap words
     (:func:`base_bitvector` - the same shareability predicate
-    :mod:`repro.engines.shm` uses) and whose groups share one value column.
+    :mod:`repro.engines.payload` uses) and whose groups share one value column.
     Arrays: ``words`` (uint64, all groups' words concatenated), ``cum``
     (int64 per-group cumulative popcounts, slice-aligned with ``words`` -
     the persisted rank/select acceleration table), ``values`` (the deduped
@@ -159,7 +159,7 @@ def pack_population(population: Population) -> tuple[dict, dict[str, np.ndarray]
     Virtual (distribution-backed) groups have nothing to persist - their
     sources rebuild in O(1) anyway - and indexed groups are persisted as
     index builds instead, so only :class:`MaterializedGroup` populations
-    pack.  Layout matches ``_MaterializedSpec`` in the shm packing: one
+    pack.  Layout matches ``_MaterializedSpec`` in the payload packing: one
     concatenated ``values`` array plus per-group ``[name, lo, hi]`` windows.
     """
     groups = population.groups

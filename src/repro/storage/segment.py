@@ -1,10 +1,10 @@
 """The on-disk segment format: one ndarray per file, mmap-read zero-copy.
 
 A segment is the durable form of exactly one array the engines already
-share through :mod:`repro.engines.shm` - bitmap words, rank/select
-acceleration tables (cumulative popcounts), materialized population values,
-the deduped NEEDLETAIL row-store value column.  The layout mirrors the shm
-packing: a raw little-endian C-contiguous buffer, preceded by a small
+ship to workers through :mod:`repro.engines.payload` - bitmap words,
+rank/select acceleration tables (cumulative popcounts), materialized
+population values, the deduped NEEDLETAIL row-store value column.  The
+layout mirrors the payload packing: a raw little-endian C-contiguous buffer, preceded by a small
 self-describing header so a file is verifiable without its catalog row::
 
     offset 0   magic  b"RPSG"
@@ -21,7 +21,8 @@ observe a half-written segment, and a process killed mid-write leaves only
 a temp orphan for ``Store.gc()``.  Reads return a *read-only*
 ``np.memmap`` view (``mmap=True``, the default): opening a segment touches
 the header page only, and untouched index pages are never paged in - the
-lifecycle difference from shm segments, which are fully resident copies.
+lifecycle difference from a pool's payload files, which are fully resident
+copies.
 
 Every structural problem - bad magic, unsupported version, truncated
 payload, dtype/shape drift from the catalog row - raises

@@ -9,12 +9,13 @@ once per session and key instead of once per query.  The contract:
 * every key coordinate that changes the engine gets its own entry; a
   non-cacheable source still spawns and releases per query;
 * worker-side run state stays bounded over many queries, and so do live
-  workers and segments under key churn (at most ``MAX_CACHED_FANOUTS``
+  workers and pool directories under key churn (at most ``MAX_CACHED_FANOUTS``
   entries);
 * re-registering an engine name never serves the old factory's build;
 * a dropped entry (invalidate, rebinding, LRU eviction) is shut down only
   after the query leasing it finishes; ``Session.close()``, per-window
-  catalogs and garbage collection leave no worker process or segment;
+  catalogs and garbage collection leave no worker process or pool
+  directory;
 * resilience caveats belong to the query that observed them, and an engine
   whose breaker opened is replaced for the next query.
 """
@@ -34,7 +35,7 @@ from repro.catalog import Catalog, IteratorSource
 from repro.data.population import MaterializedGroup, Population
 from repro.engines.memory import InMemoryEngine
 from repro.engines.procpool import ProcessShardPool
-from repro.engines.shm import REGISTRY
+from repro.engines.payload import live_pool_dirs
 from repro.resilience.faults import Fault, FaultPlan, inject
 from repro.session import planner
 from repro.streaming import WindowResult, WindowRunner
@@ -83,11 +84,9 @@ def _resilience(result) -> list[str]:
 
 @pytest.fixture(autouse=True)
 def nothing_left_behind():
-    baseline = REGISTRY.active_count()
+    baseline = live_pool_dirs()
     yield
-    assert REGISTRY.active_count() == baseline, (
-        f"leaked shared-memory segments: {REGISTRY.active_names()}"
-    )
+    assert live_pool_dirs() == baseline, "leaked pool directories"
     assert multiprocessing.active_children() == []
 
 
@@ -180,17 +179,17 @@ class TestReuse:
 
     def test_key_churn_keeps_at_most_the_cap_alive(self):
         """Distinct WHERE literals (a moving ``ts > <now>``) each miss; the
-        LRU cap, not the population bound, limits live workers and segments."""
+        LRU cap, not the population bound, limits live workers and pool
+        directories (one per cached process fan-out)."""
         cap = Catalog.MAX_CACHED_FANOUTS
         with _session() as session:
             query = _query(session)
             query.run(seed=0)
-            per_entry = REGISTRY.active_count()
             for cut in range(100, 1_300, 200):
                 query.where(f"distance > {cut}").run(seed=0)
                 assert len(multiprocessing.active_children()) <= 2 * cap
                 assert len(session.describe_table("flights").cached_fanouts) <= cap
-            assert REGISTRY.active_count() <= cap * per_entry
+                assert len(live_pool_dirs()) <= cap
 
     def test_re_registering_an_engine_serves_the_new_factory(self):
         original = planner._ENGINES["memory"]
@@ -230,15 +229,15 @@ class TestReuse:
 
 
 class TestLifecycle:
-    def test_session_close_reaps_workers_and_segments(self):
-        baseline = REGISTRY.active_count()
+    def test_session_close_reaps_workers_and_pool_dirs(self):
+        baseline = live_pool_dirs()
         session = _session()
         _query(session).run(seed=0)
         _query(session, executor="thread").run(seed=0)
         assert len(multiprocessing.active_children()) == 2
         session.close()
         assert multiprocessing.active_children() == []
-        assert REGISTRY.active_count() == baseline
+        assert live_pool_dirs() == baseline
 
     @pytest.mark.parametrize("drop", ["invalidate", "rebind", "evict"])
     def test_drop_during_an_inflight_query_waits_for_it(self, drop, monkeypatch):
@@ -300,7 +299,7 @@ class TestLifecycle:
             assert all(pool._closed for pool in pools)
 
     def test_collected_catalog_releases_its_pools(self):
-        baseline = REGISTRY.active_count()
+        baseline = live_pool_dirs()
         catalog = Catalog()
         catalog.attach("flights", SourceSpec("flights", rows=ROWS, seed=0))
         session = connect(delta=0.1, engine="memory", catalog=catalog)
@@ -310,7 +309,7 @@ class TestLifecycle:
         del session, catalog
         gc.collect()  # ...until it is collected
         assert multiprocessing.active_children() == []
-        assert REGISTRY.active_count() == baseline
+        assert live_pool_dirs() == baseline
         assert result.engine.closed
 
 

@@ -1,12 +1,13 @@
-"""Lifecycle, shared-memory hygiene, and crash paths of the process executor.
+"""Lifecycle, payload-file hygiene, and crash paths of the process executor.
 
-The contract under test (ISSUE 5 acceptance bar):
+The contract under test:
 
-* zero shared-memory segments outlive ``close()``/``release_pool()`` - the
-  process-wide :data:`repro.engines.shm.REGISTRY` is the leak oracle;
-* segments are unlinked exactly once *even when a worker is killed* mid-run
-  (the kill-the-worker test);
-* a released engine is still usable (workers and segments are rebuilt
+* no pool directory outlives ``close()``/``release_pool()`` -
+  :func:`repro.engines.payload.live_pool_dirs` is the leak oracle;
+* the directory is removed *even when a worker is killed* mid-run (the
+  kill-the-worker test), and a SIGKILLed parent's directory is swept by the
+  next pool any process creates;
+* a released engine is still usable (workers and payload files are rebuilt
   lazily, draws stay bit-identical), while runs opened before the release
   fail loudly instead of hanging;
 * populations that cannot cross the process boundary are rejected loudly at
@@ -26,7 +27,8 @@ import pytest
 from repro.data.distributions import TruncatedNormal, TwoPoint, UniformValues
 from repro.data.population import Group, Population, VirtualGroup
 from repro.engines.memory import InMemoryEngine
-from repro.engines.shm import REGISTRY, build_shard_payloads, shareable
+from repro.engines import procpool
+from repro.engines.payload import PoolDir, build_shard_payloads, live_pool_dirs, shareable
 from repro.engines.sharded import ShardedEngine
 from tests.conftest import make_materialized_population
 
@@ -45,36 +47,35 @@ def _process_engine(shards: int = 2, **kwargs) -> ShardedEngine:
 
 
 @pytest.fixture(autouse=True)
-def no_segment_leaks():
-    """Every test must leave the shm registry exactly as it found it."""
-    baseline = REGISTRY.active_count()
+def no_pool_dir_leaks():
+    """Every test must leave this process's pool directories as it found them."""
+    baseline = live_pool_dirs()
     yield
-    assert REGISTRY.active_count() == baseline, (
-        f"leaked shared-memory segments: {REGISTRY.active_names()}"
-    )
+    assert live_pool_dirs() == baseline, "leaked pool directories"
 
 
 class TestLifecycle:
-    def test_close_unlinks_every_segment(self):
+    def test_close_removes_the_pool_directory(self):
         engine = _process_engine(shards=2)
         run = engine.open_run(seed=0)
         run.draw_block(np.arange(K), 5)
-        assert REGISTRY.active_count() > 0  # payload + output segments live
+        (path,) = live_pool_dirs()
+        assert len(os.listdir(path)) == 4  # 2 payload + 2 output files
         engine.close()
-        assert REGISTRY.active_count() == 0
+        assert live_pool_dirs() == [] and not os.path.exists(path)
 
     def test_close_is_idempotent(self):
         engine = _process_engine(shards=2)
         engine.open_run(seed=0).draw_block(np.arange(K), 3)
         engine.close()
         engine.close()
-        assert REGISTRY.active_count() == 0
+        assert live_pool_dirs() == []
 
-    def test_release_pool_frees_workers_and_segments_but_not_the_engine(self):
+    def test_release_pool_frees_workers_and_files_but_not_the_engine(self):
         engine = _process_engine(shards=2)
         a = engine.open_run(seed=3).draw_block(np.arange(K), 6)
         engine.release_pool()
-        assert REGISTRY.active_count() == 0  # nothing pinned between queries
+        assert live_pool_dirs() == []  # nothing pinned between queries
         b = engine.open_run(seed=3).draw_block(np.arange(K), 6)  # fresh workers
         assert np.array_equal(a, b)
         engine.close()
@@ -95,8 +96,8 @@ class TestLifecycle:
             engine.open_run(seed=0)
 
     def test_output_buffer_grows_for_large_draws(self):
-        """A draw bigger than the initial out segment grows it geometrically
-        (old segment unlinked, new one registered) and stays bit-exact."""
+        """A draw bigger than the initial out file grows it geometrically
+        (old file unlinked, a new one created) and stays bit-exact."""
         pop = make_materialized_population(
             [10.0 + 8.0 * i for i in range(K)], sizes=5000, seed=5
         )
@@ -106,8 +107,12 @@ class TestLifecycle:
         r_proc = engine.open_run(seed=9)
         small = r_proc.draw_block(np.arange(K), 4)
         assert np.array_equal(small, r_plain.draw_block(np.arange(K), 4))
+        (path,) = live_pool_dirs()
+        before = set(os.listdir(path))
         big = r_proc.draw_block(np.arange(K), 4096)  # > 64 KiB per worker
         assert np.array_equal(big, r_plain.draw_block(np.arange(K), 4096))
+        after = set(os.listdir(path))
+        assert len(after) == len(before) and after != before  # 2 outs replaced
         engine.close()
 
     def test_draw_zero_count_skips_the_pipe(self):
@@ -132,10 +137,10 @@ class TestLifecycle:
 
 
 class TestWorkerCrash:
-    def test_killed_worker_surfaces_and_segments_are_reclaimed(self):
+    def test_killed_worker_surfaces_and_files_are_reclaimed(self):
         """With recovery disabled (max_restarts=0), SIGKILL keeps the
         pre-resilience contract: the next draw raises instead of hanging,
-        and close() still unlinks every segment exactly once."""
+        and close() still removes the pool directory."""
         engine = _process_engine(shards=2, max_restarts=0)
         run = engine.open_run(seed=0)
         run.draw_block(np.arange(K), 4)
@@ -149,7 +154,7 @@ class TestWorkerCrash:
                 run.draw_block(np.arange(K), 4)
             raise AssertionError("killed worker never surfaced")
         engine.close()
-        assert REGISTRY.active_count() == 0
+        assert live_pool_dirs() == []
 
     def test_killed_worker_recovers_bit_identically(self):
         """Default contract: a SIGKILLed worker is respawned, its command
@@ -171,7 +176,7 @@ class TestWorkerCrash:
             np.testing.assert_array_equal(want, have)
         assert any("respawned" in e for e in engine.resilience_events())
         engine.close()
-        assert REGISTRY.active_count() == 0
+        assert live_pool_dirs() == []
 
     def test_surviving_shards_unaffected_until_close(self):
         engine = _process_engine(shards=2, max_restarts=0)
@@ -184,7 +189,7 @@ class TestWorkerCrash:
         block = run.draw_block(upper, 3)
         assert block.shape == (3, upper.size)
         engine.close()
-        assert REGISTRY.active_count() == 0
+        assert live_pool_dirs() == []
 
 
 class TestShareability:
@@ -209,8 +214,12 @@ class TestShareability:
 
         pop = Population(groups=[OpaqueGroup()], c=10.0)
         assert "unknown kind" in shareable(pop)
-        with pytest.raises(ValueError, match="not process-shareable"):
-            build_shard_payloads(pop, [np.array([0])])
+        directory = PoolDir()
+        try:
+            with pytest.raises(ValueError, match="not process-shareable"):
+                build_shard_payloads(pop, [np.array([0])], directory)
+        finally:
+            directory.close()
 
     def test_fusable_virtual_is_shareable(self):
         groups = [
@@ -228,8 +237,9 @@ class TestShareability:
 
 
 class TestPayloadCleanupOnError:
-    def test_failed_build_releases_partial_segments(self):
-        """An error *after* some segments were created must release them."""
+    def test_failed_build_leaves_no_directory(self, monkeypatch):
+        """An error *after* some payload files were written must remove
+        them with the pool's directory."""
         from repro.needletail.bitvector import BitVector
         from repro.needletail.engine import IndexedGroup
 
@@ -238,6 +248,14 @@ class TestPayloadCleanupOnError:
         g1 = IndexedGroup("a", BitVector.from_bools(np.ones(64, dtype=bool)), v1)
         g2 = IndexedGroup("b", BitVector.from_bools(np.ones(64, dtype=bool)), v2)
         pop = Population(groups=[g1, g2], c=100.0)
+        created = []
+
+        class RecordingPoolDir(PoolDir):
+            def __init__(self):
+                super().__init__()
+                created.append(self.path)
+
+        monkeypatch.setattr(procpool, "PoolDir", RecordingPoolDir)
         with pytest.raises(ValueError, match="distinct value columns"):
-            build_shard_payloads(pop, [np.array([0, 1])])
-        # the autouse fixture asserts the partially-built segments were freed
+            procpool.ProcessShardPool(pop, [np.array([0, 1])])
+        assert len(created) == 1 and not os.path.exists(created[0])

@@ -4,7 +4,7 @@ The acceptance bar (ISSUE 6):
 
 * a seeded ``kill_worker`` plan fired against every process-shareable
   sampler kind yields **bit-identical** draws to an uninjured twin, with
-  the shm registry empty afterwards;
+  no pool directory left afterwards;
 * ``kill_mid_command`` - SIGKILL while the parent is blocked on the result
   pipe - recovers (or raises) but never hangs;
 * a corrupted build handshake is retried with a fresh worker;
@@ -32,7 +32,7 @@ from repro.data.population import Population, VirtualGroup
 from repro.engines.memory import InMemoryEngine
 from repro.engines.procpool import ProcessShardPool
 from repro.engines.sharded import ShardedEngine
-from repro.engines.shm import REGISTRY
+from repro.engines.payload import live_pool_dirs
 from repro.errors import WorkerCrashed
 from repro.needletail.engine import NeedletailEngine
 from repro.needletail.table import Column, Table
@@ -101,13 +101,11 @@ def _drain(run, k: int) -> list[np.ndarray]:
 
 
 @pytest.fixture(autouse=True)
-def no_segment_leaks():
-    """Every chaos test must leave the shm registry exactly as found."""
-    baseline = REGISTRY.active_count()
+def no_pool_dir_leaks():
+    """Every chaos test must leave the pool directories exactly as found."""
+    baseline = live_pool_dirs()
     yield
-    assert REGISTRY.active_count() == baseline, (
-        f"leaked shared-memory segments: {REGISTRY.active_names()}"
-    )
+    assert live_pool_dirs() == baseline, "leaked pool directories"
 
 
 class TestSeededKills:

@@ -8,7 +8,7 @@ The contract (ISSUE 6):
   caveat, and fewer samples were spent than an unbounded twin;
 * ``Session.submit`` futures cancel cooperatively mid-run via their
   deadline token (:class:`~repro.errors.QueryCancelled`), leaving no
-  leaked workers or shared-memory segments;
+  leaked workers or pool directories;
 * transient scan failures during the population build are retried by
   restarting the build (a pure function of the source) and surfaced as a
   ``resilience:`` caveat; a fault that outlives the retry budget escapes
@@ -25,7 +25,7 @@ import pytest
 
 import repro
 from repro.catalog import TableSource
-from repro.engines.shm import REGISTRY
+from repro.engines.payload import live_pool_dirs
 from repro.errors import QueryCancelled, TransientError
 from repro.resilience.faults import Fault, FaultPlan, inject
 
@@ -34,12 +34,10 @@ N = 20_000
 
 
 @pytest.fixture(autouse=True)
-def no_segment_leaks():
-    baseline = REGISTRY.active_count()
+def no_pool_dir_leaks():
+    baseline = live_pool_dirs()
     yield
-    assert REGISTRY.active_count() == baseline, (
-        f"leaked shared-memory segments: {REGISTRY.active_names()}"
-    )
+    assert live_pool_dirs() == baseline, "leaked pool directories"
 
 
 def _separated_session() -> repro.Session:

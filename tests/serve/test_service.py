@@ -8,7 +8,7 @@ The acceptance criteria from the serve subsystem's design:
 * an over-quota submit is shed with a structured error + retry-after;
 * DELETE cancels queued entries (never run) and running queries (prompt);
 * a re-registered / invalidated table never serves a stale cached Result;
-* server shutdown leaves the shared-memory registry empty.
+* server shutdown leaves no worker pool directory behind.
 
 The "slow" table is the paper's hard Bernoulli family with a tiny gamma:
 group means are statistically inseparable at any realistic sample count,
@@ -27,7 +27,7 @@ import time
 import pytest
 
 from repro import SourceSpec, connect
-from repro.engines.shm import REGISTRY
+from repro.engines.payload import live_pool_dirs
 from repro.serve import (
     QueryService,
     TenantConfig,
@@ -558,7 +558,7 @@ class TestCacheCoherence:
 
 
 class TestShutdown:
-    def test_shutdown_leaves_shm_registry_empty(self):
+    def test_shutdown_leaves_no_pool_dirs(self):
         session = connect(delta=0.1, seed=0)
         session.attach("flights", SourceSpec("flights", rows=15_000, seed=0))
         service = QueryService(session, sessions=2, default_seed=0)
@@ -580,4 +580,4 @@ class TestShutdown:
             assert env["result"]["total_samples"] > 0
         finally:
             handle.stop()
-        assert REGISTRY.active_count() == 0
+        assert live_pool_dirs() == []

@@ -295,10 +295,40 @@ class TestPlannerValidation:
         with pytest.raises(RuntimeError, match="without producing a result"):
             stream.result
 
-    def test_mixed_aggregates_sum_total_samples(self, session):
+    def test_mixed_aggregates_count_shared_rows_once(self, session):
         res = session.table("t").group_by("g").agg(avg("y"), total("y")).run(seed=1)
-        parts = sum(a.total_samples for a in res.aggregates.values())
-        assert res.total_samples == parts  # independent runs: costs add up
+        per_group = np.maximum(
+            res["AVG(y)"].raw.samples_per_group, res["SUM(y)"].raw.samples_per_group
+        )
+        assert res.total_samples == per_group.sum()
+
+    def test_avg_and_sum_split_delta_and_share_rows_on_flights(self):
+        """AVG and SUM over one column on flights-200k: one guarantee at
+        delta/2 each, rows charged once, and each aggregate bit-identical to
+        its single-aggregate query at delta/2."""
+        sess = connect(seed=1).attach(
+            "flights", SourceSpec("flights", rows=200_000, seed=0)
+        )
+        sql = (
+            "SELECT carrier, AVG(arrival_delay), SUM(arrival_delay), COUNT(*) "
+            "FROM flights GROUP BY carrier"
+        )
+        mixed = sess.sql(sql).run(seed=1)
+        assert mixed.total_samples <= 200_000
+        half = sess.table("flights").group_by("carrier").guarantee(delta=0.025)
+        for agg in (avg("arrival_delay"), total("arrival_delay")):
+            single = half.agg(agg).run(seed=1)
+            (key,) = single.aggregates
+            want, got = single[key].raw, mixed[key].raw
+            np.testing.assert_array_equal(got.estimates, want.estimates)
+            np.testing.assert_array_equal(got.samples_per_group, want.samples_per_group)
+            assert got.inactive_order == want.inactive_order
+            assert [g.half_width for g in got.groups] == [
+                g.half_width for g in want.groups
+            ]
+        text = sess.sql(sql).explain()
+        assert text.count("δ/2 = 0.025") == 2
+        assert "COUNT(*): exact from engine metadata, spends no δ" in text
 
     def test_multi_avg_counts_shared_run_once(self, session):
         res = session.table("t").group_by("g").agg(avg("y"), avg("year")).run(seed=1)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import SourceSpec, avg, connect
-from repro.engines.shm import REGISTRY
+from repro.engines.payload import live_pool_dirs
 from repro.engines.sharded import ShardedEngine
 from repro.session.spec import Aggregate, QuerySpec
 
@@ -78,14 +78,13 @@ class TestSubmit:
         on one session.
 
         Concurrent queries with the same build key share one cached process
-        engine (one set of spawn workers and shared-memory segments per
-        key; every query keeps its own run state), results are bit-identical
-        to the same queries run serially through the *unsharded* engine
-        (materialized tables: any shard count and executor matches), and the
-        shm registry is empty once the session is closed - no segment
-        outlives the catalog that cached it.
+        engine (one set of spawn workers and one pool directory per key;
+        every query keeps its own run state), results are bit-identical to
+        the same queries run serially through the *unsharded* engine
+        (materialized tables: any shard count and executor matches), and no
+        pool directory outlives the catalog that cached it.
         """
-        baseline = REGISTRY.active_count()
+        baseline = live_pool_dirs()
         with _flights_session(engine="memory", submit_workers=8) as session:
             base = session.table("flights").group_by("carrier").agg(avg("arrival_delay"))
             jobs = [(base.sharded(2, executor="process"), seed) for seed in range(4)]
@@ -104,9 +103,7 @@ class TestSubmit:
             for got in concurrent:
                 assert isinstance(got.engine, ShardedEngine)
                 assert got.engine.executor == "process"
-        assert REGISTRY.active_count() == baseline, (
-            f"process queries leaked segments: {REGISTRY.active_names()}"
-        )
+        assert live_pool_dirs() == baseline, "leaked pool directories"
 
     def test_submit_sql_text(self):
         with _flights_session() as session:
@@ -242,7 +239,7 @@ class TestShardedQueries:
         cell = dict(cell)
         engine, where = cell.pop("engine"), cell.pop("where", None)
         resolution = cell.pop("resolution", 0.0)
-        baseline = REGISTRY.active_count()
+        baseline = live_pool_dirs()
         with _flights_session(engine=engine) as session:
 
             def run(*columns, delta):
@@ -266,7 +263,7 @@ class TestShardedQueries:
             assert both.total_samples == per_group.sum()
             if cell:
                 assert both.engine.executor == cell["executor"]
-        assert REGISTRY.active_count() == baseline
+        assert live_pool_dirs() == baseline
         assert multiprocessing.active_children() == []
 
     def test_sql_door_carries_session_shards(self):
@@ -286,8 +283,9 @@ class TestShardedQueries:
     @pytest.mark.parametrize("engine", ["memory", "needletail"])
     def test_process_sharded_run_bit_identical_to_unsharded(self, engine):
         """Materialized tables: process shards=2 answers are bit-identical,
-        and the query pins no worker processes or segments once done."""
-        baseline = REGISTRY.active_count()
+        and the query pins no worker processes or pool directories once
+        done."""
+        baseline = live_pool_dirs()
         with _flights_session(engine=engine) as session:
             base = session.table("flights").group_by("carrier").agg(avg("arrival_delay"))
             plain = base.run(seed=42)
@@ -295,7 +293,7 @@ class TestShardedQueries:
             assert _result_fingerprint(plain) == _result_fingerprint(proc)
             assert isinstance(proc.engine, ShardedEngine)
             assert proc.engine.executor == "process"
-        assert REGISTRY.active_count() == baseline
+        assert live_pool_dirs() == baseline
 
     def test_process_falls_back_to_threads_for_rejection_virtual(self):
         """Non-shareable populations downgrade with an explicit caveat."""

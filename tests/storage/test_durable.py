@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.engines.shm import REGISTRY
+from repro.engines.payload import live_pool_dirs
 from repro.needletail.engine import BUILD_COUNTS
 from repro.storage import DurableCatalog, MappedNeedletailEngine, Store
 
@@ -163,7 +163,7 @@ class TestBitIdentityMatrix:
     @pytest.mark.parametrize("shards", [1, 4])
     def test_process_executor(self, warm_store, engine, shards):
         self._assert_identical(warm_store, engine, "process", shards)
-        assert REGISTRY.active_count() == 0
+        assert live_pool_dirs() == []
 
     def _assert_identical(self, warm_store, engine, executor, shards):
         kwargs = dict(seed=1, engine=engine, executor=executor, shards=shards)

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.data.population import MaterializedGroup, Population
-from repro.engines.shm import (
+from repro.engines.payload import (
     FileArrayRef,
-    ShmRegistry,
-    SharedArrayRef,
+    PoolDir,
     build_shard_payloads,
     file_backed_ref,
+    live_pool_dirs,
 )
 from repro.needletail.engine import NeedletailEngine, base_bitvector
 from repro.needletail.table import Column, Table
@@ -113,41 +115,43 @@ class TestFileBackedRefs:
         assert isinstance(ref, FileArrayRef)
         assert np.array_equal(ref.map(), words)
 
-    def test_payloads_ship_file_refs_without_shm(self, mapped_engine):
-        registry = ShmRegistry()
-        gids = [np.array([0, 1]), np.array([2, 3])]
-        payloads, owned = build_shard_payloads(
-            mapped_engine.population, gids, registry
-        )
-        assert owned == [] and registry.active_count() == 0
-        for payload in payloads:
-            assert isinstance(payload.bitmap_words, FileArrayRef)
-            assert isinstance(payload.value_column, FileArrayRef)
-            assert payload.segment_refs() == []  # nothing to refcount
+    @pytest.fixture
+    def pool_dir(self):
+        directory = PoolDir()
+        yield directory
+        directory.close()
 
-    def test_worker_rebuild_from_files_is_bit_identical(self, mapped_engine):
-        registry = ShmRegistry()
+    def test_payloads_ship_store_windows_without_copies(self, mapped_engine, pool_dir):
+        gids = [np.array([0, 1]), np.array([2, 3])]
+        payloads = build_shard_payloads(mapped_engine.population, gids, pool_dir)
+        assert os.listdir(pool_dir.path) == []  # nothing copied
+        for payload in payloads:
+            for ref in (payload.bitmap_words, payload.value_column):
+                assert isinstance(ref, FileArrayRef)
+                assert os.path.dirname(ref.path) != pool_dir.path
+
+    def test_worker_rebuild_from_files_is_bit_identical(self, mapped_engine, pool_dir):
         gids = [np.arange(4)]
-        (payload,), _ = build_shard_payloads(
-            mapped_engine.population, gids, registry
-        )
-        rebuilt = payload.build_population(registry)
+        (payload,) = build_shard_payloads(mapped_engine.population, gids, pool_dir)
+        rebuilt = payload.build_population()
         for a, b in zip(mapped_engine.population.groups, rebuilt.groups):
             assert a.name == b.name and a.size == b.size
             ranks = np.arange(a.size)
             assert np.array_equal(a.fetch_by_rank(ranks), b.fetch_by_rank(ranks))
 
-    def test_ram_population_still_uses_shared_memory(self):
+    def test_ram_population_ships_files_in_the_pool_directory(self):
         engine = NeedletailEngine(_table(), "g", "v")
-        registry = ShmRegistry()
-        (payload,), owned = build_shard_payloads(
-            engine.population, [np.arange(4)], registry
+        directory = PoolDir()
+        (payload,) = build_shard_payloads(engine.population, [np.arange(4)], directory)
+        refs = [payload.bitmap_words, payload.value_column]
+        assert all(isinstance(ref, FileArrayRef) for ref in refs)
+        assert sorted(os.path.basename(ref.path) for ref in refs) == sorted(
+            os.listdir(directory.path)
         )
-        try:
-            assert isinstance(payload.bitmap_words, SharedArrayRef)
-            assert isinstance(payload.value_column, SharedArrayRef)
-            assert set(owned) == {r.name for r in payload.segment_refs()}
-        finally:
-            for name in owned:
-                registry.release(name)
-        assert registry.active_count() == 0
+        rebuilt = payload.build_population()
+        for a, b in zip(engine.population.groups, rebuilt.groups):
+            ranks = np.arange(a.size)
+            assert np.array_equal(a.fetch_by_rank(ranks), b.fetch_by_rank(ranks))
+        directory.close()
+        assert not os.path.exists(directory.path)
+        assert directory.path not in live_pool_dirs()

@@ -130,12 +130,15 @@ def test_bench_smoke_job_runs_smoke_and_guard(workflow):
 
 def test_procpool_job_runs_lifecycle_tests_and_smoke_bench(workflow):
     """The 2-vCPU leg must exercise the process-executor suites (incl. the
-    kill-the-worker cleanup test) and the proc-pool smoke bench - still
+    kill-the-worker cleanup test, the durable-store file transport and the
+    SIGKILLed-parent directory sweep) and the proc-pool smoke bench - still
     through the repo's own CI scripts only."""
     job = workflow["jobs"]["procpool"]
     commands = " ".join(step.get("run", "") for step in job["steps"])
     assert "tests/engines/test_procpool.py" in commands
+    assert "tests/engines/test_pool_dir_sweep.py" in commands
     assert "tests/engines/test_sharded.py" in commands
+    assert "tests/storage/test_mapped.py" in commands
     assert "tests/catalog/test_fanout_cache.py" in commands
     assert "bench_export.py --smoke" in commands
     for step in job["steps"]:
@@ -147,7 +150,8 @@ def test_procpool_job_runs_lifecycle_tests_and_smoke_bench(workflow):
 def test_serve_smoke_job_boots_the_server_through_the_script(workflow):
     """The serving leg runs the serve test suites through the repo CI gate,
     then boots a real server via scripts/serve_smoke.py - canned queries,
-    an SSE stream, a cancel, and the shm-leak oracle on shutdown."""
+    an SSE stream, a cancel, and the pool-directory leak oracle on
+    shutdown."""
     job = workflow["jobs"]["serve-smoke"]
     commands = " ".join(step.get("run", "") for step in job["steps"])
     assert "tests/serve/" in commands
@@ -179,7 +183,7 @@ def test_streaming_job_runs_window_suites_and_sse_smoke(workflow):
     bit-identity vs one-shot, lateness, the /subscribe surface) through the
     repo CI gate, then scripts/streaming_smoke.py: a live SSE subscription
     with monotone window ids that survives a late chunk, a DELETE-cancel,
-    and the shm-leak oracle on shutdown."""
+    and the pool-directory leak oracle on shutdown."""
     job = workflow["jobs"]["streaming"]
     commands = " ".join(step.get("run", "") for step in job["steps"])
     assert "tests/streaming/" in commands

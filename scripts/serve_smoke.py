@@ -16,9 +16,9 @@ Runs the full serving path end to end on an ephemeral port:
    (``GET /tables`` lists one fan-out, no third worker is spawned);
 6. drain: flip the service into drain mode - ``/readyz`` goes 503 while
    ``/healthz`` stays 200, and new work is shed with 503 + ``Retry-After``;
-7. shut down and assert no worker process and no worker pool directory is
-   left (the leak oracle: an abandoned worker or payload file fails CI
-   here);
+7. shut down and assert no worker process, no worker pool directory and
+   no thread the service started (SSE pumps, stream workers) is left (the
+   leak oracles: an abandoned worker, payload file or pump fails CI here);
 8. SIGTERM a real ``repro serve`` subprocess - it must announce the drain
    and exit 0 (the path a rolling restart takes in production).
 
@@ -73,6 +73,14 @@ def request(port, method, path, body=None):
         conn.close()
 
 
+def stray_threads(baseline: set, grace: float = 10.0) -> list:
+    """Threads started since ``baseline`` still alive after ``grace`` s."""
+    until = time.monotonic() + grace
+    for thread in set(threading.enumerate()) - baseline:
+        thread.join(max(0.0, until - time.monotonic()))
+    return [t.name for t in set(threading.enumerate()) - baseline if t.is_alive()]
+
+
 def check(condition, message):
     if not condition:
         print(f"FAIL: {message}", file=sys.stderr)
@@ -111,6 +119,7 @@ def sigterm_drains_cleanly() -> bool:
 
 
 def main() -> int:
+    baseline = set(threading.enumerate())
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", type=int, default=20_000,
                         help="synthetic flights rows for the canned queries")
@@ -216,6 +225,8 @@ def main() -> int:
         handle.stop()
 
     check(multiprocessing.active_children() == [], "shutdown leaves no worker process")
+    stray = stray_threads(baseline)
+    check(stray == [], f"shutdown leaves no service thread alive (stray: {stray})")
     check(live_pool_dirs() == [], "shutdown leaves no worker pool directory")
     check(sigterm_drains_cleanly(), "SIGTERM drains a real serve process to exit 0")
     print("serve smoke passed")

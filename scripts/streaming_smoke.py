@@ -13,7 +13,9 @@ Runs the streaming path end to end over HTTP on an ephemeral port:
    show up in the done-event stats;
 4. open a second, unbounded subscription and DELETE it - the stream must
    end with a clean ``done`` carrying ``cancelled: true``;
-5. shut down and assert no worker pool directory is left.
+5. shut down and assert no worker pool directory is left and no thread
+   the service started (SSE pumps, ``continuous-query`` runners) is still
+   alive.
 
 Usage: python scripts/streaming_smoke.py
 """
@@ -111,6 +113,14 @@ def frame_data(frame: str) -> dict:
     raise SystemExit(f"frame without data line: {frame!r}")
 
 
+def stray_threads(baseline: set, grace: float = 10.0) -> list:
+    """Threads started since ``baseline`` still alive after ``grace`` s."""
+    until = time.monotonic() + grace
+    for thread in set(threading.enumerate()) - baseline:
+        thread.join(max(0.0, until - time.monotonic()))
+    return [t.name for t in set(threading.enumerate()) - baseline if t.is_alive()]
+
+
 def check(condition, message):
     if not condition:
         print(f"FAIL: {message}", file=sys.stderr)
@@ -119,6 +129,7 @@ def check(condition, message):
 
 
 def main() -> int:
+    baseline = set(threading.enumerate())
     endless = Endless()
     session = connect(delta=0.1, seed=0, engine="memory")
     session.register("events", IteratorSource(event_chunks, schema=SCHEMA))
@@ -199,6 +210,8 @@ def main() -> int:
         handle.stop()
 
     check(live_pool_dirs() == [], "shutdown leaves no worker pool directory")
+    stray = stray_threads(baseline)
+    check(stray == [], f"shutdown leaves no service thread alive (stray: {stray})")
     print("streaming smoke passed")
     return 0
 

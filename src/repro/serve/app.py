@@ -31,7 +31,10 @@ replay relay, so a client that loses the connection re-sends the same
 request with a ``Last-Event-ID`` header and (while the relay still holds
 the next frame) receives the missed frames byte-identically and then the
 live tail.  A reconnect past the buffer gets a structured 409
-(``replay_gap``) telling it to restart the query.
+(``replay_gap``) telling it to restart the query.  Each live stream is
+pumped into its relay by one daemon thread; the response side awaits the
+relay on the event loop, so no SSE wait ever holds a thread of the loop's
+shared executor.
 
 On SIGTERM the server *drains*: ``/readyz`` flips to 503, new work is
 shed with ``Retry-After``, in-flight queries run to completion (or are
@@ -56,10 +59,8 @@ from __future__ import annotations
 import asyncio
 import collections
 import dataclasses
-import functools
 import itertools
 import json
-import queue as queue_mod
 import threading
 import urllib.parse
 from dataclasses import dataclass
@@ -80,7 +81,7 @@ from repro.serve.wire import (
     parse_json_body,
 )
 from repro.session.planner import _replay_updates, stream_spec
-from repro.session.result import PartialUpdate, Result
+from repro.session.result import Result
 from repro.session.session import QueryFuture, Session, connect
 from repro.streaming import WindowSpec
 from repro.streaming.continuous import ContinuousQuery
@@ -94,9 +95,6 @@ __all__ = [
     "serve_in_thread",
     "run_server",
 ]
-
-#: Sentinel marking normal end of a subscription's event iterator.
-_SUB_DONE = object()
 
 _REASONS = {
     200: "OK",
@@ -121,15 +119,17 @@ class _Relay:
     """A bounded, replayable frame buffer between one SSE pump and at most
     one attached consumer.
 
-    The pump (an asyncio task) appends finished SSE frames; the consumer
-    (the HTTP response generator) walks them by id.  Frames stay in the
-    deque after delivery, so a client that reconnects with
-    ``Last-Event-ID: n`` replays from ``n + 1`` byte-identically - the
-    relay is the reconnect window.  Backpressure: ``append`` blocks once
-    ``depth`` frames are undelivered (terminal frames always land, so a
-    finished query can always say so).  Delivered frames are evicted only
-    when the deque outgrows ``depth``; ``gap`` reports whether a resume
-    point has been evicted.
+    The pump (a daemon thread) appends finished SSE frames; the consumer
+    (the HTTP response generator, on the event loop) walks them by id.
+    Frames stay in the deque after delivery, so a client that reconnects
+    with ``Last-Event-ID: n`` replays from ``n + 1`` byte-identically - the
+    relay is the reconnect window.  Backpressure: ``append`` blocks the
+    pump once ``depth`` frames are undelivered (terminal frames always
+    land, so a finished query can always say so).  The consumer never
+    blocks a thread: :meth:`poll` returns a frame or parks a future on
+    the consumer's loop that the next ``append`` or ``close`` resolves.  Delivered frames are
+    evicted only when the deque outgrows ``depth``; ``gap`` reports whether
+    a resume point has been evicted.
     """
 
     def __init__(self, depth: int) -> None:
@@ -140,6 +140,7 @@ class _Relay:
         self._delivered = 0
         self._finished = False
         self._closed = False
+        self._waiter: "asyncio.Future | None" = None
         self._cond = threading.Condition()
         #: True while an HTTP response generator is walking this relay.
         self.attached = False
@@ -151,7 +152,7 @@ class _Relay:
                 and not terminal
                 and self._last_id - self._delivered >= self._depth
             ):
-                self._cond.wait(0.5)
+                self._cond.wait()
             if self._closed:
                 raise _RelayClosed()
             self._last_id += 1
@@ -164,24 +165,25 @@ class _Relay:
                 self._first_id += 1
             if terminal:
                 self._finished = True
-            self._cond.notify_all()
+            self._wake()
             return self._last_id
 
-    def next_after(self, pos: int):
-        """Block for the first frame with id > pos; None on close/exhaustion."""
+    def poll(self, pos: int, loop: asyncio.AbstractEventLoop):
+        """The first frame with id > pos; None on close/exhaustion; else a
+        ``loop`` future, resolved by the next append or close."""
         with self._cond:
             if pos > self._delivered:
                 self._delivered = pos
                 self._cond.notify_all()
-            while True:
-                if self._closed:
-                    return None
-                for fid, frame, terminal in self._frames:
-                    if fid > pos:
-                        return (fid, frame, terminal)
-                if self._finished:
-                    return None
-                self._cond.wait(0.5)
+            if self._closed:
+                return None
+            index = max(pos + 1 - self._first_id, 0)
+            if index < len(self._frames):
+                return self._frames[index]
+            if self._finished:
+                return None
+            self._waiter = loop.create_future()
+            return self._waiter
 
     def gap(self, last_id: int) -> bool:
         """True when resuming after ``last_id`` would skip evicted frames."""
@@ -192,6 +194,20 @@ class _Relay:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
+            self._wake()
+
+    def _wake(self) -> None:
+        waiter, self._waiter = self._waiter, None
+        if waiter is not None:
+            try:
+                waiter.get_loop().call_soon_threadsafe(_resolve, waiter)
+            except RuntimeError:
+                pass  # the loop is closed: nobody is waiting any more
+
+
+def _resolve(waiter: "asyncio.Future") -> None:
+    if not waiter.done():
+        waiter.set_result(None)
 
 
 class SessionPool:
@@ -256,7 +272,6 @@ class _Ticket:
     deadline: Deadline | None = None
     subscription: ContinuousQuery | None = None
     relay: _Relay | None = None
-    pump: "asyncio.Task | None" = None
     #: Durable-subscription checkpoint name (None for everything else).
     checkpoint_id: str | None = None
     #: Set by an explicit DELETE so the checkpoint dies with the query;
@@ -350,16 +365,14 @@ class QueryService:
     """Routing + the admission/cache/execute flow, independent of transport.
 
     All handler methods run on one event loop; blocking execution happens
-    in session submit pools (``/query``) or a dedicated producer thread
-    (``/stream``), bridged back with futures and bounded queues.
+    in session submit pools (``/query``, bridged back with futures) or in
+    one pump thread per live SSE stream (``/stream``, ``/subscribe``),
+    bridged back through the stream's relay.
     """
 
-    #: Bound on SSE updates buffered ahead of a slow client.  The producer
-    #: thread blocks on a full queue, which stalls sampling emission (not
-    #: sampling itself - the run keeps converging) until the client drains.
-    SSE_QUEUE_DEPTH = 64
-
-    #: Frames each live SSE stream keeps for ``Last-Event-ID`` reconnects.
+    #: Frames each live SSE stream keeps for ``Last-Event-ID`` reconnects,
+    #: and the most it buffers ahead of a slow client: a pump with this
+    #: many undelivered frames blocks until the client catches up.
     RELAY_DEPTH = 256
 
     #: How long a disconnected stream waits for its client to come back
@@ -393,7 +406,8 @@ class QueryService:
         catalog = self.pool.primary.catalog
         self._checkpoints = catalog if hasattr(catalog, "save_checkpoint") else None
         self._tickets: dict[str, _Ticket] = {}
-        self._pumps: "set[asyncio.Task]" = set()
+        #: One future per live pump, resolved once its stream has settled.
+        self._pumps: "set[asyncio.Future]" = set()
         self._auto_id = itertools.count(1)
         self._draining = False
         self._closed = False
@@ -541,7 +555,7 @@ class QueryService:
             )
         # An explicit cancel is the user abandoning the subscription, so
         # its checkpoint goes too (set before cancel(): the pump reads the
-        # flag after the runner joins).
+        # flag once the runner has stopped).
         if ticket.checkpoint_id is not None:
             ticket.drop_checkpoint = True
         cancelled = ticket.cancel()
@@ -585,12 +599,68 @@ class QueryService:
 
     # -- SSE relay plumbing ---------------------------------------------------
 
-    def _spawn_pump(self, coro) -> asyncio.Task:
-        """Run an SSE producer as a loop task that outlives its consumer."""
-        task = asyncio.get_running_loop().create_task(coro)
-        self._pumps.add(task)
-        task.add_done_callback(self._pumps.discard)
-        return task
+    def _spawn_pump(self, ticket: _Ticket, events, frame, end, fail, cleanup) -> _Response:
+        """Pump one live SSE stream into a new relay from its own thread.
+
+        The pump thread opens ``events()`` - the library's event iterator,
+        a ``ResultStream`` or ``ContinuousQuery.updates()`` - and appends
+        ``frame(event, id)`` for each event; the relay's ``append`` is the
+        only backpressure.  Once the iterator is over, one
+        ``call_soon_threadsafe`` settles what the loop owns (flight
+        futures, counters, admission and subscription slots):
+        ``end(events, id)`` or ``fail(exc, id)`` makes the terminal frame,
+        ``cleanup(abandoned)`` runs, and only then does the frame land, so
+        a client that reads it sees that state settled.  A relay closed
+        under the pump (janitor expiry or service close, after the
+        ticket's cancel fired) means nobody is listening: the pump drains
+        the iterator, so no producer outlives it, and runs only
+        ``cleanup(True)``.  Returns the SSE response over the relay.
+        """
+        loop = asyncio.get_running_loop()
+        relay = ticket.relay = _Relay(self.RELAY_DEPTH)
+        settled = loop.create_future()
+        self._pumps.add(settled)
+        settled.add_done_callback(self._pumps.discard)
+
+        def settle(make, outcome, event_id: int) -> None:
+            try:
+                terminal = None if make is None else make(outcome, event_id)
+            finally:
+                cleanup(make is None)
+                settled.set_result(None)
+            if terminal is not None:
+                try:
+                    relay.append(terminal, terminal=True)
+                except _RelayClosed:
+                    pass  # finished, but nobody is left to tell
+
+        def pump() -> None:
+            n = 0
+            stream = ()
+            try:
+                stream = events()
+                for event in stream:
+                    n += 1
+                    relay.append(frame(event, n))
+                outcome = (end, stream)
+            except _RelayClosed:
+                try:
+                    for _ in stream:
+                        pass
+                except Exception:
+                    pass  # the run's end is nobody's news now
+                outcome = (None, None)
+            except Exception as exc:  # reported as the terminal error frame
+                outcome = (fail, exc)
+            try:
+                loop.call_soon_threadsafe(settle, *outcome, n + 1)
+            except RuntimeError:
+                pass  # the loop is closed: nobody is left to tell
+
+        threading.Thread(target=pump, daemon=True, name="repro-serve-pump").start()
+        return _Response(
+            200, self._relay_consume(ticket, relay, 0), headers=SSE_HEADERS
+        )
 
     async def _relay_consume(
         self, ticket: _Ticket, relay: _Relay, last_id: int
@@ -608,15 +678,21 @@ class QueryService:
         delivered_terminal = False
         try:
             while True:
-                frame = await loop.run_in_executor(None, relay.next_after, pos)
+                frame = relay.poll(pos, loop)
+                if isinstance(frame, asyncio.Future):
+                    await frame
+                    continue
                 if frame is None:
                     return
-                fid, data, terminal = frame
-                pos = fid
+                pos, data, terminal = frame
                 yield data
                 if terminal:
                     delivered_terminal = True
                     return
+                # A pump that stays ahead never makes this loop wait, and
+                # the writer's drain() only waits on a full socket: yield
+                # so one fast stream cannot monopolise the loop.
+                await asyncio.sleep(0)
         finally:
             relay.attached = False
             if delivered_terminal:
@@ -800,13 +876,53 @@ class QueryService:
             if admission is not None:
                 admission.release()
             raise
-        relay = _Relay(self.RELAY_DEPTH)
-        ticket.relay = relay
-        ticket.pump = self._spawn_pump(
-            self._pump_stream(ticket, admission, flight, spec, request.seed, state, relay)
-        )
-        return _Response(
-            200, self._relay_consume(ticket, relay, 0), headers=SSE_HEADERS
+        deadline = ticket.deadline = Deadline.after_ms(spec.deadline_ms)
+        catalog = self.pool.primary.catalog.snapshot()
+        counters.executed += 1
+
+        def update_frame(update, event_id: int) -> bytes:
+            return sse_event(update.to_dict(), event="update", event_id=event_id)
+
+        def end(stream, event_id: int) -> bytes:
+            result = stream.result
+            self.cache.complete_flight(flight, result, canonical_json(result.to_dict()))
+            counters.completed += 1
+            if result.deadline_exceeded:
+                counters.deadline_expired += 1
+            return sse_event(
+                self._envelope(ticket.query_id, tenant, "miss", result),
+                event="done",
+                event_id=event_id,
+            )
+
+        def fail(exc: Exception, event_id: int) -> bytes:
+            self.cache.fail_flight(flight, exc)
+            if isinstance(exc, QueryCancelled):
+                counters.cancelled += 1
+                code = "cancelled"
+            else:
+                counters.errors += 1
+                code = "internal"
+            return sse_event(error_payload(code, str(exc)), event="error", event_id=event_id)
+
+        def cleanup(abandoned: bool) -> None:
+            # An abandoned run fails its flight, so followers are not left
+            # awaiting a dead leader and the next identical request runs.
+            if abandoned and self.cache.flight(flight.key) is flight:
+                self.cache.fail_flight(
+                    flight, QueryCancelled("stream client disconnected")
+                )
+                counters.cancelled += 1
+            deadline.cancel()
+            admission.release()
+
+        return self._spawn_pump(
+            ticket,
+            lambda: stream_spec(spec, catalog, seed=request.seed, deadline=deadline),
+            update_frame,
+            end,
+            fail,
+            cleanup,
         )
 
     async def _replay_events(
@@ -820,91 +936,6 @@ class QueryService:
         yield sse_event(
             self._envelope(query_id, tenant, mode, result), event="done", event_id=n + 1
         )
-
-    async def _pump_stream(
-        self, ticket, admission, flight, spec, seed, state, relay: _Relay
-    ) -> None:
-        """Produce SSE frames from a live run into the reconnect relay.
-
-        Backpressure: the producer thread publishes into a bounded queue
-        and blocks when the relay is full (client not keeping up); frame
-        delivery happens in :meth:`_relay_consume`, which may detach and
-        re-attach across reconnects while this pump keeps running.  When
-        the relay is torn down (janitor expiry: the client never came
-        back) the run's cancel token fires and the queue is drained until
-        the producer exits.
-        """
-        counters = state.counters
-        loop = asyncio.get_running_loop()
-        q: "queue_mod.Queue[object]" = queue_mod.Queue(maxsize=self.SSE_QUEUE_DEPTH)
-        deadline = Deadline.after_ms(spec.deadline_ms)
-        ticket.deadline = deadline
-        catalog = self.pool.primary.catalog.snapshot()
-        counters.executed += 1
-
-        def produce() -> None:
-            try:
-                stream = stream_spec(spec, catalog, seed=seed, deadline=deadline)
-                for update in stream:
-                    q.put(update)
-                q.put(("result", stream.result))
-            except BaseException as exc:  # delivered to the consumer
-                q.put(("error", exc))
-
-        thread = threading.Thread(target=produce, daemon=True, name="repro-serve-sse")
-        thread.start()
-        n = 0
-        try:
-            while True:
-                item = await loop.run_in_executor(None, q.get)
-                if isinstance(item, PartialUpdate):
-                    n += 1
-                    frame = sse_event(item.to_dict(), event="update", event_id=n)
-                    await loop.run_in_executor(None, relay.append, frame)
-                    continue
-                kind, obj = item
-                if kind == "result":
-                    result = obj
-                    payload = canonical_json(result.to_dict())
-                    self.cache.complete_flight(flight, result, payload)
-                    counters.completed += 1
-                    if result.deadline_exceeded:
-                        counters.deadline_expired += 1
-                    frame = sse_event(
-                        self._envelope(ticket.query_id, ticket.tenant, "miss", result),
-                        event="done",
-                        event_id=n + 1,
-                    )
-                else:
-                    exc = obj
-                    self.cache.fail_flight(flight, exc)
-                    if isinstance(exc, QueryCancelled):
-                        counters.cancelled += 1
-                        code = "cancelled"
-                    else:
-                        counters.errors += 1
-                        code = "internal"
-                    frame = sse_event(
-                        error_payload(code, str(exc)), event="error", event_id=n + 1
-                    )
-                try:
-                    await loop.run_in_executor(
-                        None, functools.partial(relay.append, frame, terminal=True)
-                    )
-                except _RelayClosed:
-                    pass  # query finished, but nobody is left to tell
-                return
-        except _RelayClosed:
-            # The janitor gave up waiting for a reconnect mid-stream.
-            if self.cache.flight(flight.key) is flight:
-                self.cache.fail_flight(
-                    flight, QueryCancelled("stream client disconnected")
-                )
-                counters.cancelled += 1
-            await loop.run_in_executor(None, _drain_queue, q, thread)
-        finally:
-            deadline.cancel()
-            admission.release()
 
     # -- GET/POST /subscribe -------------------------------------------------
 
@@ -1006,101 +1037,63 @@ class QueryService:
             raise
         ticket.subscription = cq
         state.subscriptions += 1
-        state.counters.subscriptions_started += 1
-        relay = _Relay(self.RELAY_DEPTH)
-        ticket.relay = relay
-        ticket.pump = self._spawn_pump(
-            self._pump_subscription(ticket, cq, state, relay)
-        )
-        return _Response(
-            200, self._relay_consume(ticket, relay, 0), headers=SSE_HEADERS
-        )
-
-    async def _pump_subscription(
-        self, ticket: _Ticket, cq: ContinuousQuery, state, relay: _Relay
-    ) -> None:
-        """Produce SSE frames for one live subscription into its relay.
-
-        The :class:`ContinuousQuery` produces on its own daemon thread into
-        an unbounded queue; this pump consumes one event per executor hop,
-        so a slow client buffers window events without stalling the stream
-        scan.  ``DELETE /query/{id}`` (or janitor expiry after a client
-        never reconnects) cancels the runner; cancellation ends the stream
-        with a clean ``done`` event (``cancelled: true``), while runner
-        failures become a terminal ``error`` event.  A durable
-        subscription's checkpoint is deleted on natural completion or
-        explicit cancel, and retained on failure/abandonment so a later
-        resume can continue.
-        """
         counters = state.counters
+        counters.subscriptions_started += 1
         loop = asyncio.get_running_loop()
-        events = cq.updates()
         windows = 0
-        n = 0
-        try:
-            while True:
-                item = await loop.run_in_executor(None, next, events, _SUB_DONE)
-                if item is _SUB_DONE:
-                    frame = sse_event(
-                        {
-                            "query_id": ticket.query_id,
-                            "tenant": ticket.tenant,
-                            "windows": windows,
-                            "cancelled": cq.cancelled,
-                            "stats": cq.stats(),
-                        },
-                        event="done",
-                        event_id=n + 1,
-                    )
-                    try:
-                        await loop.run_in_executor(
-                            None, functools.partial(relay.append, frame, terminal=True)
-                        )
-                    except _RelayClosed:
-                        pass
-                    return
-                n += 1
-                if isinstance(item, WindowResult):
-                    windows += 1
-                    counters.windows_emitted += 1
-                    frame = sse_event(item.to_dict(), event="window", event_id=n)
-                else:
-                    frame = sse_event(item.to_dict(), event="update", event_id=n)
-                await loop.run_in_executor(None, relay.append, frame)
-        except _RelayClosed:
-            pass  # janitor expired the relay; the finally cancels the runner
-        except Exception as exc:  # runner failure -> terminal error event
+
+        def count_window() -> None:
+            counters.windows_emitted += 1
+
+        def event_frame(event, event_id: int) -> bytes:
+            nonlocal windows
+            if not isinstance(event, WindowResult):
+                return sse_event(event.to_dict(), event="update", event_id=event_id)
+            windows += 1
+            loop.call_soon_threadsafe(count_window)
+            return sse_event(event.to_dict(), event="window", event_id=event_id)
+
+        def end(_events, event_id: int) -> bytes:
+            # DELETE (or janitor expiry) cancels the runner, which ends the
+            # stream with a clean done (cancelled: true).
+            return sse_event(
+                {
+                    "query_id": ticket.query_id,
+                    "tenant": tenant,
+                    "windows": windows,
+                    "cancelled": cq.cancelled,
+                    "stats": cq.stats(),
+                },
+                event="done",
+                event_id=event_id,
+            )
+
+        def fail(exc: Exception, event_id: int) -> bytes:
             counters.errors += 1
-            frame = sse_event(
+            return sse_event(
                 error_payload("internal", f"{type(exc).__name__}: {exc}"),
                 event="error",
-                event_id=n + 1,
+                event_id=event_id,
             )
-            try:
-                await loop.run_in_executor(
-                    None, functools.partial(relay.append, frame, terminal=True)
-                )
-            except _RelayClosed:
-                pass
-        finally:
+
+        def cleanup(_abandoned: bool) -> None:
             cq.cancel()
             state.subscriptions -= 1
-            await loop.run_in_executor(None, cq.join, 30)
-            # Checkpoint retirement happens after join, once `cancelled`
-            # has settled: completion and user-cancel drop it; failure,
-            # abandonment, and shutdown keep it for a later resume.
+            # The event iterator is over, so the runner has stopped and
+            # settled `cancelled` and `error`: completion and user-cancel
+            # drop the checkpoint; failure, abandonment, and shutdown keep
+            # it for a later resume.
             if (
                 ticket.checkpoint_id is not None
                 and self._checkpoints is not None
-                and (
-                    ticket.drop_checkpoint
-                    or (not cq.cancelled and cq.error is None)
-                )
+                and (ticket.drop_checkpoint or (not cq.cancelled and cq.error is None))
             ):
                 try:
                     self._checkpoints.delete_checkpoint(ticket.checkpoint_id)
                 except Exception:
                     pass  # a live checkpoint is merely a resume offer
+
+        return self._spawn_pump(ticket, cq.updates, event_frame, end, fail, cleanup)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -1117,25 +1110,10 @@ class QueryService:
         for ticket in list(self._tickets.values()):
             ticket.cancel()
             if ticket.relay is not None:
-                # Unblock any pump parked in relay.append so its executor
-                # thread cannot hang process exit.
+                # Unblock any pump parked in relay.append: it drains its
+                # cancelled run and exits.
                 ticket.relay.close()
         self.pool.close()
-
-
-def _drain_queue(q: "queue_mod.Queue", thread: threading.Thread) -> None:
-    """Unblock and join an SSE producer after its consumer went away."""
-    while thread.is_alive():
-        try:
-            q.get(timeout=0.05)
-        except queue_mod.Empty:
-            pass
-        thread.join(timeout=0.0)
-    try:
-        while True:
-            q.get_nowait()
-    except queue_mod.Empty:
-        pass
 
 
 # --------------------------------------------------------------------------
@@ -1161,6 +1139,8 @@ class ReproServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
+        #: Live connection handlers, closed by :meth:`aclose`.
+        self._connections: "dict[asyncio.Task, asyncio.StreamWriter]" = {}
 
     async def start(self) -> "ReproServer":
         self._server = await asyncio.start_server(
@@ -1170,20 +1150,33 @@ class ReproServer:
         return self
 
     async def aclose(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()  # stop accepting
         self.service.close()
-        pumps = {t for t in getattr(self.service, "_pumps", ()) if not t.done()}
+        pumps = {f for f in getattr(self.service, "_pumps", ()) if not f.done()}
         if pumps:
             await asyncio.wait(pumps, timeout=10)
+        # Every stream has settled; close what is still connected (idle
+        # keep-alives, SSE writers of closed relays) so each handler ends
+        # on EOF instead of being destroyed pending with the loop.
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            writer.close()
+        if handlers:
+            _done, stuck = await asyncio.wait(handlers, timeout=10)
+            for task in stuck:
+                task.cancel()
+        if server is not None:
+            await server.wait_closed()
 
     # -- connection handling -------------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -1220,6 +1213,7 @@ class ReproServer:
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             pass  # client went away mid-request; per-query cleanup already ran
         finally:
+            self._connections.pop(task, None)
             writer.close()
             try:
                 await writer.wait_closed()

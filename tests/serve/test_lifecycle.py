@@ -10,16 +10,25 @@ Acceptance criteria:
   ``Last-Event-ID`` replays the missed frames *byte-identically* from the
   relay buffer and then continues live; reconnecting past the buffer gets
   a structured 409 (``replay_gap``);
+* a stream whose client never reconnects is cancelled by the relay
+  janitor: its flight fails (the next identical request is a fresh miss)
+  and no pump thread outlives it;
 * ``durable: true`` subscriptions checkpoint each window into the store;
   re-subscribing with the same ``query_id`` resumes from the cursor with
-  the remaining windows bit-identical to an uninterrupted run;
+  the remaining windows bit-identical to an uninterrupted run, and a run
+  that fails keeps its checkpoint;
+* shutting down with an idle keep-alive connection open closes it
+  promptly and cleanly;
 * SIGTERM drains and exits 0 (the E2E smoke also covers this under load).
 """
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import http.client
 import json
+import logging
 import os
 import pathlib
 import signal
@@ -53,6 +62,22 @@ def finite_chunks():
             "v": rng.random(100) * 10.0,
             "ts": np.arange(base, base + 100, dtype=np.float64),
         }
+
+
+def broken_chunks():
+    """One chunk of rows (a 50-row window closes inside it), then the
+    source fails mid-stream."""
+    yield next(finite_chunks())
+    raise RuntimeError("source went away")
+
+
+def stray_threads(baseline, grace=10.0):
+    """Threads started since ``baseline`` that are still alive after
+    ``grace`` seconds (daemon threads get that long to wind down)."""
+    until = time.monotonic() + grace
+    for thread in set(threading.enumerate()) - baseline:
+        thread.join(max(0.0, until - time.monotonic()))
+    return [t for t in set(threading.enumerate()) - baseline if t.is_alive()]
 
 
 class PacedStream:
@@ -293,8 +318,6 @@ class TestReconnectResume:
         """Driven at the service level, where the disconnect point is
         deterministic: drop the consumer after exactly one frame, then
         re-attach with Last-Event-ID and collect the rest."""
-        import asyncio
-
         session = connect(delta=0.1, seed=0, engine="memory")
         session.register("events", IteratorSource(finite_chunks, schema=SCHEMA))
         service = QueryService(session, sessions=1, default_seed=0)
@@ -326,6 +349,45 @@ class TestReconnectResume:
         assert [fid for fid, _, _ in parsed] == list(range(1, len(parsed) + 1))
         assert parsed[-1][1] == "done"
         assert parsed[-1][2]["result"]["aggregates"]
+
+    def test_abandoned_stream_is_cancelled_by_the_janitor(self):
+        """A client reads one frame, disconnects and never comes back: after
+        RELAY_LINGER_S the janitor cancels the run and retires its ticket,
+        the flight fails (so the same request is a fresh miss), and no
+        thread the stream started survives.  RELAY_DEPTH=1 pins the pump
+        in the relay so the janitor always finds the run in flight."""
+        baseline = set(threading.enumerate())
+        session = connect(delta=0.1, seed=0, engine="memory")
+        session.register("events", IteratorSource(finite_chunks, schema=SCHEMA))
+        service = QueryService(session, sessions=1, default_seed=0)
+        service.RELAY_LINGER_S = 0.2
+        service.RELAY_DEPTH = 1
+        counters = service.tenants.state("public").counters
+        body = json.dumps({"sql": EVENTS_SQL, "query_id": "walked-away"}).encode()
+
+        async def scenario():
+            resp = await service.handle("POST", "/stream", {}, body)
+            assert resp.status == 200
+            await resp.body.__anext__()
+            await resp.body.aclose()  # gone for good
+            until = asyncio.get_running_loop().time() + DEADLINE
+            while counters.cancelled == 0 or "walked-away" in service._tickets:
+                assert asyncio.get_running_loop().time() < until, "janitor never fired"
+                await asyncio.sleep(0.02)
+            again = await service.handle(
+                "POST", "/stream", {}, json.dumps({"sql": EVENTS_SQL}).encode()
+            )
+            return [frame async for frame in again.body]
+
+        try:
+            frames = asyncio.run(scenario())
+        finally:
+            service.close()
+        assert counters.cancelled == 1 and counters.errors == 0
+        _, event, data = parse_frame(frames[-1].rstrip(b"\n"))
+        assert event == "done" and data["cache"] == "miss"
+        assert counters.completed == 1
+        assert stray_threads(baseline) == []
 
     def test_reconnect_beyond_buffer_is_replay_gap(self, server):
         port, _service = server
@@ -395,10 +457,10 @@ def _store_dataset(rows=500):
 
 
 def _checkpoint_gone(session, checkpoint_id):
-    """True once the pump's finally has retired the checkpoint.
+    """True once the pump has retired the checkpoint.
 
-    The terminal SSE frame hits the wire *before* the pump joins the
-    runner and deletes the cursor, so completion tests poll briefly.
+    The pump retires the cursor before the terminal SSE frame lands, so
+    the first check normally settles it; the poll is a safety margin.
     """
     deadline = time.monotonic() + DEADLINE
     while time.monotonic() < deadline:
@@ -521,6 +583,33 @@ class TestDurableSubscriptions:
         assert status == 409
         assert json.loads(text)["error"]["code"] == "checkpoint_mismatch"
 
+    def test_failed_subscription_keeps_its_checkpoint(self, tmp_path):
+        session = connect(store=tmp_path / "store", engine="memory", seed=0)
+        session.register("broken", IteratorSource(broken_chunks, schema=SCHEMA))
+        service = QueryService(session, sessions=1, default_seed=0)
+        handle = serve_in_thread(service)
+        try:
+            status, text, _ = sse_request(
+                handle.port, "POST", "/subscribe",
+                {"sql": "SELECT g, AVG(v) FROM broken GROUP BY g",
+                 "window": {"size": 50.0, "on": "ts"}, "emit_updates": False,
+                 "seed": 3, "durable": True, "query_id": "fragile"},
+            )
+        finally:
+            handle.stop()  # returns once the pump has settled the checkpoint
+        assert status == 200
+        frames = parse_frames(text)
+        assert any(event == "window" for _, event, _ in frames)
+        assert frames[-1][1] == "error"
+        assert frames[-1][2]["error"]["code"] == "internal"
+        # A failure is not the user abandoning the query: the cursor stays
+        # for a later resume.
+        reopened = connect(store=tmp_path / "store")
+        try:
+            assert reopened.catalog.load_checkpoint("sub-public-fragile") is not None
+        finally:
+            reopened.close()
+
     def test_explicit_cancel_drops_the_checkpoint(self, durable_server):
         port, _service, session = durable_server
         # An endless source: the subscription can only end via DELETE.
@@ -548,6 +637,119 @@ class TestDurableSubscriptions:
         assert frames[-1][1] == "done" and frames[-1][2]["cancelled"] is True
         # Explicit DELETE = the user abandoned it: no dangling checkpoint.
         assert _checkpoint_gone(session, "sub-public-night2")
+
+
+class TestRelay:
+    def test_pump_threads_and_loop_consumers_lose_no_frame_or_wakeup(self):
+        """More pump threads than cores push through depth-2 relays while
+        the real loop-side consumers walk them, with a tiny switch
+        interval: every frame arrives once and in order, and no wake-up is
+        lost (a lost one would hang the consumer until the timeout)."""
+        from repro.serve.app import _Relay, _Ticket
+
+        n_frames, n_pumps = 300, 2 * (os.cpu_count() or 1) + 1
+        service = QueryService(connect(engine="memory"), sessions=1)
+        relays = [_Relay(2) for _ in range(n_pumps)]
+
+        def pump(relay):
+            for i in range(1, n_frames + 1):
+                time.sleep(0)  # let the consumer catch up and park
+                relay.append(b"%d" % i)
+            time.sleep(0)
+            relay.append(b"end", terminal=True)
+
+        async def consume(i, relay):
+            ticket = _Ticket(query_id=f"r{i}", tenant="public")
+            return [frame async for frame in service._relay_consume(ticket, relay, 0)]
+
+        async def scenario():
+            threads = [threading.Thread(target=pump, args=(r,)) for r in relays]
+            for thread in threads:
+                thread.start()
+            try:
+                return await asyncio.wait_for(
+                    asyncio.gather(*(consume(i, r) for i, r in enumerate(relays))),
+                    DEADLINE,
+                )
+            finally:
+                for relay in relays:
+                    relay.close()
+                for thread in threads:
+                    thread.join(10)
+                    assert not thread.is_alive()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            delivered = asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        expected = [b"%d" % i for i in range(1, n_frames + 1)] + [b"end"]
+        assert delivered == [expected] * n_pumps
+
+    def test_a_consumer_that_never_waits_still_yields_to_the_loop(self):
+        """A pump that stays ahead never makes the consumer wait, and a
+        socket with room never makes drain() wait: the consumer must yield
+        between frames anyway, or one fast stream freezes the loop."""
+        from repro.serve.app import _Relay, _Ticket
+
+        service = QueryService(connect(engine="memory"), sessions=1)
+        relay = _Relay(64)
+        for i in range(1, 51):
+            relay.append(b"%d" % i)
+        relay.append(b"end", terminal=True)
+
+        async def scenario():
+            ticks = 0
+
+            async def other_connection():
+                nonlocal ticks
+                while True:
+                    ticks += 1
+                    await asyncio.sleep(0)
+
+            task = asyncio.ensure_future(other_connection())
+            await asyncio.sleep(0)
+            before = ticks
+            ticket = _Ticket(query_id="fast", tenant="public")
+            frames = [f async for f in service._relay_consume(ticket, relay, 0)]
+            task.cancel()
+            return frames, ticks - before
+
+        try:
+            frames, ticks = asyncio.run(scenario())
+        finally:
+            service.close()
+        assert len(frames) == 51
+        assert ticks >= 50
+
+
+class TestShutdownWithOpenConnections:
+    def test_stop_closes_an_idle_keepalive_connection(self, caplog):
+        session = connect(delta=0.1, seed=0, engine="memory")
+        service = QueryService(session, sessions=1, default_seed=0)
+        handle = serve_in_thread(service)
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=DEADLINE)
+        try:
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200  # HTTP/1.1: the connection stays open
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                start = time.monotonic()
+                handle.stop()
+                elapsed = time.monotonic() - start
+                gc.collect()  # a leaked handler task logs when collected
+        finally:
+            conn.close()
+        assert not handle.thread.is_alive()
+        assert elapsed < 10
+        assert [
+            r.getMessage()
+            for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.WARNING
+        ] == []
 
 
 class TestSigtermDrain:

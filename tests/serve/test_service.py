@@ -4,7 +4,8 @@ The acceptance criteria from the serve subsystem's design:
 
 * two tenants submitting the same query concurrently cost exactly ONE
   execution (counters prove it) and both receive bit-identical JSON;
-* an SSE client sees monotonically increasing update ids ending in `done`;
+* an SSE client sees monotonically increasing update ids ending in `done`,
+  and a DELETE-cancelled stream ends in exactly one `error` frame;
 * an over-quota submit is shed with a structured error + retry-after;
 * DELETE cancels queued entries (never run) and running queries (prompt);
 * a re-registered / invalidated table never serves a stale cached Result;
@@ -481,6 +482,34 @@ class TestStreaming:
             json.dumps(first_frames[-1][2]["result"], sort_keys=True)
         )
 
+    def test_delete_running_stream_ends_with_one_cancelled_error_frame(self, server):
+        port, _service = server
+        headers = {"X-Repro-Tenant": "streamer"}
+        before = tenant_counters(port, "streamer").get("cancelled", 0)
+        holder = {}
+
+        def run():
+            holder["result"] = sse_request(
+                port, {"spec": SLOW_SPEC, "seed": 503, "query_id": "s-slow"}, headers
+            )
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        poll(
+            lambda: tenant_counters(port, "streamer").get("executed", 0) == 1,
+            message="slow stream to run",
+        )
+        status, body, _ = request(port, "DELETE", "/query/s-slow")
+        assert status == 200 and body["cancelled"] is True
+        thread.join(timeout=DEADLINE)
+        status, text = holder["result"]
+        assert status == 200
+        frames = parse_sse(text)
+        assert [f[0] for f in frames] == list(range(1, len(frames) + 1))
+        assert [f[1] for f in frames].count("error") == 1
+        _, event, data = frames[-1]
+        assert event == "error" and data["error"]["code"] == "cancelled"
+        assert tenant_counters(port, "streamer")["cancelled"] == before + 1
 
     def test_query_hit_after_stream_is_a_fresh_miss(self, server):
         """/stream and /query run one executor, so a cache entry's bytes do

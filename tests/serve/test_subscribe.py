@@ -9,13 +9,18 @@ Acceptance criteria for the ``/subscribe`` surface:
 * ``/stats`` reports subscriptions started, windows emitted, and the live
   open-subscription gauge per tenant;
 * ``DELETE /query/{id}`` cancels a live subscription: the stream ends with
-  a clean ``done`` (``cancelled: true``) and the slot frees.
+  a clean ``done`` (``cancelled: true``) and the slot frees;
+* a source that fails mid-stream ends the subscription with exactly one
+  terminal ``error`` frame (``code: internal``);
+* idle subscriptions hold no thread of the event loop's shared executor,
+  so any number of them leaves ``/stream`` and ``/subscribe`` answering.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import os
 import threading
 import time
 
@@ -50,6 +55,12 @@ def finite_chunks():
         }
 
 
+def broken_chunks():
+    """One chunk of rows, then the source fails mid-stream."""
+    yield next(finite_chunks())
+    raise RuntimeError("source went away")
+
+
 class PacedStream:
     """An endless chunk stream the test can pause and release."""
 
@@ -79,6 +90,7 @@ def server():
     session = connect(delta=0.1, seed=0, engine="memory")
     session.register("events", IteratorSource(finite_chunks, schema=SCHEMA))
     session.register("endless", IteratorSource(PACED.chunks, schema=SCHEMA))
+    session.register("broken", IteratorSource(broken_chunks, schema=SCHEMA))
     tenants = TenantRegistry(TenantConfig(max_subscriptions=4))
     tenants.configure(
         "solo", TenantConfig(max_concurrent=4, queue_limit=4, max_subscriptions=1)
@@ -236,6 +248,29 @@ class TestSubscribeStream:
         assert status == 405
 
 
+    def test_source_failure_ends_with_one_internal_error_frame(self, server):
+        port, _service = server
+        before = tenant_entry(port, "fragile").get("counters", {}).get("errors", 0)
+        status, text, _ = subscribe_raw(
+            port,
+            {"sql": "SELECT g, AVG(v) FROM broken GROUP BY g",
+             "window": {"size": 50.0, "on": "ts"}, "emit_updates": False,
+             "tenant": "fragile"},
+        )
+        assert status == 200
+        frames = parse_frames(text)
+        assert [fid for fid, _, _ in frames] == list(range(1, len(frames) + 1))
+        kinds = [event for _, event, _ in frames]
+        assert kinds.count("error") == 1 and kinds[-1] == "error"
+        assert "done" not in kinds
+        error = frames[-1][2]["error"]
+        assert error["code"] == "internal"
+        assert "source went away" in error["message"]
+        entry = tenant_entry(port, "fragile")
+        assert entry["counters"]["errors"] == before + 1
+        assert entry["subscriptions"] == 0
+
+
 class TestSlotsAndStats:
     def test_stats_counters_after_finite_subscription(self, server):
         port, _service = server
@@ -343,3 +378,78 @@ class TestSlotsAndStats:
         port, _service = server
         status, _body, _ = request(port, "DELETE", "/query/never-existed")
         assert status == 404
+
+
+def test_idle_subscriptions_do_not_starve_sse_routes():
+    """More idle subscriptions than half the loop's default executor (the
+    pool a thread-parking SSE wait would hold) leave /stream and one more
+    /subscribe answering promptly: an SSE wait holds no shared thread."""
+    idle = min(32, (os.cpu_count() or 1) + 4) // 2 + 1
+    gate = threading.Event()
+
+    def paused_chunks():
+        gate.wait(DEADLINE)
+        yield from finite_chunks()
+
+    session = connect(delta=0.1, seed=0, engine="memory")
+    session.register("events", IteratorSource(finite_chunks, schema=SCHEMA))
+    session.register("paused", IteratorSource(paused_chunks, schema=SCHEMA))
+    tenants = TenantRegistry(TenantConfig(max_subscriptions=idle + 1))
+    service = QueryService(session, sessions=1, tenants=tenants, default_seed=0)
+    handle = serve_in_thread(service)
+    held = []
+    try:
+        for i in range(idle):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", handle.port, timeout=DEADLINE
+            )
+            conn.request(
+                "POST",
+                "/subscribe",
+                body=json.dumps(
+                    {"sql": "SELECT g, AVG(v) FROM paused GROUP BY g",
+                     "window": {"size": 100.0, "on": "ts"},
+                     "emit_updates": False, "query_id": f"idle-{i}"}
+                ),
+            )
+            held.append((conn, conn.getresponse()))
+        poll(
+            lambda: tenant_entry(handle.port, "public").get("subscriptions") == idle,
+            message="idle subscriptions to open",
+        )
+
+        start = time.monotonic()
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=10)
+        try:
+            conn.request("POST", "/stream", body=json.dumps({"sql": EVENTS_SQL}))
+            resp = conn.getresponse()
+            frames = parse_frames(resp.read().decode("utf-8"))
+        finally:
+            conn.close()
+        assert resp.status == 200 and frames[-1][1] == "done"
+        assert time.monotonic() - start < 10
+
+        start = time.monotonic()
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=10)
+        try:
+            conn.request(
+                "POST",
+                "/subscribe",
+                body=json.dumps(
+                    {"sql": EVENTS_SQL, "window": {"size": 100.0, "on": "ts"},
+                     "emit_updates": False}
+                ),
+            )
+            resp = conn.getresponse()
+            frames = parse_frames(resp.read().decode("utf-8"))
+        finally:
+            conn.close()
+        assert resp.status == 200 and frames[-1][1] == "done"
+        assert frames[-1][2]["windows"] == 5
+        assert time.monotonic() - start < 10
+    finally:
+        gate.set()
+        for conn, resp in held:
+            resp.close()
+            conn.close()
+        handle.stop()

@@ -4,7 +4,8 @@
 #
 # Usage:  scripts/ci.sh [extra pytest args...]
 #
-#   scripts/ci.sh                  # full gate: lint + tier-1
+#   scripts/ci.sh                  # full gate: lint + tier-1 (with the 15
+#                                  # slowest tests and its wall time)
 #   scripts/ci.sh -k sharded       # fast mode: only tests matching an
 #                                  # expression (args go straight to pytest,
 #                                  # so -k/-m/paths all work while iterating)
@@ -34,7 +35,15 @@ fi
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
-python -m pytest -x -q "$@"
+if [ "$#" -eq 0 ]; then
+    # Full gate: show the slowest tests and the wall time, so the tier-1
+    # time budget (ROADMAP.md) is visible in every CI log.
+    start=$(date +%s)
+    python -m pytest -x -q --durations=15
+    echo "== tier-1 wall time: $(( $(date +%s) - start )) s =="
+else
+    python -m pytest -x -q "$@"
+fi
 
 if [ "$#" -eq 0 ]; then
     echo "== examples (DeprecationWarning is an error) =="

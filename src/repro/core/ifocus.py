@@ -48,11 +48,13 @@ Supported configuration (all of Section 3 and 5 of the paper):
 * ``trace_every`` - record strided per-round snapshots for the convergence
   experiments (Fig. 5(c), Fig. 6(a)) and the Table 1 execution trace.
 
-Partial results and the Section 6 variants change only *when a group may
-leave the active set* or *when the loop stops*, so they are two hooks on this
-one loop: ``on_finalize`` (Problem 7's partial-results stream) and a
-:class:`LeaveRule` (top-t, trends, values, mistakes and SUM's Algorithm 4
-live in :mod:`repro.extensions`).
+Partial results, the Section 6 variants and the ROUNDROBIN baseline change
+only *when a group may leave the active set* or *when the loop stops*, so
+they are two hooks on this one loop: ``on_finalize`` (Problem 7's
+partial-results stream) and a :class:`LeaveRule` (top-t, trends, values,
+mistakes and SUM's Algorithm 4 live in :mod:`repro.extensions`; ROUNDROBIN,
+under which every live group leaves at once when all intervals are
+disjoint, in :mod:`repro.core.roundrobin`).
 
 Groups removed from the active set are never re-activated (alternative (a) in
 Section 3.1, the optimality-preserving choice; alternative (b) is available in
@@ -105,11 +107,12 @@ class Inactive(NamedTuple):
 class LeaveRule:
     """When a live group may leave the active set, and when the run stops.
 
-    The base class is Algorithm 1's rule; the Section 6 variants subclass it
-    and set ``algorithm``, the result's label.  :func:`run_ifocus` evaluates
-    :meth:`leave` on galloping windows of pre-drawn rounds, the reference
-    loop on one round at a time - one object, so the two cannot drift apart.
-    Both executors AND the result with the exhausted-mean obstacle test.
+    The base class is Algorithm 1's rule; the Section 6 variants and
+    ROUNDROBIN subclass it and set ``algorithm``, the result's label.
+    :func:`run_ifocus` evaluates :meth:`leave` on galloping windows of
+    pre-drawn rounds, the reference loop on one round at a time - one
+    object, so the two cannot drift apart.  Both executors AND the result
+    with the exhausted-mean obstacle test.
 
     ``scale`` is the unit the rule orders in: ``None`` for means, or a
     per-group factor (SUM's group sizes n_i, Algorithm 4) so that group i's

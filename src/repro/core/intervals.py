@@ -15,7 +15,11 @@ Two regimes:
   the paper's regime of k <= 100.
 
 Both are provided in single-round and batched (rounds x groups) forms; the
-batched forms power the vectorized executor.
+batched forms power the vectorized executor.  :func:`first_event_row` is
+that executor's galloping scan for Algorithm 1's rule; every other leave
+rule (the Section 6 variants, SUM, and ROUNDROBIN's all-at-once stop in
+:mod:`repro.core.roundrobin`) is scanned by the executor itself, and all of
+them share :func:`_obstacle_clearance` for the exhausted-mean test.
 """
 
 from __future__ import annotations
@@ -155,17 +159,17 @@ def first_event_row(
     estimates: np.ndarray,
     eps: np.ndarray,
     obstacles: np.ndarray | None = None,
-    require_all: bool = False,
     start_window: int = 64,
 ) -> tuple[int | None, np.ndarray | None]:
     """Earliest row with a separation event, scanning in galloping windows.
 
-    The batched executors only ever act on the *first* round where a group's
-    interval becomes disjoint (IFOCUS) or where *every* interval is disjoint
-    (ROUNDROBIN); testing the whole pre-drawn batch up front wastes
-    O(batch x k) sort work every time an event lands early.  This helper
-    evaluates :func:`separated_equal_width_batch` over windows that double in
-    size, so finding an event at row r costs O(r k log k) instead of
+    The batched IFOCUS executor only ever acts on the *first* round where a
+    group's interval becomes disjoint (Algorithm 1's rule; a
+    :class:`~repro.core.ifocus.LeaveRule` scans its own windows the same
+    way); testing the whole pre-drawn batch up front wastes O(batch x k)
+    sort work every time an event lands early.  This helper evaluates
+    :func:`separated_equal_width_batch` over windows that double in size,
+    so finding an event at row r costs O(r k log k) instead of
     O(B k log k), while an event-free batch costs one extra partial window.
 
     Args:
@@ -174,9 +178,6 @@ def first_event_row(
         obstacles: optional frozen exact means (zero-width intervals); a
             group only counts as separated at a round if it also clears
             every obstacle by more than eps.
-        require_all: False - first row where *any* group is separated
-            (IFOCUS removal); True - first row where *all* groups are
-            (ROUNDROBIN termination).
         start_window: initial window size (doubles each miss).
 
     Returns:
@@ -195,7 +196,7 @@ def first_event_row(
         hi = min(row + window, b)
         # Existence screen in sorted space: ``np.sort`` is substantially
         # cheaper than the argsort + inverse-permutation dance, and the
-        # "is any/every interval separated" question only needs the sorted
+        # "is any interval separated" question only needs the sorted
         # values - the group identities are recovered below, at one row.
         seg = np.sort(estimates[row:hi], axis=1)
         eps_seg = eps[row:hi]
@@ -206,7 +207,7 @@ def first_event_row(
             ok[:, :-1] &= wide
         if obs is not None:
             ok &= _obstacle_clearance(seg, obs) > eps_seg[:, None]
-        hits = np.flatnonzero(ok.all(axis=1) if require_all else ok.any(axis=1))
+        hits = np.flatnonzero(ok.any(axis=1))
         if hits.size:
             event = row + int(hits[0])
             # Group-order mask for the event row only.

@@ -8,10 +8,12 @@ two reasons:
    produce exactly the same estimates, removal rounds and sample counts; the
    test suite asserts this on randomized instances for :func:`default_policy`
    (the pairwise Algorithm 1 rule, independent of the executor's sorted
-   adjacent-gap scan) and for every Section 6 ``LeaveRule`` (SUM's
-   ``SumRule`` included), evaluated here on one round at a time.  Like the
-   executor, it reads a rule's ``scale`` in its two own comparisons: the
-   exhausted-value obstacle test and the resolution cap.
+   adjacent-gap scan), for every Section 6 ``LeaveRule`` (SUM's
+   ``SumRule`` included) and for the Section 5.1 ROUNDROBIN baseline
+   (``RoundRobinRule``: all live groups leave together), each evaluated
+   here on one round at a time.  Like the executor, it reads a rule's
+   ``scale`` in its two own comparisons: the exhausted-value obstacle test
+   and the resolution cap.
 2. **Alternative (b)** - Section 3.1 discusses letting inactive groups
    re-activate when another estimate drifts into them; that variant
    (``reactivation=True``) loses the optimality guarantee and exists here for

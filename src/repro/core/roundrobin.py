@@ -9,27 +9,49 @@ already separated, which is exactly the work IFOCUS avoids.
 ROUNDROBIN-R (``resolution`` > 0) additionally stops once eps < r/4, matching
 IFOCUS-R's relaxation.
 
-Implementation notes: the executor is batched like
-:mod:`repro.core.ifocus`; the only structural difference is that nothing
-leaves the sampling set before global termination, so a batch ends at the
-first round where *all* intervals are pairwise disjoint.  Groups sampled to
-exhaustion (m = n_i under without-replacement sampling) freeze at their exact
-mean with a zero-width interval; remaining groups must clear those frozen
-points by more than eps before the algorithm can stop.
+ROUNDROBIN is IFOCUS without focusing, so it is a :class:`RoundRobinRule`
+on the one IFOCUS executor (and on the :mod:`repro.core.reference` oracle):
+no live group leaves until every live interval is disjoint from every other
+and clears every exhausted group's exact mean, and then all of them leave.
+Groups sampled to exhaustion (m = n_i under without-replacement sampling)
+still leave on their own, frozen at their exact mean, as under IFOCUS.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._util import check_nonnegative, check_probability
-from repro.core.confidence import EpsilonSchedule
-from repro.core.intervals import first_event_row, first_resolution_row
-from repro.core.types import GroupOutcome, OrderingResult, RoundSnapshot, Trace
+from repro.core.ifocus import LeaveRule, run_ifocus
+from repro.core.intervals import _obstacle_clearance
+from repro.core.types import OrderingResult
 from repro.engines.base import SamplingEngine
 from repro.resilience.deadline import Deadline
 
-__all__ = ["run_roundrobin"]
+__all__ = ["RoundRobinRule", "run_roundrobin"]
+
+
+class RoundRobinRule(LeaveRule):
+    """All live groups leave together, at the first row where every live
+    interval is disjoint from every other one and clears every inactive
+    group's estimate.
+
+    The obstacle test belongs inside this all-or-nothing verdict: the
+    executors AND their own one per column, which would let the clear groups
+    leave alone.  Until the rule fires only exhausted groups are inactive,
+    so ``inactive.estimates`` are exactly the frozen exact means.
+    """
+
+    def __init__(self, resolution: float = 0.0) -> None:
+        self.algorithm = "roundrobinr" if resolution > 0 else "roundrobin"
+
+    def leave(self, est, eps, gids, inactive):
+        # Only the sorted values matter for "is every interval separated".
+        srt = np.sort(est, axis=1)
+        ok = np.all(np.diff(srt, axis=1) > 2.0 * eps[:, None], axis=1)
+        if inactive.estimates.size:
+            clearance = _obstacle_clearance(srt, np.sort(inactive.estimates))
+            ok &= np.all(clearance > eps[:, None], axis=1)
+        return np.repeat(ok[:, None], est.shape[1], axis=1)
 
 
 def run_roundrobin(
@@ -51,177 +73,18 @@ def run_roundrobin(
 
     Parameters mirror :func:`repro.core.ifocus.run_ifocus`.
     """
-    check_probability(delta, "delta")
-    check_nonnegative(resolution, "resolution")
-    variant = "roundrobinr" if resolution > 0 else "roundrobin"
-    run = engine.open_run(seed, without_replacement=without_replacement)
-    k = run.k
-    sizes = run.sizes()
-    names = run.group_names()
-    schedule = EpsilonSchedule(k, delta, c=run.c, kappa=kappa, heuristic_factor=heuristic_factor)
-
-    sums = np.zeros(k, dtype=np.float64)
-    estimates = np.zeros(k, dtype=np.float64)
-    samples = np.zeros(k, dtype=np.int64)
-    exhausted = np.zeros(k, dtype=bool)
-    live = np.ones(k, dtype=bool)  # still being sampled (not exhausted)
-    trace = Trace(every=trace_every) if trace_every > 0 else None
-
-    all_gids = np.arange(k, dtype=np.int64)
-    first = run.draw_block(all_gids, 1)[0]
-    sums[:] = first
-    estimates[:] = first
-    run.charge_block(all_gids, 1)
-    samples[:] = 1
-    m = 1
-    final_eps = float(schedule(1.0, float(sizes.max()) if without_replacement else None))
-    _trace_round(trace, 1, samples, estimates, final_eps, live)
-
-    done = k <= 1
-    truncated = False
-    deadline_exceeded = False
-    batch = int(initial_batch)
-    while not done:
-        if max_rounds is not None and m >= max_rounds:
-            truncated = True
-            break
-        if deadline is not None and deadline.check():
-            deadline_exceeded = True
-            break
-        if without_replacement:
-            for gid in np.flatnonzero(live & (sizes <= m)):
-                live[gid] = False
-                exhausted[gid] = True
-                estimates[gid] = run.exact_mean(int(gid))
-            if not live.any():
-                break
-
-        live_idx = np.flatnonzero(live)
-        b_eff = batch
-        if without_replacement:
-            b_eff = min(b_eff, int(sizes[live_idx].min()) - m)
-        if max_rounds is not None:
-            b_eff = min(b_eff, max_rounds - m)
-        b_eff = max(b_eff, 1)
-
-        rounds = np.arange(m + 1, m + b_eff + 1, dtype=np.float64)
-        blocks = run.draw_block(live_idx, b_eff)
-        csums = np.cumsum(blocks, axis=0) + sums[live_idx][None, :]
-        prefix = csums / rounds[:, None]
-
-        n_max = float(sizes[live_idx].max()) if without_replacement else None
-        eps = np.asarray(schedule.segment(rounds, n_max), dtype=np.float64)
-
-        res_row = first_resolution_row(eps, resolution)
-
-        # Termination: the first round where every live interval is disjoint
-        # from every other live interval and clears all frozen exact points.
-        # A resolution stop makes later rows moot, so the galloping scan is
-        # capped there.
-        cap = b_eff if res_row is None else res_row + 1
-        frozen_vals = estimates[exhausted]
-        stop_row, _ = first_event_row(
-            prefix[:cap], eps[:cap], obstacles=frozen_vals, require_all=True
-        )
-
-        event = None
-        if stop_row is not None or res_row is not None:
-            event = min(r for r in (stop_row, res_row) if r is not None)
-
-        consume = b_eff if event is None else event + 1
-        _trace_batch(trace, rounds, prefix, eps, live_idx, estimates, samples, live, consume)
-        sums[live_idx] = csums[consume - 1, :]
-        estimates[live_idx] = prefix[consume - 1, :]
-        samples[live_idx] += consume
-        run.charge_block(live_idx, consume)
-        m += consume
-        final_eps = float(eps[consume - 1])
-        if event is not None:
-            done = True
-        batch = min(batch * 2, max_batch)
-
-    groups = [
-        GroupOutcome(
-            index=i,
-            name=names[i],
-            estimate=float(estimates[i]),
-            samples=int(samples[i]),
-            half_width=0.0 if exhausted[i] else final_eps,
-            exhausted=bool(exhausted[i]),
-            finalized_round=m,
-        )
-        for i in range(k)
-    ]
-    order = list(np.argsort(samples, kind="stable"))
-    return OrderingResult(
-        algorithm=variant,
-        estimates=estimates.copy(),
-        samples_per_group=samples.copy(),
-        rounds=m,
-        groups=groups,
-        inactive_order=[int(i) for i in order],
-        trace=trace,
-        params={
-            "delta": delta,
-            "resolution": resolution,
-            "kappa": kappa,
-            "heuristic_factor": heuristic_factor,
-            "without_replacement": without_replacement,
-            "c": run.c,
-            "truncated": truncated,
-            "deadline_exceeded": deadline_exceeded,
-        },
-        stats=run.stats,
+    return run_ifocus(
+        engine,
+        delta=delta,
+        resolution=resolution,
+        kappa=kappa,
+        heuristic_factor=heuristic_factor,
+        without_replacement=without_replacement,
+        seed=seed,
+        trace_every=trace_every,
+        initial_batch=initial_batch,
+        max_batch=max_batch,
+        max_rounds=max_rounds,
+        deadline=deadline,
+        rule=RoundRobinRule(resolution),
     )
-
-
-def _trace_round(
-    trace: Trace | None,
-    m: int,
-    samples: np.ndarray,
-    estimates: np.ndarray,
-    eps: float,
-    live: np.ndarray,
-) -> None:
-    if trace is None or m % trace.every != 0:
-        return
-    trace.append(
-        RoundSnapshot(
-            round_index=m,
-            cumulative_samples=int(samples.sum()),
-            active=tuple(int(g) for g in np.flatnonzero(live)),
-            estimates=estimates.copy(),
-            epsilon=eps,
-        )
-    )
-
-
-def _trace_batch(
-    trace: Trace | None,
-    rounds: np.ndarray,
-    prefix: np.ndarray,
-    eps: np.ndarray,
-    live_idx: np.ndarray,
-    estimates: np.ndarray,
-    samples: np.ndarray,
-    live: np.ndarray,
-    consume: int,
-) -> None:
-    if trace is None:
-        return
-    base = int(samples.sum())
-    for row in range(consume):
-        round_m = int(rounds[row])
-        if round_m % trace.every != 0:
-            continue
-        est = estimates.copy()
-        est[live_idx] = prefix[row]
-        trace.append(
-            RoundSnapshot(
-                round_index=round_m,
-                cumulative_samples=base + (row + 1) * live_idx.size,
-                active=tuple(int(g) for g in live_idx),
-                estimates=est,
-                epsilon=float(eps[row]),
-            )
-        )

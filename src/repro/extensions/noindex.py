@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import check_nonnegative, check_probability
+from repro._util import check_nonnegative, check_probability, reusable_seed
 from repro.core.confidence import EpsilonSchedule
 from repro.core.intervals import separated_general
 from repro.core.types import GroupOutcome, OrderingResult
@@ -53,13 +53,16 @@ def run_noindex(
     check_nonnegative(resolution, "resolution")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
+    # One pinned integer seeds both the engine's group streams and the
+    # whole-table chooser, so a Generator or numpy-integer seed repeats too.
+    seed = reusable_seed(seed)
     run = engine.open_run(seed, without_replacement=False)
     k = run.k
     sizes = run.sizes().astype(np.float64)
     weights = sizes / sizes.sum()
     schedule = EpsilonSchedule(k, delta, c=run.c)
     chooser = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed if isinstance(seed, int) else None, spawn_key=(0xF00D,))
+        np.random.SeedSequence(entropy=int(seed), spawn_key=(0xF00D,))
     )
 
     sums = np.zeros(k)

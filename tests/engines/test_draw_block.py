@@ -228,28 +228,27 @@ class TestScheduleSegment:
 
 
 class TestFirstEventRow:
-    def _reference(self, est, eps, obstacles, require_all):
+    def _reference(self, est, eps, obstacles):
         ok = separated_equal_width_batch(est, eps)
         if obstacles is not None and obstacles.size:
             for v in obstacles:
                 ok &= np.abs(est - v) > eps[:, None]
-        rows = np.flatnonzero(ok.all(axis=1) if require_all else ok.any(axis=1))
+        rows = np.flatnonzero(ok.any(axis=1))
         if rows.size:
             return int(rows[0]), ok[int(rows[0])]
         return None, None
 
-    @pytest.mark.parametrize("require_all", [False, True])
     @pytest.mark.parametrize("with_obstacles", [False, True])
-    def test_matches_full_scan(self, require_all, with_obstacles):
+    def test_matches_full_scan(self, with_obstacles):
         rng = np.random.default_rng(17)
         for trial in range(20):
             b, k = int(rng.integers(1, 300)), int(rng.integers(2, 7))
             est = rng.uniform(0, 100, size=(b, k))
             eps = rng.uniform(0.1, 30.0, size=b)
             obstacles = rng.uniform(0, 100, size=2) if with_obstacles else None
-            want_row, want_mask = self._reference(est, eps, obstacles, require_all)
+            want_row, want_mask = self._reference(est, eps, obstacles)
             got_row, got_mask = first_event_row(
-                est, eps, obstacles=obstacles, require_all=require_all, start_window=7
+                est, eps, obstacles=obstacles, start_window=7
             )
             assert got_row == want_row
             if want_row is not None:

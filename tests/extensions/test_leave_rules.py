@@ -1,4 +1,4 @@
-"""The Section 6 leave rules: one definition, two executors.
+"""The leave rules (Section 6 and ROUNDROBIN): one definition, two executors.
 
 Each rule is checked twice:
 
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.ifocus import Inactive, LeaveRule, run_ifocus
 from repro.core.intervals import separated_general
 from repro.core.reference import run_ifocus_reference
+from repro.core.roundrobin import RoundRobinRule
 from repro.engines.memory import InMemoryEngine
 from repro.extensions.mistakes import MistakesRule, resolved_pair_fraction
 from repro.extensions.sums import SumRule, _ProductEngine
@@ -87,6 +88,21 @@ def brute_trends(est, hw, active, neighbors):
         out[i] = not any(
             active[j] and abs(est[i] - est[j]) <= hw[i] + hw[j] for j in neighbors[i]
         )
+    return out
+
+
+def brute_roundrobin(est, hw, active):
+    """All or nothing: every live interval is disjoint from every other
+    group's interval (live, or inactive at its zero width)."""
+    live = np.flatnonzero(active)
+    ok = all(
+        abs(est[i] - est[j]) > hw[i] + hw[j]
+        for i in live
+        for j in range(est.shape[0])
+        if j != i
+    )
+    out = np.zeros(est.shape[0], dtype=bool)
+    out[live] = ok
     return out
 
 
@@ -160,6 +176,25 @@ def test_sum_rule_is_separation_of_scaled_intervals(k):
         assert got.tolist() == expected.tolist()
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_roundrobin_rule_matches_brute_force(k):
+    """Under ROUNDROBIN the only inactive groups are exhausted ones (nothing
+    else leaves before the stop), so they are zero-width obstacles."""
+    rng = np.random.default_rng(60 + k)
+    fired = 0
+    for _ in range(TRIALS):
+        est, hw, active, eps = random_round(rng, k)
+        hw[~active] = 0.0
+        if rng.random() < 0.5:  # a small eps, so that the rule can fire
+            eps = float(rng.uniform(0.01, 0.5))
+            hw[active] = eps
+        expected = brute_roundrobin(est, hw, active)
+        got = evaluate(RoundRobinRule(), est, hw, active, eps)
+        assert got.tolist() == expected.tolist()
+        fired += bool(expected.any())
+    assert fired > 0
+
+
 def test_rules_evaluate_every_row_of_a_window():
     """A window of W rows is W independent one-row evaluations."""
     rng = np.random.default_rng(40)
@@ -175,6 +210,7 @@ def test_rules_evaluate_every_row_of_a_window():
         TrendsRule(chain_neighbors(k + 1)),
         ValuesRule(3.0),
         SumRule(rng.integers(1, 500, k)),
+        RoundRobinRule(),
     ):
         window = rule.leave(est, eps, gids, inactive)
         rows = [rule.leave(est[r : r + 1], eps[r : r + 1], gids, inactive)[0] for r in range(w)]
@@ -218,6 +254,8 @@ def make_rule(mode, data, k):
         return TrendsRule(random_graph(rng, k))
     if mode == "values":
         return ValuesRule(data.draw(st.floats(min_value=0.5, max_value=12.0), label="d"))
+    if mode == "roundrobin":
+        return RoundRobinRule()
     gamma = data.draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]), label="gamma")
     return MistakesRule(gamma)
 
@@ -231,7 +269,7 @@ def assert_equivalent(fast, ref):
     assert fast.params["truncated"] == ref.params["truncated"]
 
 
-@pytest.mark.parametrize("mode", ["top", "trends", "values", "mistakes"])
+@pytest.mark.parametrize("mode", ["top", "trends", "values", "mistakes", "roundrobin"])
 @given(data=st.data())
 @settings(max_examples=12, deadline=None)
 def test_fused_equals_reference(mode, data):
@@ -260,6 +298,32 @@ def test_fused_equals_reference(mode, data):
     assert fast.algorithm == fast_rule.algorithm
     if mode == "mistakes":
         assert (fast_rule.fired, fast_rule.fraction) == (ref_rule.fired, ref_rule.fraction)
+
+
+@pytest.mark.parametrize(
+    "means, sizes, resolution",
+    [
+        # The 80-row group exhausts at a mean inside the others' intervals:
+        # both must clear its exact mean before anything stops.
+        ([50.0, 50.8, 90.0], [80, 3_000, 3_000], 0.0),
+        # Two obstacles, one of them read in full after the first.
+        ([50.0, 51.5, 58.0, 90.0], [60, 1_500, 1_500, 300], 0.0),
+        ([40.0, 40.5, 80.0], [6_000] * 3, 8.0),
+    ],
+    ids=["exhaustion-obstacle", "two-obstacles", "resolution"],
+)
+def test_roundrobin_fused_equals_reference(means, sizes, resolution):
+    pop = make_materialized_population(means, sizes=sizes, spread=6.0, seed=9)
+    engine = InMemoryEngine(pop)
+    kw = dict(delta=0.05, seed=10, resolution=resolution)
+    fast = run_ifocus(engine, rule=RoundRobinRule(resolution), **kw)
+    ref = run_ifocus_reference(engine, rule=RoundRobinRule(resolution), **kw)
+    assert_equivalent(fast, ref)
+    assert fast.algorithm == ("roundrobinr" if resolution else "roundrobin")
+    # Nothing leaves before the stop: every non-exhausted group ends together.
+    live = [g for g in fast.groups if not g.exhausted]
+    assert len({(g.samples, g.finalized_round, g.half_width) for g in live}) == 1
+    assert any(g.exhausted for g in fast.groups) == (resolution == 0.0)
 
 
 @given(data=st.data())

@@ -170,3 +170,37 @@ class TestNoIndex:
     def test_validation(self, small_engine):
         with pytest.raises(ValueError):
             run_noindex(small_engine, batch=0)
+
+    @staticmethod
+    def _session_run(seed):
+        rng = np.random.default_rng(3)
+        names = rng.choice(["a", "b", "c", "d"], size=12_000)
+        base = {"a": 10.0, "b": 35.0, "c": 60.0, "d": 90.0}
+        y = np.clip(np.array([base[x] for x in names]) + rng.normal(0, 6, names.size), 0, 100)
+        session = connect(engine="noindex").register("t", {"g": names, "y": y})
+        try:
+            return session.execute("SELECT g, AVG(y) FROM t GROUP BY g", seed=seed).first.raw
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize(
+        "make_seed",
+        [lambda: 3, lambda: np.int64(3), lambda: np.random.default_rng(3)],
+        ids=["int", "numpy-int", "generator"],
+    )
+    def test_session_runs_repeat_for_every_seed_type(self, make_seed):
+        """The whole-table chooser is seeded from the same pinned seed as the
+        group streams; it used to take fresh entropy for any non-int seed."""
+        a, b = self._session_run(make_seed()), self._session_run(make_seed())
+        assert a.samples_per_group.tolist() == b.samples_per_group.tolist()
+        assert a.estimates.tobytes() == b.estimates.tobytes()
+
+    def test_int_seed_result_is_pinned(self):
+        res = self._session_run(3)
+        assert res.samples_per_group.tolist() == [318, 322, 326, 314]
+        assert res.rounds == 1280
+        assert res.estimates.tobytes() == bytes.fromhex(
+            "81856093fbdb244082a9b12fb0874140618516c819ac4d409db78a0ccca35640"
+        )
+        # A numpy integer is the same seed as the Python int.
+        assert self._session_run(np.int64(3)).estimates.tobytes() == res.estimates.tobytes()

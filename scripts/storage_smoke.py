@@ -14,8 +14,13 @@ Runs the persistence path end to end in a throwaway store directory:
    serve results identical to the cold run;
 3. gate: the warm open must be at least 10x faster than the cold build
    (mapping segments is O(1) in the data; rebuilding is O(rows));
-4. verify: every segment checksum must match its catalog row;
-5. self-heal: flip one bit of a committed index segment on disk, re-open,
+4. process shards: the same query with ``.sharded(2, executor="process")``
+   over the re-opened store must answer bit-identically to the unsharded
+   run, ship the store's segments to its workers in place (the pool
+   directory holds only the workers' ``out-*`` buffers, no payload copy),
+   and leave no pool directory behind once the session closes;
+5. verify: every segment checksum must match its catalog row;
+6. self-heal: flip one bit of a committed index segment on disk, re-open,
    and re-run the query - the corrupt build must be quarantined and
    rebuilt transparently, the answer bit-identical to the cold run with a
    ``resilience:`` caveat, and the store clean again afterwards.
@@ -38,6 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import repro  # noqa: E402
+from repro.engines.payload import live_pool_dirs  # noqa: E402
 from repro.needletail.engine import BUILD_COUNTS  # noqa: E402
 from repro.storage import Store  # noqa: E402
 
@@ -156,6 +162,23 @@ def main(argv: list[str] | None = None) -> int:
                 f"warm open only {speedup:.1f}x faster than the cold build "
                 f"(need >= {args.min_speedup:.0f}x)"
             )
+
+        sharded_session = repro.connect(store=store, seed=1)
+        sharded = (
+            sharded_session.table("t").group_by("g").agg(repro.avg("v"))
+            .sharded(2, executor="process").run(seed=5)
+        )
+        pool_files = [name for path in live_pool_dirs() for name in os.listdir(path)]
+        sharded_session.close()
+        if sorted(
+            [g.label, g.estimate, g.samples] for g in sharded.first
+        ) != cold_estimates or sharded.first.order() != cold_result.first.order():
+            failures.append("process-sharded answer differs from the unsharded one")
+        if not pool_files or any(not name.startswith("out-") for name in pool_files):
+            failures.append(f"process shards copied store segments: {pool_files}")
+        if live_pool_dirs():
+            failures.append(f"pool directories outlived the session: {live_pool_dirs()}")
+        print(f"process shards: bit-identical, pool files {sorted(pool_files)}")
 
         with Store(store) as raw:
             checked = raw.verify()

@@ -3,19 +3,24 @@
 The process shard executor (:mod:`repro.engines.procpool`) gives every shard
 a persistent worker process that owns its shard's :class:`EngineRun` and
 block kernels.  Workers must see the shard's *data* - materialized value
-columns, NEEDLETAIL row-store columns, bitmap words - without pickling it
-through the command pipe.  One handle covers every buffer: a
-:class:`FileArrayRef`, a window of a file that each worker ``mmap``\\ s.
+columns, NEEDLETAIL bitmap words and row-store columns - without pickling it
+through the command pipe.
 
-* Buffers already in durable-store segment files (engines re-opened from a
-  :class:`~repro.storage.DurableCatalog`) ship as windows of those files,
-  read in place.
-* Every other buffer is written once into the pool's :class:`PoolDir` with
-  ``ndarray.tofile`` - raw bytes, no header, no fsync: the directory dies
-  with the pool.  It lives on the ``/dev/shm`` tmpfs when that is writable
-  (so the bytes stay RAM-resident, as shared memory would keep them) and in
-  :func:`tempfile.gettempdir` otherwise.  The workers' output buffers are
-  files in the same directory.
+What they see is the durable store's build format: the population is packed
+once by :func:`repro.storage.mapped.pack_population` (the layout the store
+persists), every packed buffer becomes one :class:`FileArrayRef` - a window
+of a file each worker ``mmap``\\ s - and a worker rebuilds its shard with the
+same :func:`~repro.storage.mapped.unpack_population` the store uses.
+
+* Buffers already in durable-store segment files (populations and engines
+  re-opened from a :class:`~repro.storage.DurableCatalog`) ship as windows
+  of those files, read in place.
+* Every other buffer is streamed once, chunk by chunk, into a file of the
+  pool's :class:`PoolDir` - raw bytes, no header, no fsync: the directory
+  dies with the pool.  It lives on the ``/dev/shm`` tmpfs when that is
+  writable (so the bytes stay RAM-resident, as shared memory would keep
+  them) and in :func:`tempfile.gettempdir` otherwise.  The workers' output
+  buffers are files in the same directory.
 
 Cleanup is deleting the directory: the pool does it on shutdown, a
 ``weakref.finalize`` at interpreter exit, and - for an owner that was
@@ -23,21 +28,14 @@ SIGKILLed - the next pool any process creates, which removes every sibling
 directory whose owner no longer holds its ``flock``.  :func:`live_pool_dirs`
 (this process's pool directories still on disk) is the leak oracle.
 
-Shard payloads (:func:`build_shard_payloads`) are compact, picklable
-descriptions of one shard's sub-population: per-group metadata plus at most
-three buffer refs per engine (one concatenated materialized-values buffer,
-one concatenated bitmap-words buffer, one shared row-store value column).
-Workers rebuild the sub-:class:`~repro.data.population.Population` as views
-into the mapped files (:meth:`ShardPayload.build_population`) - no copies.
+A :class:`ShardPayload` is ``(kind, meta, refs)``: the packed meta with its
+groups restricted to the shard's gids, and the whole population's buffer
+refs, shared by every shard.  Fusable virtual groups (parameter-only
+distributions) have no buffers; they travel pickled in the meta.
 
 Not every population can cross the process boundary this way:
 :func:`shareable` returns the reason a population must stay on the thread
-executor (the planner surfaces it as a ``Result`` caveat).  Materialized
-groups, NEEDLETAIL indexed groups whose selectors reduce to flat
-:class:`~repro.needletail.bitvector.BitVector` words, and fusable virtual
-groups (parameter-only distributions) all ship; rejection-sampled virtual
-groups - whose draws run arbitrary Python sampler code with data-dependent
-RNG consumption - and unknown third-party ``Group`` subclasses do not.
+executor (the planner surfaces it as a ``Result`` caveat).
 """
 
 from __future__ import annotations
@@ -51,8 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.distributions import Distribution
-from repro.data.population import Group, MaterializedGroup, Population, VirtualGroup
+from repro.data.population import MaterializedGroup, Population, VirtualGroup
 
 __all__ = [
     "FileArrayRef",
@@ -215,13 +212,16 @@ class PoolDir:
         _OWN_DIRS.add(path)
         self._finalizer = weakref.finalize(self, _remove_dir, path, fd)
 
-    def write(self, array: np.ndarray) -> FileArrayRef:
-        """Write ``array``'s raw bytes to a new file; returns its handle."""
-        array = np.ascontiguousarray(array)
+    def write(self, buffer: np.ndarray | list[np.ndarray]) -> FileArrayRef:
+        """Stream an array, or a list of 1-D chunks of one dtype laid end to
+        end, into a new file; returns its handle."""
+        chunks = [buffer] if isinstance(buffer, np.ndarray) else buffer
         fd, path = tempfile.mkstemp(prefix="payload-", dir=self.path)
         with os.fdopen(fd, "wb") as f:
-            array.tofile(f)
-        return FileArrayRef(path, array.dtype.str, tuple(array.shape), 0)
+            for chunk in chunks:
+                chunk.tofile(f)
+        shape = chunks[0].shape if len(chunks) == 1 else (sum(c.size for c in chunks),)
+        return FileArrayRef(path, chunks[0].dtype.str, tuple(shape), 0)
 
     def create(self, nbytes: int) -> FileArrayRef:
         """A new zero-filled float64 buffer file of ``nbytes`` bytes."""
@@ -243,140 +243,82 @@ class PoolDir:
 
 
 @dataclass(frozen=True)
-class _MaterializedSpec:
-    """One materialized group: a slice of the shard's flat values buffer."""
-
-    name: str
-    lo: int
-    hi: int
-
-
-@dataclass(frozen=True)
-class _IndexedSpec:
-    """One NEEDLETAIL group: a word-slice of the bitmap buffer + row count."""
-
-    name: str
-    word_lo: int
-    word_hi: int
-    length: int
-
-
-@dataclass(frozen=True)
-class _VirtualSpec:
-    """One fusable virtual group: distribution parameters travel by pickle."""
-
-    name: str
-    dist: Distribution
-    size: int
-
-
-@dataclass(frozen=True)
 class ShardPayload:
     """Everything a worker needs to rebuild one shard's sub-population.
 
-    Buffer files are owned by the pool (or the durable store), never by the
-    payload: a worker's mappings are closed by the garbage collector and
-    unlink nothing.
+    ``kind`` is a packed kind (``"needletail"``, ``"population"``) or
+    ``"virtual"``; ``meta`` is the packed meta restricted to the shard's
+    groups; ``refs`` maps each packed buffer to its file.  Buffer files are
+    owned by the pool (or the durable store), never by the payload: a
+    worker's mappings are closed by the garbage collector and unlink nothing.
     """
 
-    population_name: str
-    c: float
-    groups: tuple
-    values_flat: FileArrayRef | None = None
-    bitmap_words: FileArrayRef | None = None
-    value_column: FileArrayRef | None = None
+    kind: str
+    meta: dict
+    refs: dict
 
     def build_population(self) -> Population:
         """Reconstruct the sub-population as zero-copy views (worker side)."""
-        from repro.needletail.bitvector import BitVector
-        from repro.needletail.engine import IndexedGroup
+        from repro.storage.mapped import unpack_population
 
-        values_flat, words_flat, value_column = (
-            None if ref is None else ref.map()
-            for ref in (self.values_flat, self.bitmap_words, self.value_column)
-        )
-        groups: list[Group] = []
-        for spec in self.groups:
-            if isinstance(spec, _MaterializedSpec):
-                groups.append(MaterializedGroup(spec.name, values_flat[spec.lo : spec.hi]))
-            elif isinstance(spec, _IndexedSpec):
-                selector = BitVector(
-                    words_flat[spec.word_lo : spec.word_hi], spec.length
-                )
-                groups.append(IndexedGroup(spec.name, selector, value_column))
-            elif isinstance(spec, _VirtualSpec):
-                groups.append(VirtualGroup(spec.name, spec.dist, spec.size))
-            else:  # pragma: no cover - payloads are built by this module only
-                raise TypeError(f"unknown shard group spec {type(spec).__name__}")
-        return Population(groups=groups, c=self.c, name=self.population_name)
+        if self.kind == "virtual":
+            meta = self.meta
+            return Population(groups=list(meta["groups"]), c=meta["c"], name=meta["name"])
+        arrays = {role: ref.map() for role, ref in self.refs.items()}
+        return unpack_population(self.kind, self.meta, arrays)
 
 
 def shareable(population: Population) -> str | None:
     """Why ``population`` cannot cross into worker processes (None = it can).
 
-    The process executor ships buffers as files and rebuilds
-    samplers from compact parameter specs; see the module docstring for the
-    per-kind rules.  The planner downgrades ``executor="process"`` to the
-    thread fan-out when this returns a reason, surfacing it as a caveat.
+    Materialized groups, NEEDLETAIL indexed groups whose selectors reduce to
+    flat :class:`~repro.needletail.bitvector.BitVector` words and share one
+    value column, and fusable virtual groups all ship - one kind per
+    population, since a packed population has one layout.  Rejection-sampled
+    virtual groups (whose draws run arbitrary Python sampler code with
+    data-dependent RNG consumption) and unknown ``Group`` subclasses do not.
+    The planner downgrades ``executor="process"`` to the thread fan-out when
+    this returns a reason, surfacing it as a caveat.
     """
     from repro.needletail.engine import IndexedGroup, base_bitvector
 
+    kinds = set()
     for group in population.groups:
         if isinstance(group, MaterializedGroup):
-            continue
-        if isinstance(group, IndexedGroup):
+            kinds.add("materialized")
+        elif isinstance(group, IndexedGroup):
             if base_bitvector(group._selector) is None:
                 return (
                     f"group {group.name!r} uses a selector without flat bitmap "
                     "words, which cannot be shipped to worker processes"
                 )
-            continue
-        if isinstance(group, VirtualGroup):
+            kinds.add("indexed")
+        elif isinstance(group, VirtualGroup):
             if not group.dist.fusable:
                 return (
                     f"group {group.name!r} is backed by a rejection-sampled "
                     f"distribution ({type(group.dist).__name__}), whose sampler "
                     "state cannot be rebuilt in worker processes"
                 )
-            continue
+            kinds.add("virtual")
+        else:
+            return (
+                f"group {group.name!r} has unknown kind {type(group).__name__}, "
+                "which the process transport does not cover"
+            )
+    if len(kinds) > 1:
         return (
-            f"group {group.name!r} has unknown kind {type(group).__name__}, "
-            "which the process transport does not cover"
+            f"population mixes group kinds ({', '.join(sorted(kinds))}); the "
+            "process transport ships one packed layout per population"
         )
+    if "indexed" in kinds:
+        column = population.groups[0]._values
+        if any(group._values is not column for group in population.groups):
+            return (
+                "indexed groups read distinct value columns; the process "
+                "transport ships one column per population"
+            )
     return None
-
-
-def _file_windows(
-    chunks: list[np.ndarray],
-) -> tuple[FileArrayRef, list[int]] | None:
-    """One whole-file :class:`FileArrayRef` + per-chunk element offsets.
-
-    Succeeds only when *every* chunk is a read-only mapped window of the
-    same segment file (see :func:`file_backed_ref`) - then one flat mapping
-    spanning all windows replaces the concatenated copy, and the returned
-    offsets index each chunk inside it.  Returns None (caller falls back to
-    writing a concatenated pool file) otherwise.
-    """
-    refs = []
-    for chunk in chunks:
-        ref = file_backed_ref(chunk)
-        if ref is None or len(ref.shape) != 1:
-            return None
-        refs.append(ref)
-    if len({ref.path for ref in refs}) != 1 or len({ref.dtype for ref in refs}) != 1:
-        return None
-    itemsize = np.dtype(refs[0].dtype).itemsize
-    base = min(ref.offset for ref in refs)
-    end = max(ref.offset + ref.shape[0] * itemsize for ref in refs)
-    if any((ref.offset - base) % itemsize for ref in refs):
-        return None
-    whole = FileArrayRef(
-        path=refs[0].path,
-        dtype=refs[0].dtype,
-        shape=((end - base) // itemsize,),
-        offset=base,
-    )
-    return whole, [(ref.offset - base) // itemsize for ref in refs]
 
 
 def build_shard_payloads(
@@ -384,7 +326,7 @@ def build_shard_payloads(
     shard_gids: list[np.ndarray],
     directory: PoolDir,
 ) -> list[ShardPayload]:
-    """Describe a population's buffers for workers, one payload per shard.
+    """Pack ``population`` once and describe each shard's part of it.
 
     Buffers already backed by read-only mapped segment files (populations
     and indexes re-opened from a :class:`~repro.storage.DurableCatalog`)
@@ -393,79 +335,22 @@ def build_shard_payloads(
     which owns the files (a failed build leaves them for its removal).
     Raises ``ValueError`` when :func:`shareable` says no.
     """
-    from repro.needletail.engine import IndexedGroup, base_bitvector
+    from repro.storage.mapped import pack_population
 
     reason = shareable(population)
     if reason is not None:
         raise ValueError(f"population is not process-shareable: {reason}")
-
-    # The NEEDLETAIL row-store value column is shared by every group of an
-    # engine; ship each distinct array once, across all shards.
-    column_refs: dict[int, FileArrayRef] = {}
-
-    def column_ref(column: np.ndarray) -> FileArrayRef:
-        if id(column) not in column_refs:
-            values = np.asarray(column, dtype=np.float64)
-            column_refs[id(column)] = file_backed_ref(values) or directory.write(values)
-        return column_refs[id(column)]
-
-    payloads = []
-    for gids in shard_gids:
-        groups = [population.groups[int(g)] for g in gids]
-        specs: list = []
-        mat_entries: list[tuple[int, np.ndarray]] = []  # (spec index, values)
-        word_entries: list[tuple[int, np.ndarray]] = []  # (spec index, words)
-        value_ref: FileArrayRef | None = None
-        for group in groups:
-            if isinstance(group, MaterializedGroup):
-                values = np.asarray(group.values, dtype=np.float64)
-                mat_entries.append((len(specs), values))
-                specs.append(_MaterializedSpec(group.name, 0, values.size))
-            elif isinstance(group, IndexedGroup):
-                base = base_bitvector(group._selector)
-                words = np.asarray(base.words)
-                word_entries.append((len(specs), words))
-                specs.append(_IndexedSpec(group.name, 0, words.size, len(base)))
-                ref = column_ref(group._values)
-                if value_ref is not None and ref != value_ref:
-                    raise ValueError(
-                        "groups of one shard span distinct value columns; "
-                        "the process transport shares one column per shard"
-                    )
-                value_ref = ref
-            else:  # fusable VirtualGroup (shareable() vetted the rest)
-                specs.append(_VirtualSpec(group.name, group.dist, group.size))
-
-        def place(
-            entries: list[tuple[int, np.ndarray]],
-        ) -> tuple[FileArrayRef | None, list[int]]:
-            if not entries:
-                return None, []
-            mapped = _file_windows([chunk for _, chunk in entries])
-            if mapped is not None:
-                return mapped
-            sizes = [chunk.size for _, chunk in entries]
-            offsets = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(int)
-            return directory.write(np.concatenate([c for _, c in entries])), list(offsets)
-
-        values_flat, mat_offs = place(mat_entries)
-        bitmap_words, word_offs = place(word_entries)
-        for (i, values), off in zip(mat_entries, mat_offs):
-            spec = specs[i]
-            specs[i] = _MaterializedSpec(spec.name, int(off), int(off) + values.size)
-        for (i, words), off in zip(word_entries, word_offs):
-            spec = specs[i]
-            specs[i] = _IndexedSpec(
-                spec.name, int(off), int(off) + words.size, spec.length
-            )
-        payloads.append(
-            ShardPayload(
-                population_name=population.name,
-                c=population.c,
-                groups=tuple(specs),
-                values_flat=values_flat,
-                bitmap_words=bitmap_words,
-                value_column=value_ref,
-            )
-        )
-    return payloads
+    packed = pack_population(population)
+    if packed is None:  # fusable virtual groups: parameters travel by pickle
+        meta = {"groups": population.groups, "c": population.c, "name": population.name}
+        kind, refs = "virtual", {}
+    else:
+        kind, meta, buffers = packed
+        refs = {
+            role: file_backed_ref(buffer) or directory.write(buffer)
+            for role, buffer in buffers.items()
+        }
+    return [
+        ShardPayload(kind, {**meta, "groups": [meta["groups"][int(g)] for g in gids]}, refs)
+        for gids in shard_gids
+    ]

@@ -9,7 +9,8 @@ small groups starve; the paper notes this behaves like round-robin at best
 
 The anytime Hoeffding intervals still apply per group (counts just arrive
 unevenly), and the run stops when all pairwise intervals are disjoint or the
-resolution kicks in.
+resolution kicks in - or, at the latest, once it has drawn as many tuples as
+the table holds, when one scan answers exactly.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ def run_noindex(
         deadline: optional time budget / cancel token, polled once per
             batch; expiry finalizes at current estimates and sets
             ``params["deadline_exceeded"]``.
+
+    No-index sampling pays only while it beats a scan (§6.3.6): once as many
+    tuples as the table holds have been drawn, the run charges one full
+    scan and finalizes every group at its exact mean with a zero-width
+    interval (``params["scanned"]`` is set).
     """
     check_probability(delta, "delta")
     check_nonnegative(resolution, "resolution")
@@ -68,7 +74,9 @@ def run_noindex(
     sums = np.zeros(k)
     counts = np.zeros(k, dtype=np.int64)
     total = 0
+    rows = int(sizes.sum())
     truncated = False
+    scanned = False
     deadline_exceeded = False
 
     while True:
@@ -88,6 +96,9 @@ def run_noindex(
                 break
             if separated_general(est, widths).all():
                 break
+        if total >= rows:
+            scanned = True
+            break
         if max_samples is not None and total >= max_samples:
             truncated = True
             break
@@ -95,10 +106,15 @@ def run_noindex(
             deadline_exceeded = True
             break
 
-    est = sums / np.maximum(counts, 1)
-    widths = np.asarray(
-        schedule(np.maximum(counts, 1).astype(np.float64), None), dtype=np.float64
-    )
+    if scanned:
+        run.charge_scan()
+        est = np.array([run.exact_mean(gid) for gid in range(k)])
+        widths = np.zeros(k)
+    else:
+        est = sums / np.maximum(counts, 1)
+        widths = np.asarray(
+            schedule(np.maximum(counts, 1).astype(np.float64), None), dtype=np.float64
+        )
     groups = [
         GroupOutcome(
             index=i,
@@ -106,7 +122,7 @@ def run_noindex(
             estimate=float(est[i]),
             samples=int(counts[i]),
             half_width=float(widths[i]),
-            exhausted=False,
+            exhausted=scanned,
             finalized_round=int(counts[i]),
         )
         for i in range(k)
@@ -123,6 +139,7 @@ def run_noindex(
             "delta": delta,
             "resolution": resolution,
             "truncated": truncated,
+            "scanned": scanned,
             "deadline_exceeded": deadline_exceeded,
         },
         stats=run.stats,

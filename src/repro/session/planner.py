@@ -547,15 +547,7 @@ def _run_avg(
         return raw, {}
     # mode == "ordering"
     if ctx.engine_def.avg_runner == "noindex":
-        raw = run_noindex(
-            engine,
-            delta=g.delta,
-            resolution=g.resolution,
-            seed=seed,
-            deadline=deadline,
-            **runner_kwargs,
-        )
-        return raw, {}
+        return run_noindex(engine, **common), {}
     return run_algorithm(algorithm, engine, **common), {}
 
 

@@ -59,6 +59,7 @@ from repro.errors import StorageError
 from repro.query.ast import Predicate, predicate_to_dict
 from repro.resilience.breaker import CircuitBreaker
 from repro.storage.mapped import (
+    concatenated,
     pack_index,
     pack_population,
     pack_table,
@@ -471,14 +472,15 @@ class DurableCatalog(Catalog):
         if hit is not None:
             meta, arrays = hit
             return self._share_build(
-                self._populations, ram_key, unpack_population(meta, arrays)
+                self._populations, ram_key, unpack_population("population", meta, arrays)
             )
         population = super().population(
             name, group_col, value_col, predicate=predicate, value_bound=value_bound
         )
         packed = pack_population(population)
-        if packed is not None:
-            meta, arrays = packed
+        if packed is not None and packed[0] == "population":
+            _, meta, buffers = packed
+            arrays = concatenated(buffers)
             self._best_effort_persist(
                 f"population build for table {name!r}",
                 lambda: self._store.save_build(

@@ -1,23 +1,33 @@
-"""Pack engines/populations/tables into segment arrays - and map them back.
+"""The one packed layout of a population - and the way back.
 
-This is the serializer layer between the live objects the planner builds
-(:class:`~repro.needletail.engine.NeedletailEngine`, materialized
-:class:`~repro.data.population.Population` objects, row-store
-:class:`~repro.needletail.table.Table` objects) and the flat arrays a
-:class:`~repro.storage.store.Store` persists as segments.  It mirrors the
-packing discipline of :func:`repro.engines.payload.build_shard_payloads`: bitmap
-words concatenate into one uint64 array with per-group word ranges, group
-values concatenate into one float64 array with per-group offsets, and the
-deduped row-store value column is stored exactly once.
+A packed population is a ``(kind, meta, buffers)`` triple.  The durable
+:class:`~repro.storage.store.Store` persists it as a build (one segment per
+buffer), and the process executor ships it to its workers as files
+(:func:`repro.engines.payload.build_shard_payloads`).  There are two kinds:
 
-The reverse direction constructs *zero-copy* over read-only ``np.memmap``
-arrays: :meth:`BitVector.from_mapped` adopts each group's word slice plus
-its persisted cumulative-popcount slice (the rank/select acceleration
-table), so a :class:`MappedNeedletailEngine` answers selects without ever
-re-scanning - and without a :class:`BitmapIndex` rebuild.  Mapped engines
-are bit-identical to RAM-built ones by construction: identical words mean
-identical select results, and ranks come from per-run seeded permutations
-that never look at the selector.
+* ``"needletail"`` - NEEDLETAIL indexed groups: ``words`` (uint64, every
+  group's bitmap words end to end), ``cum`` (int64 per-group cumulative
+  popcounts, slice-aligned with ``words`` - the rank/select acceleration
+  table) and ``values`` (the groups' one row-store value column); meta
+  groups are ``[name, word_lo, word_hi, length]``;
+* ``"population"`` - materialized groups: ``values`` (float64, every
+  group's values end to end); meta groups are ``[name, lo, hi]``.
+
+Meta also holds ``c`` and the population ``name``.  Packing copies nothing
+it need not: when a buffer's per-group chunks already lie end to end in one
+array - a segment that was unpacked, a column that
+:func:`~repro.catalog.catalog.population_from_chunks` split - the buffer is a
+view of that array; otherwise it is the list of chunks, which the store
+joins (:func:`concatenated`) and a pool directory streams into one file.
+
+The reverse direction, :func:`unpack_population`, builds every group as a
+view of the arrays - zero-copy over read-only ``np.memmap`` arrays:
+:meth:`BitVector.from_mapped` adopts each group's word slice plus its
+``cum`` slice, so a mapped group answers selects without re-scanning and
+without a :class:`BitmapIndex` rebuild.  Unpacked groups are bit-identical
+to the packed ones by construction: identical words mean identical select
+results, and ranks come from per-run seeded permutations that never look at
+the selector.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from repro.needletail.table import Column, Table
 
 __all__ = [
     "MappedNeedletailEngine",
+    "concatenated",
     "pack_index",
     "unpack_index",
     "pack_population",
@@ -74,53 +85,137 @@ class MappedNeedletailEngine(SamplingEngine):
 
 
 # ---------------------------------------------------------------------------
-# NEEDLETAIL index <-> segments
+# Population <-> packed buffers
 # ---------------------------------------------------------------------------
 
 
-def pack_index(engine) -> tuple[dict, dict[str, np.ndarray]] | None:
-    """Flatten a built engine's index into (meta, arrays), or None.
+def _root(array: np.ndarray) -> np.ndarray:
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
 
-    Packs only engines whose every group selector exposes flat bitmap words
-    (:func:`base_bitvector` - the same shareability predicate
-    :mod:`repro.engines.payload` uses) and whose groups share one value column.
-    Arrays: ``words`` (uint64, all groups' words concatenated), ``cum``
-    (int64 per-group cumulative popcounts, slice-aligned with ``words`` -
-    the persisted rank/select acceleration table), ``values`` (the deduped
-    row-store value column).  Meta records each group's name and
-    ``[word_lo, word_hi, length]`` window plus ``c`` and ``row_bytes``.
+
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
+def _joined(chunks: list[np.ndarray]) -> np.ndarray | list[np.ndarray]:
+    """One view of ``chunks`` if they lie end to end in one array, else them.
+
+    The chunks qualify when they are C-contiguous 1-D windows of the same
+    C-contiguous root array, of one dtype, each starting where the previous
+    one ends - then a window of the root spans them all, no copy made.
     """
-    groups = engine.population.groups
-    bases = [base_bitvector(g._selector) for g in groups]
-    if any(base is None for base in bases):
-        return None
-    values = groups[0]._values
-    if not all(g._values is values for g in groups):
-        return None
-    word_arrays = [np.asarray(base.words) for base in bases]
-    word_counts = [w.shape[0] for w in word_arrays]
-    offsets = np.concatenate([[0], np.cumsum(word_counts)]).astype(np.int64)
-    specs = [
-        [g.name, int(offsets[i]), int(offsets[i + 1]), len(bases[i])]
-        for i, g in enumerate(groups)
-    ]
-    words = np.concatenate(word_arrays) if word_arrays else np.zeros(0, dtype=np.uint64)
-    pops = np.bitwise_count(words).astype(np.int64)
-    cum = np.zeros(words.shape[0], dtype=np.int64)
-    for _, lo, hi, _length in specs:
-        np.cumsum(pops[lo:hi], out=cum[lo:hi])
-    meta = {
-        "groups": specs,
-        "c": float(engine.population.c),
-        "row_bytes": int(engine.row_bytes),
-        "population_name": engine.population.name,
+    if len(chunks) == 1:
+        return chunks[0]
+    first, root = chunks[0], _root(chunks[0])
+    end = _address(first)
+    for chunk in chunks:
+        if (
+            chunk.ndim != 1
+            or chunk.dtype != first.dtype
+            or not chunk.flags.c_contiguous
+            or _root(chunk) is not root
+            or _address(chunk) != end
+        ):
+            return chunks
+        end += chunk.nbytes
+    if not root.flags.c_contiguous:
+        return chunks
+    lo = _address(first) - _address(root)
+    flat = root.reshape(-1).view(np.uint8)
+    return flat[lo : lo + end - _address(first)].view(first.dtype)
+
+
+def concatenated(buffers: dict) -> dict[str, np.ndarray]:
+    """``buffers`` with every chunk list joined into one array."""
+    return {
+        role: buffer if isinstance(buffer, np.ndarray) else np.concatenate(buffer)
+        for role, buffer in buffers.items()
     }
-    arrays = {
-        "words": words,
-        "cum": cum,
+
+
+def _offsets(sizes: list[int]) -> list[int]:
+    """Where each of ``sizes``' chunks starts when laid end to end, plus the end."""
+    return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64).tolist()
+
+
+def pack_population(population: Population) -> tuple[str, dict, dict] | None:
+    """Pack ``population`` as ``(kind, meta, buffers)``, or None.
+
+    Packs populations of only materialized groups (kind ``"population"``)
+    or only indexed groups whose selectors expose flat bitmap words
+    (:func:`base_bitvector`) and share one value column (kind
+    ``"needletail"``).  Virtual (distribution-backed) groups have nothing
+    to pack.  Each buffer is an array or a list of per-group chunks (see
+    the module docstring).
+    """
+    groups = population.groups
+    names = [g.name for g in groups]
+    meta = {"c": float(population.c), "name": population.name}
+    if all(isinstance(g, MaterializedGroup) for g in groups):
+        chunks = [np.asarray(g.values, dtype=np.float64) for g in groups]
+        off = _offsets([chunk.size for chunk in chunks])
+        meta["groups"] = [list(spec) for spec in zip(names, off, off[1:])]
+        return "population", meta, {"values": _joined(chunks)}
+    if not all(isinstance(g, IndexedGroup) for g in groups):
+        return None
+    bases = [base_bitvector(g._selector) for g in groups]
+    values = groups[0]._values
+    if any(base is None for base in bases) or any(g._values is not values for g in groups):
+        return None
+    words = [np.asarray(base.words) for base in bases]
+    cum = [
+        base._cum
+        if base._cum is not None
+        else np.cumsum(np.bitwise_count(w).astype(np.int64))
+        for base, w in zip(bases, words)
+    ]
+    off = _offsets([w.size for w in words])
+    lengths = [len(base) for base in bases]
+    meta["groups"] = [list(spec) for spec in zip(names, off, off[1:], lengths)]
+    buffers = {
+        "words": _joined(words),
+        "cum": _joined(cum),
         "values": np.asarray(values, dtype=np.float64),
     }
-    return meta, arrays
+    return "needletail", meta, buffers
+
+
+def unpack_population(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> Population:
+    """Rebuild a packed population as views of ``arrays`` (zero-copy)."""
+    try:
+        values, specs, c = arrays["values"], meta["groups"], float(meta["c"])
+        if kind == "needletail":
+            words, cum = arrays["words"], arrays["cum"]
+            groups = [
+                IndexedGroup(
+                    str(name),
+                    BitVector.from_mapped(words[lo:hi], int(length), cum[lo:hi]),
+                    values,
+                )
+                for name, lo, hi, length in specs
+            ]
+        else:
+            groups = [MaterializedGroup(str(name), values[lo:hi]) for name, lo, hi in specs]
+    except KeyError as exc:
+        raise StorageError(f"{kind} build is missing {exc} - rebuild the store") from exc
+    # Needletail builds written by earlier versions call it "population_name".
+    name = meta.get("name", meta.get("population_name", "population"))
+    return Population(groups=groups, c=c, name=str(name))
+
+
+def pack_index(engine) -> tuple[dict, dict[str, np.ndarray]] | None:
+    """A built engine's index as store ``(meta, arrays)``, or None.
+
+    The ``"needletail"`` packing of its population, joined, plus the
+    engine's ``row_bytes``.
+    """
+    packed = pack_population(engine.population)
+    if packed is None or packed[0] != "needletail":
+        return None
+    _, meta, buffers = packed
+    return {**meta, "row_bytes": int(engine.row_bytes)}, concatenated(buffers)
 
 
 def unpack_index(
@@ -131,59 +226,14 @@ def unpack_index(
     value_column: str,
 ) -> MappedNeedletailEngine:
     """Rebuild a sampling engine over mapped index segments (zero-copy)."""
+    population = unpack_population("needletail", meta, arrays)
     try:
-        words, cum, values = arrays["words"], arrays["cum"], arrays["values"]
-        specs, c, row_bytes = meta["groups"], float(meta["c"]), int(meta["row_bytes"])
+        row_bytes = int(meta["row_bytes"])
     except KeyError as exc:
         raise StorageError(f"needletail build is missing {exc} - rebuild the store") from exc
-    groups: list[IndexedGroup] = []
-    for name, lo, hi, length in specs:
-        selector = BitVector.from_mapped(words[lo:hi], int(length), cum[lo:hi])
-        groups.append(IndexedGroup(str(name), selector, values))
-    population = Population(
-        groups=groups, c=c, name=str(meta.get("population_name", "population"))
-    )
     return MappedNeedletailEngine(
         population, group_by=group_by, value_column=value_column, row_bytes=row_bytes
     )
-
-
-# ---------------------------------------------------------------------------
-# Materialized population <-> segments
-# ---------------------------------------------------------------------------
-
-
-def pack_population(population: Population) -> tuple[dict, dict[str, np.ndarray]] | None:
-    """Flatten a fully materialized population, or None if any group isn't.
-
-    Virtual (distribution-backed) groups have nothing to persist - their
-    sources rebuild in O(1) anyway - and indexed groups are persisted as
-    index builds instead, so only :class:`MaterializedGroup` populations
-    pack.  Layout matches ``_MaterializedSpec`` in the payload packing: one
-    concatenated ``values`` array plus per-group ``[name, lo, hi]`` windows.
-    """
-    groups = population.groups
-    if not all(isinstance(g, MaterializedGroup) for g in groups):
-        return None
-    sizes = [g.size for g in groups]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    specs = [
-        [g.name, int(offsets[i]), int(offsets[i + 1])] for i, g in enumerate(groups)
-    ]
-    values = np.concatenate([np.asarray(g.values, dtype=np.float64) for g in groups])
-    meta = {"groups": specs, "c": float(population.c), "name": population.name}
-    return meta, {"values": values}
-
-
-def unpack_population(meta: dict, arrays: dict[str, np.ndarray]) -> Population:
-    """Rebuild a materialized population over a mapped values segment."""
-    try:
-        values = arrays["values"]
-        specs, c = meta["groups"], float(meta["c"])
-    except KeyError as exc:
-        raise StorageError(f"population build is missing {exc} - rebuild the store") from exc
-    groups = [MaterializedGroup(str(name), values[lo:hi]) for name, lo, hi in specs]
-    return Population(groups=groups, c=c, name=str(meta.get("name", "population")))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ class TestLifecycle:
         run = engine.open_run(seed=0)
         run.draw_block(np.arange(K), 5)
         (path,) = live_pool_dirs()
-        assert len(os.listdir(path)) == 4  # 2 payload + 2 output files
+        assert len(os.listdir(path)) == 3  # 1 packed values + 2 output files
         engine.close()
         assert live_pool_dirs() == [] and not os.path.exists(path)
 
@@ -221,6 +221,24 @@ class TestShareability:
         finally:
             directory.close()
 
+    def test_mixed_group_kinds_rejected(self):
+        materialized = _engine().population.groups[0]
+        virtual = VirtualGroup("u", UniformValues(0.0, 50.0), 10**6)
+        pop = Population(groups=[materialized, virtual], c=100.0)
+        assert "mixes group kinds" in shareable(pop)
+
+    def test_distinct_value_columns_rejected(self):
+        from repro.needletail.bitvector import BitVector
+        from repro.needletail.engine import IndexedGroup
+
+        v1 = np.arange(64, dtype=np.float64)
+        v2 = v1 + 1.0
+        bits = BitVector.from_bools(np.ones(64, dtype=bool))
+        pop = Population(
+            groups=[IndexedGroup("a", bits, v1), IndexedGroup("b", bits, v2)], c=100.0
+        )
+        assert "distinct value columns" in shareable(pop)
+
     def test_fusable_virtual_is_shareable(self):
         groups = [
             VirtualGroup("u", UniformValues(0.0, 50.0), 10**6),
@@ -240,22 +258,27 @@ class TestPayloadCleanupOnError:
     def test_failed_build_leaves_no_directory(self, monkeypatch):
         """An error *after* some payload files were written must remove
         them with the pool's directory."""
-        from repro.needletail.bitvector import BitVector
-        from repro.needletail.engine import IndexedGroup
+        from repro.needletail.engine import NeedletailEngine
+        from repro.needletail.table import Column, Table
 
-        v1 = np.arange(64, dtype=np.float64)
-        v2 = v1 + 1.0  # a second, distinct value column in the same shard
-        g1 = IndexedGroup("a", BitVector.from_bools(np.ones(64, dtype=bool)), v1)
-        g2 = IndexedGroup("b", BitVector.from_bools(np.ones(64, dtype=bool)), v2)
-        pop = Population(groups=[g1, g2], c=100.0)
+        rng = np.random.default_rng(2)
+        table = Table("t", [Column("g", rng.integers(0, 3, 300), 8),
+                            Column("v", rng.uniform(0, 100, 300), 8)])
+        pop = NeedletailEngine(table, "g", "v").population  # words, cum, values
         created = []
 
-        class RecordingPoolDir(PoolDir):
+        class FailingPoolDir(PoolDir):
             def __init__(self):
                 super().__init__()
                 created.append(self.path)
 
-        monkeypatch.setattr(procpool, "PoolDir", RecordingPoolDir)
-        with pytest.raises(ValueError, match="distinct value columns"):
-            procpool.ProcessShardPool(pop, [np.array([0, 1])])
+            def write(self, buffer):
+                if os.listdir(self.path):  # the first file is on disk
+                    raise OSError("disk full")
+                return super().write(buffer)
+
+        monkeypatch.setattr(procpool, "PoolDir", FailingPoolDir)
+        with pytest.raises(OSError, match="disk full"):
+            procpool.ProcessShardPool(pop, [np.array([0, 1, 2])])
         assert len(created) == 1 and not os.path.exists(created[0])
+        assert live_pool_dirs() == []

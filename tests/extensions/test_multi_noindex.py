@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.ifocus import run_ifocus
+from repro.data.population import MaterializedGroup, Population
 from repro.engines.memory import InMemoryEngine
 from repro.extensions.multi import (
     composite_group_column,
@@ -204,3 +205,20 @@ class TestNoIndex:
         )
         # A numpy integer is the same seed as the Python int.
         assert self._session_run(np.int64(3)).estimates.tobytes() == res.estimates.tobytes()
+        assert not res.params["scanned"]  # stopped before the scan cap
+
+    def test_cost_is_capped_at_a_scan(self):
+        """Two groups too close to separate: once the run has drawn as many
+        tuples as the table holds, one scan answers exactly."""
+        rng = np.random.default_rng(0)
+        values = rng.normal(50, 6, 2000)
+        pop = Population(
+            groups=[MaterializedGroup("a", values[:1000]), MaterializedGroup("b", values[1000:])],
+            c=100.0,
+        )
+        res = run_noindex(InMemoryEngine(pop), delta=0.05, seed=1, batch=256)
+        assert res.params["scanned"] and not res.params["truncated"]
+        assert res.estimates.tolist() == pop.true_means().tolist()
+        assert res.total_samples <= 2000 + 256
+        assert res.stats.scanned_rows == 2000
+        assert all(g.exhausted and g.half_width == 0.0 for g in res.groups)

@@ -128,6 +128,20 @@ class TestEngines:
         assert res.first.algorithm == "noindex"
         assert any("no-index" in c for c in res.caveats)
 
+    @pytest.mark.parametrize("engine", ["memory", "needletail", "noindex"])
+    @pytest.mark.parametrize("deadline", [None, "far"])
+    def test_explicit_deadline_on_every_engine(self, columns, engine, deadline):
+        """``deadline=`` is a runner keyword like any other; noindex used to
+        receive it twice and raise a TypeError."""
+        from repro.resilience import Deadline
+
+        sess = connect(engine=engine).register("t", columns)
+        if deadline == "far":
+            deadline = Deadline.after_ms(600_000)
+        res = sess.execute("SELECT g, AVG(y) FROM t GROUP BY g", seed=1, deadline=deadline)
+        assert res.first.order() == ["a", "b", "c", "d"]
+        sess.close()
+
     def test_noindex_rejects_sum(self, session):
         with pytest.raises(ValueError, match="metadata"):
             session.table("t").group_by("g").agg(total("y")).on_engine("noindex").run()

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
+import sqlite3
 
 import numpy as np
 import pytest
 
+from repro.catalog.catalog import population_from_chunks
 from repro.data.population import MaterializedGroup, Population
 from repro.engines.payload import (
     FileArrayRef,
@@ -15,9 +19,10 @@ from repro.engines.payload import (
     file_backed_ref,
     live_pool_dirs,
 )
-from repro.needletail.engine import NeedletailEngine, base_bitvector
+from repro.needletail.engine import BUILD_COUNTS, NeedletailEngine, base_bitvector
 from repro.needletail.table import Column, Table
 from repro.storage import (
+    STORE_FORMAT_VERSION,
     DurableCatalog,
     MappedNeedletailEngine,
     pack_index,
@@ -27,6 +32,7 @@ from repro.storage import (
     unpack_population,
     unpack_table,
 )
+from repro.storage.mapped import concatenated
 
 
 def _table(rows_per_group=200, groups=4, seed=3):
@@ -67,8 +73,9 @@ class TestPackPopulation:
             c=100.0,
             name="p",
         )
-        meta, arrays = pack_population(pop)
-        back = unpack_population(meta, arrays)
+        kind, meta, buffers = pack_population(pop)
+        assert kind == "population"
+        back = unpack_population(kind, meta, concatenated(buffers))
         assert [g.name for g in back.groups] == [g.name for g in pop.groups]
         for a, b in zip(pop.groups, back.groups):
             assert np.array_equal(np.asarray(a.values), np.asarray(b.values))
@@ -126,9 +133,24 @@ class TestFileBackedRefs:
         payloads = build_shard_payloads(mapped_engine.population, gids, pool_dir)
         assert os.listdir(pool_dir.path) == []  # nothing copied
         for payload in payloads:
-            for ref in (payload.bitmap_words, payload.value_column):
+            assert sorted(payload.refs) == ["cum", "values", "words"]
+            for ref in payload.refs.values():
                 assert isinstance(ref, FileArrayRef)
                 assert os.path.dirname(ref.path) != pool_dir.path
+
+    def test_mapped_population_ships_its_segment_in_place(self, tmp_path, pool_dir):
+        DurableCatalog(tmp_path / "store").attach(
+            "t", {"g": np.repeat(["a", "b", "c"], 50), "v": np.arange(150.0)}
+        )
+        pop = DurableCatalog(tmp_path / "store").population("t", "g", "v")  # persists
+        mapped = DurableCatalog(tmp_path / "store").population("t", "g", "v")
+        (payload,) = build_shard_payloads(mapped, [np.arange(3)], pool_dir)
+        assert payload.kind == "population"
+        assert os.listdir(pool_dir.path) == []
+        assert file_backed_ref(mapped.groups[0].values) is not None
+        rebuilt = payload.build_population()
+        for a, b in zip(pop.groups, rebuilt.groups):
+            assert np.array_equal(a.values, b.values)
 
     def test_worker_rebuild_from_files_is_bit_identical(self, mapped_engine, pool_dir):
         gids = [np.arange(4)]
@@ -143,7 +165,7 @@ class TestFileBackedRefs:
         engine = NeedletailEngine(_table(), "g", "v")
         directory = PoolDir()
         (payload,) = build_shard_payloads(engine.population, [np.arange(4)], directory)
-        refs = [payload.bitmap_words, payload.value_column]
+        refs = list(payload.refs.values())
         assert all(isinstance(ref, FileArrayRef) for ref in refs)
         assert sorted(os.path.basename(ref.path) for ref in refs) == sorted(
             os.listdir(directory.path)
@@ -155,3 +177,97 @@ class TestFileBackedRefs:
         directory.close()
         assert not os.path.exists(directory.path)
         assert directory.path not in live_pool_dirs()
+
+
+def _digest(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+def _pinned_columns():
+    rng = np.random.default_rng(3)
+    n = 50_000
+    return rng.integers(0, 7, n), rng.uniform(0, 100, n)
+
+
+class TestPackedFormat:
+    """The packed layout is read by the durable store and by process
+    workers, and stores written earlier must keep opening warm: its bytes
+    and group windows are pinned."""
+
+    def test_needletail_pack_is_pinned(self):
+        labels, values = _pinned_columns()
+        table = Table("t", [Column("g", labels, 8), Column("v", values, 8)])
+        meta, arrays = pack_index(NeedletailEngine(table, "g", "v"))
+        assert {role: _digest(a) for role, a in arrays.items()} == {
+            "words": "6f81ce119c9b44e0",
+            "cum": "b420ee795f39a0ad",
+            "values": "3dda6a1c5d8971bf",
+        }
+        assert meta["groups"] == [
+            [str(i), 782 * i, 782 * (i + 1), 50_000] for i in range(7)
+        ]
+        assert meta["row_bytes"] == 16 and meta["name"] == "t"
+
+    def test_population_pack_is_pinned_and_copies_nothing(self):
+        labels, values = _pinned_columns()
+        pop = population_from_chunks([{"g": labels, "v": values}], "g", "v")
+        kind, meta, buffers = pack_population(pop)
+        assert kind == "population"
+        # The split column's chunks lie end to end: the buffer is their view.
+        assert isinstance(buffers["values"], np.ndarray)
+        assert np.shares_memory(buffers["values"], pop.groups[0].values)
+        assert _digest(buffers["values"]) == "facc70dded6f14d6"
+        bounds = [0, 7313, 14347, 21429, 28551, 35754, 42805, 50000]
+        assert meta["groups"] == [
+            [str(i), bounds[i], bounds[i + 1]] for i in range(7)
+        ]
+
+    def test_store_with_population_name_meta_opens_warm(self, tmp_path):
+        """Needletail builds once named their population ``population_name``;
+        such a store still re-opens without an index rebuild and answers
+        bit-identically."""
+        import repro
+
+        assert STORE_FORMAT_VERSION == 1
+        labels, values = _pinned_columns()
+        data = {"g": labels[:4000], "v": values[:4000]}
+        store = tmp_path / "store"
+        cat = DurableCatalog(store)
+        cat.attach("t", data)
+        assert "needletail" in cat.prime("t", "g", "v")
+        cat.close()
+        with sqlite3.connect(store / "catalog.sqlite") as db:
+            rows = db.execute(
+                "SELECT id, meta_json FROM builds WHERE kind = 'needletail'"
+            ).fetchall()
+            assert rows
+            for build_id, meta_json in rows:
+                meta = json.loads(meta_json)
+                meta["population_name"] = meta.pop("name")
+                db.execute(
+                    "UPDATE builds SET meta_json = ? WHERE id = ?",
+                    (json.dumps(meta), build_id),
+                )
+
+        def query(session):
+            q = session.table("t").group_by("g").agg(repro.avg("v"))
+            result = q.run(seed=4)
+            return result.first.order(), sorted(
+                (g.label, g.estimate, g.samples) for g in result.first
+            )
+
+        counts = dict(BUILD_COUNTS)
+        warm = DurableCatalog(store)
+        engine = warm.indexed_engine(
+            "t", "g", "v", group_spec=["g"],
+            builder=lambda: pytest.fail("index rebuilt"),
+        )
+        assert isinstance(engine, MappedNeedletailEngine)
+        assert engine.population.name == "t"
+        with repro.connect(catalog=warm, seed=1) as session:
+            warm_answer = query(session)
+        warm.close()
+        assert BUILD_COUNTS["needletail"] == counts["needletail"]
+        with repro.connect(seed=1) as cold_session:
+            cold_session.attach("t", data)
+            assert query(cold_session) == warm_answer

@@ -3,8 +3,9 @@
 from repro.experiments import fig4_runtime_vs_size
 
 
-def test_fig4_runtime_vs_size(run_figure):
+def test_fig4_runtime_vs_size(run_figure, assert_pinned):
     fig = run_figure(fig4_runtime_vs_size)
+    assert_pinned(fig)
     series = fig.raw["series"]
     sizes = sorted(series["scan"])
     big = sizes[-1]

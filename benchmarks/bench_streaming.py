@@ -95,13 +95,6 @@ def _drain(session, spec, *, warm_start: bool):
     return results, time.perf_counter() - t0, latencies
 
 
-def _canon(result) -> dict:
-    d = result.to_dict()
-    d.pop("io_seconds")
-    d.pop("cpu_seconds")
-    return d
-
-
 def _record_throughput(benchmark, results, elapsed, latencies) -> None:
     benchmark.extra_info["windows"] = len(results)
     benchmark.extra_info["rows"] = int(sum(r.rows for r in results))
@@ -166,7 +159,7 @@ def test_bench_streaming_sliding_warm_start(benchmark):
     assert len(warm_results) == len(cold_results)
     for w, c in zip(warm_results, cold_results):
         assert w.window == c.window
-        assert _canon(w.result) == _canon(c.result)
+        assert w.result.to_dict() == c.result.to_dict()
     assert any(r.warm_start for r in warm_results[1:])
     assert warm < cold, (
         f"warm start must beat cold recompute: warm {warm:.3f}s "

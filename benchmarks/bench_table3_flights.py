@@ -5,8 +5,9 @@ import numpy as np
 from repro.experiments import table3_flights_runtimes
 
 
-def test_table3_flights(run_figure):
+def test_table3_flights(run_figure, assert_pinned):
     fig = run_figure(table3_flights_runtimes)
+    assert_pinned(fig)
     # Group rows by attribute: {attribute: {algorithm: [times per size]}}.
     table: dict[str, dict[str, list[float]]] = {}
     for row in fig.rows:

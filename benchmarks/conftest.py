@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.experiments import current_scale
+from tests.conftest import PINNED, assert_rows_pinned
 
 
 def pytest_collection_modifyitems(config, items):
@@ -45,6 +46,22 @@ def announce_scale():
         "set REPRO_SCALE=paper for full-scale runs\n"
     )
     yield
+
+
+@pytest.fixture()
+def assert_pinned():
+    """Check a smoke-scale figure against ``tests/experiments/pinned_seconds.json``.
+
+    Simulated seconds must agree with the pinned rows to ``rel=1e-12`` and
+    every other cell exactly (``tests.conftest.assert_rows_pinned``); other
+    scales have no pinned rows and pass.
+    """
+
+    def _check(fig) -> None:
+        if current_scale().name == "smoke":
+            assert_rows_pinned(fig, PINNED["smoke"][fig.figure])
+
+    return _check
 
 
 @pytest.fixture()

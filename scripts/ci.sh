@@ -16,9 +16,10 @@
 # so a green local run means a green matrix job.
 #
 # Exits non-zero on the first failure.  ruff is optional because the offline
-# image may not ship it; the lint step is skipped (with a notice) rather than
-# silently passed when the tool is missing.  The lint rule set is pinned in
-# pyproject.toml ([tool.ruff]), not inherited from ruff defaults.
+# image may not ship it; without ruff, scripts/lint_f401.py (standard library
+# only) still enforces the unused-import rule (F401), so local and hosted runs
+# agree on it.  The lint rule set is pinned in pyproject.toml ([tool.ruff]),
+# not inherited from ruff defaults.
 
 set -euo pipefail
 
@@ -29,7 +30,8 @@ if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check (config: pyproject.toml) =="
     ruff check src tests scripts benchmarks
 else
-    echo "== ruff not installed; skipping lint (pip install ruff to enable) =="
+    echo "== ruff not installed; F401 only (scripts/lint_f401.py) =="
+    python scripts/lint_f401.py src tests scripts benchmarks
 fi
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

@@ -3,15 +3,13 @@
 SCAN sequentially reads every record, maintaining per-group running sums in a
 hash map, and returns exact group means.  It is what a conventional system
 (e.g. PostgreSQL) does for the visualization query, and it anchors the
-runtime comparisons of Fig. 4 and the paper's headline 1000x claim.  Its
-simulated cost is linear: bytes/bandwidth of sequential I/O plus one hash
-probe + update per record of CPU (the paper measures ~800 MB/s and ~10M
-probes/s; see :mod:`repro.needletail.cost`).
+runtime comparisons of Fig. 4 and the paper's headline 1000x claim.  A run
+counts its scanned rows; the experiments price them linearly - bytes/bandwidth
+of sequential I/O plus one hash probe + update per record of CPU (the paper
+measures ~800 MB/s and ~10M probes/s; see :mod:`repro.experiments.costmodel`).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.types import GroupOutcome, OrderingResult
 from repro.engines.base import SamplingEngine

@@ -153,8 +153,8 @@ class OrderingResult:
             (this is the partial-result emission order of Problem 7).
         trace: optional per-round trace.
         params: algorithm parameters for provenance (delta, c, resolution ...).
-        stats: engine accounting for the run (charged samples, simulated
-            I/O and CPU seconds); ``None`` only for hand-built results.
+        stats: engine accounting for the run (charged samples per group,
+            scanned rows); ``None`` only for hand-built results.
     """
 
     algorithm: str
@@ -206,8 +206,6 @@ class OrderingResult:
         if self.stats is not None:
             stats = {
                 "samples_per_group": [int(v) for v in self.stats.samples_per_group],
-                "io_seconds": float(self.stats.io_seconds),
-                "cpu_seconds": float(self.stats.cpu_seconds),
                 "scanned_rows": int(self.stats.scanned_rows),
             }
         return {
@@ -230,8 +228,6 @@ class OrderingResult:
             s = data["stats"]
             stats = RunStats(
                 samples_per_group=np.asarray(s["samples_per_group"], dtype=np.int64),
-                io_seconds=float(s["io_seconds"]),
-                cpu_seconds=float(s["cpu_seconds"]),
                 scanned_rows=int(s["scanned_rows"]),
             )
         return cls(

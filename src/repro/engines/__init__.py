@@ -1,12 +1,6 @@
 """Sampling engines: the substrate the ordering algorithms draw samples from."""
 
-from repro.engines.base import (
-    CostModel,
-    EngineRun,
-    NullCostModel,
-    RunStats,
-    SamplingEngine,
-)
+from repro.engines.base import EngineRun, RunStats, SamplingEngine
 from repro.engines.memory import InMemoryEngine
 from repro.engines.partition import hash_partition, partition_groups, range_partition
 from repro.engines.sharded import (
@@ -17,9 +11,7 @@ from repro.engines.sharded import (
 )
 
 __all__ = [
-    "CostModel",
     "EngineRun",
-    "NullCostModel",
     "RunStats",
     "SamplingEngine",
     "InMemoryEngine",

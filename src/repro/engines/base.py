@@ -1,18 +1,19 @@
 """Sampling-engine protocol shared by the in-memory and NEEDLETAIL engines.
 
 An *engine* wraps a :class:`~repro.data.population.Population` and provides
-per-run sampling streams plus cost accounting.  The paper's setting (Section
+per-run sampling streams plus sample accounting.  The paper's setting (Section
 2.1) assumes "an engine that allows us to efficiently retrieve random samples
 from R corresponding to different values of X" at uniform cost per sample;
 :class:`repro.engines.memory.InMemoryEngine` is the pure version of that, and
 :class:`repro.needletail.engine.NeedletailEngine` adds bitmap-index rowid
-selection and a simulated-disk cost model.
+selection.
 
-Cost accounting is *explicit*: algorithms call ``run.draw(gid, count)`` to
-obtain sample values (uncharged - batched executors may discard a pre-drawn
-suffix) and then ``run.charge(gid, count)`` for the samples actually consumed
-by the algorithm.  Only charged samples appear in :class:`RunStats` and incur
-simulated I/O and CPU time.
+Accounting is *explicit* and counts only: algorithms call
+``run.draw(gid, count)`` to obtain sample values (uncharged - batched
+executors may discard a pre-drawn suffix) and then ``run.charge(gid, count)``
+for the samples actually consumed by the algorithm.  Only charged samples
+appear in :class:`RunStats`.  The paper's simulated runtimes are a function
+of those counts, priced by the experiments (:mod:`repro.experiments.costmodel`).
 
 The fused fast path: ``run.draw_block(active_idx, count)`` returns a
 ``(count, k_active)`` matrix in one call, served by per-sampler-kind block
@@ -25,53 +26,14 @@ results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro._util import spawn_group_rngs
 from repro.data.population import BlockKernel, GroupSampler, Population
 
-__all__ = ["CostModel", "NullCostModel", "RunStats", "EngineRun", "SamplingEngine"]
-
-
-class CostModel:
-    """Maps physical operations to simulated (io_seconds, cpu_seconds)."""
-
-    def sample_cost(self, count: int) -> tuple[float, float]:
-        """Cost of retrieving ``count`` random tuples through the engine."""
-        raise NotImplementedError
-
-    def scan_cost(self, rows: int, row_bytes: int) -> tuple[float, float]:
-        """Cost of a full sequential scan over ``rows`` rows."""
-        raise NotImplementedError
-
-    def block_sample_cost(self, count: int, groups: int) -> tuple[float, float]:
-        """Cost of retrieving ``count`` samples from each of ``groups`` groups.
-
-        The default preserves the exact semantics of ``groups`` successive
-        :meth:`sample_cost` calls (cost models may be stateful); linear
-        models override this with a closed form.
-        """
-        io = cpu = 0.0
-        for _ in range(groups):
-            step_io, step_cpu = self.sample_cost(count)
-            io += step_io
-            cpu += step_cpu
-        return io, cpu
-
-
-class NullCostModel(CostModel):
-    """Zero-cost model: sample counting only (algorithm-level experiments)."""
-
-    def sample_cost(self, count: int) -> tuple[float, float]:
-        return 0.0, 0.0
-
-    def scan_cost(self, rows: int, row_bytes: int) -> tuple[float, float]:
-        return 0.0, 0.0
-
-    def block_sample_cost(self, count: int, groups: int) -> tuple[float, float]:
-        return 0.0, 0.0
+__all__ = ["RunStats", "EngineRun", "SamplingEngine"]
 
 
 @dataclass
@@ -79,24 +41,16 @@ class RunStats:
     """Charged work for one algorithm run."""
 
     samples_per_group: np.ndarray
-    io_seconds: float = 0.0
-    cpu_seconds: float = 0.0
     scanned_rows: int = 0
 
     @property
     def total_samples(self) -> int:
         return int(self.samples_per_group.sum())
 
-    @property
-    def total_seconds(self) -> float:
-        return self.io_seconds + self.cpu_seconds
-
     def merge(self, other: "RunStats") -> "RunStats":
         """Combine two runs' accounting (used by multi-phase algorithms)."""
         return RunStats(
             samples_per_group=self.samples_per_group + other.samples_per_group,
-            io_seconds=self.io_seconds + other.io_seconds,
-            cpu_seconds=self.cpu_seconds + other.cpu_seconds,
             scanned_rows=self.scanned_rows + other.scanned_rows,
         )
 
@@ -142,32 +96,23 @@ def _build_block_kernels(
 
 
 class EngineRun:
-    """One algorithm run's view of the engine: streams + accounting.
+    """One algorithm run's view of the engine: streams + sample counts.
 
     Concurrency contract: a run is *single-consumer* - its samplers and
     stats are mutable state owned by the one query driving it.  Runs share
-    no sampling state with each other, so runs over engines with stateless
-    cost models (the default ``NullCostModel``, the linear NEEDLETAIL model)
-    may execute in parallel without locks; a *stateful* cost model (e.g. the
-    page-cache model) is shared engine-wide, so concurrent runs over one
-    such engine would race on it - build one engine per concurrent query
-    instead, which is what the session planner does for ``Session.submit()``.
-    The sharded backend (:class:`repro.engines.sharded.ShardedRun`)
-    parallelizes *within* one run by giving each shard its own private
-    ``EngineRun``.
+    no sampling state with each other, so concurrent runs over one engine
+    need no locks.  The sharded backend
+    (:class:`repro.engines.sharded.ShardedRun`) parallelizes *within* one
+    run by giving each shard its own private ``EngineRun``.
     """
 
     def __init__(
         self,
         population: Population,
         samplers: list[GroupSampler],
-        cost_model: CostModel,
-        row_bytes: int,
     ) -> None:
         self._population = population
         self._samplers = samplers
-        self._cost = cost_model
-        self._row_bytes = row_bytes
         self._kernels, self._kind_of = _build_block_kernels(samplers)
         self.stats = RunStats(samples_per_group=np.zeros(population.k, dtype=np.int64))
 
@@ -224,17 +169,12 @@ class EngineRun:
         if count == 0:
             return
         self.stats.samples_per_group[gid] += count
-        io, cpu = self._cost.sample_cost(count)
-        self.stats.io_seconds += io
-        self.stats.cpu_seconds += cpu
 
     def charge_block(self, gids: np.ndarray, count: int) -> None:
         """Vectorized ``charge``: ``count`` consumed samples per group in ``gids``.
 
-        Semantically identical to ``for g in gids: charge(g, count)`` (the
-        cost model's ``block_sample_cost`` default literally replays the
-        per-group calls, and linear models use a closed form).  ``gids``
-        must not contain duplicates.
+        Identical to ``for g in gids: charge(g, count)``.  ``gids`` must not
+        contain duplicates.
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
@@ -242,9 +182,6 @@ class EngineRun:
         if count == 0 or gids.size == 0:
             return
         self.stats.samples_per_group[gids] += count
-        io, cpu = self._cost.block_sample_cost(count, gids.size)
-        self.stats.io_seconds += io
-        self.stats.cpu_seconds += cpu
 
     def exact_mean(self, gid: int) -> float:
         """The exact group mean, used when a group is sampled to exhaustion.
@@ -256,27 +193,14 @@ class EngineRun:
 
     def charge_scan(self) -> None:
         """Account for a full sequential scan of the dataset (SCAN baseline)."""
-        rows = int(self._population.sizes().sum())
-        io, cpu = self._cost.scan_cost(rows, self._row_bytes)
-        self.stats.io_seconds += io
-        self.stats.cpu_seconds += cpu
-        self.stats.scanned_rows += rows
+        self.stats.scanned_rows += int(self._population.sizes().sum())
 
 
 class SamplingEngine:
     """Base engine: open per-run streams over a population."""
 
-    def __init__(
-        self,
-        population: Population,
-        cost_model: CostModel | None = None,
-        row_bytes: int = 8,
-    ) -> None:
-        if row_bytes <= 0:
-            raise ValueError(f"row_bytes must be > 0, got {row_bytes}")
+    def __init__(self, population: Population) -> None:
         self.population = population
-        self.cost_model = cost_model if cost_model is not None else NullCostModel()
-        self.row_bytes = int(row_bytes)
 
     @property
     def k(self) -> int:
@@ -297,10 +221,10 @@ class SamplingEngine:
             group.sampler(rng, without_replacement)
             for group, rng in zip(self.population.groups, rngs)
         ]
-        return EngineRun(self.population, samplers, self.cost_model, self.row_bytes)
+        return EngineRun(self.population, samplers)
 
     def scan_means(self) -> tuple[np.ndarray, RunStats]:
         """Exact group means via a full sequential scan, with accounting."""
-        run = EngineRun(self.population, [], self.cost_model, self.row_bytes)
+        run = EngineRun(self.population, [])
         run.charge_scan()
         return self.population.true_means(), run.stats

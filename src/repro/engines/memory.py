@@ -2,9 +2,9 @@
 
 This is the paper's idealized setting (Section 2.2): the relation is in main
 memory with an index on the group-by attribute, so retrieving one random tuple
-from any group costs the same regardless of group.  No simulated I/O is
-accrued unless a cost model is supplied; sample counting always works, which
-is all the sample-complexity experiments (Fig. 3(a)/(c), Fig. 5-7) need.
+from any group costs the same regardless of group.  Runs count samples, which
+is all the sample-complexity experiments (Fig. 3(a)/(c), Fig. 5-7) need; the
+runtime experiments price those counts with :mod:`repro.experiments.costmodel`.
 
 Fast path: runs opened over materialized populations sample through the
 columnar permutation store of :mod:`repro.data.population`, so a batched
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.population import Population
-from repro.engines.base import CostModel, SamplingEngine
+from repro.engines.base import SamplingEngine
 
 __all__ = ["InMemoryEngine"]
 
@@ -26,21 +26,12 @@ __all__ = ["InMemoryEngine"]
 class InMemoryEngine(SamplingEngine):
     """Sampling engine over an in-memory (or virtual) population."""
 
-    def __init__(
-        self,
-        population: Population,
-        cost_model: CostModel | None = None,
-        row_bytes: int = 8,
-    ) -> None:
-        super().__init__(population, cost_model=cost_model, row_bytes=row_bytes)
-
     @classmethod
     def from_arrays(
         cls,
         names: list[str],
         arrays: list[np.ndarray],
         c: float,
-        cost_model: CostModel | None = None,
     ) -> "InMemoryEngine":
         """Convenience constructor from parallel name/value-array lists."""
-        return cls(Population.from_arrays(names, arrays, c), cost_model=cost_model)
+        return cls(Population.from_arrays(names, arrays, c))

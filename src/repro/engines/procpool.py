@@ -90,7 +90,7 @@ def _worker_main(conn, payload: ShardPayload, shard: int = 0, spawn_index: int =
 
     Protocol (parent -> worker, one reply per command):
 
-    * ``("open_run", run_id, seed_seqs, without_replacement, row_bytes)``
+    * ``("open_run", run_id, seed_seqs, without_replacement)``
     * ``("draw_block", run_id, gids, count, out_ref)`` -> ``(shape, seconds)``
     * ``("draw", run_id, gid, count, out_ref)`` -> ``(shape, seconds)``
     * ``("close_run", run_id)``
@@ -101,7 +101,7 @@ def _worker_main(conn, payload: ShardPayload, shard: int = 0, spawn_index: int =
     thread fan-out where a raised draw does not kill the pool.
     """
     from repro._util import rngs_from_seed_seqs
-    from repro.engines.base import EngineRun, NullCostModel
+    from repro.engines.base import EngineRun
 
     runs: dict[int, EngineRun] = {}
     mapped: FileArrayRef | None = None
@@ -128,16 +128,14 @@ def _worker_main(conn, payload: ShardPayload, shard: int = 0, spawn_index: int =
             cmd = msg[0]
             try:
                 if cmd == "open_run":
-                    _, run_id, seed_seqs, without_replacement, row_bytes = msg
+                    _, run_id, seed_seqs, without_replacement = msg
                     rngs = rngs_from_seed_seqs(seed_seqs)
                     samplers = [
                         group.sampler(rng, without_replacement)
                         for group, rng in zip(population.groups, rngs)
                     ]
-                    # Null cost model: accounting happens once, parent-side.
-                    runs[run_id] = EngineRun(
-                        population, samplers, NullCostModel(), row_bytes
-                    )
+                    # Workers only draw: accounting happens once, parent-side.
+                    runs[run_id] = EngineRun(population, samplers)
                     reply = None
                 elif cmd in ("draw_block", "draw"):
                     _, run_id, gids, count, out_ref = msg
@@ -541,17 +539,12 @@ class ProcessShardPool:
     # -- commands -----------------------------------------------------------
 
     def open_run(
-        self,
-        shard: int,
-        run_id: int,
-        seed_seqs,
-        without_replacement: bool,
-        row_bytes: int,
+        self, shard: int, run_id: int, seed_seqs, without_replacement: bool
     ) -> None:
         self._drain_retired()
         worker = self._worker(shard)
         with worker.lock:
-            message = ("open_run", run_id, seed_seqs, without_replacement, row_bytes)
+            message = ("open_run", run_id, seed_seqs, without_replacement)
             self._roundtrip(shard, message, entry=message)
 
     def retire_run(self, run_id: int) -> None:

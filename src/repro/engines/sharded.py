@@ -28,11 +28,10 @@ Determinism contract (asserted by ``tests/engines/test_sharded.py``):
   engine; only fusable virtual groups - which deliberately share one stream
   per fused kernel - draw different (equally distributed) values when the
   kernel is split across shards.
-* Cost accounting is serialized at the merge layer: ``charge``/``charge_block``
-  run against one global :class:`~repro.engines.base.RunStats` and the
-  backend's own cost model, exactly like an unsharded run (shard runs carry a
-  null model so no cost is double-counted).  Sharding parallelizes the
-  physical draw work, never the accounting semantics.
+* Accounting is serialized at the merge layer: ``charge``/``charge_block``
+  count into one global :class:`~repro.engines.base.RunStats`, exactly like
+  an unsharded run; shard runs only draw, so nothing is counted twice.
+  Sharding parallelizes the physical draw work, never the accounting.
 
 Two executors serve the fan-out (``executor=`` at construction):
 
@@ -75,7 +74,7 @@ import numpy as np
 
 from repro._util import rngs_from_seed_seqs, spawn_group_rngs, spawn_group_seed_seqs
 from repro.data.population import Population
-from repro.engines.base import EngineRun, NullCostModel, SamplingEngine
+from repro.engines.base import EngineRun, SamplingEngine
 from repro.errors import WorkerCrashed
 from repro.resilience.breaker import CircuitBreaker
 
@@ -126,9 +125,8 @@ class ShardedRun(EngineRun):
 
     Subclasses :class:`EngineRun` so the accounting surface (``charge``,
     ``charge_block``, ``charge_scan``, ``exact_mean``, ``stats``) is the
-    inherited implementation over the *full* population and the backend's
-    real cost model; only the draw paths are overridden to route through the
-    per-shard runs.
+    inherited implementation over the *full* population; only the draw paths
+    are overridden to route through the per-shard runs.
     """
 
     def __init__(
@@ -136,13 +134,11 @@ class ShardedRun(EngineRun):
         population: Population,
         shard_runs: list[EngineRun],
         shard_gids: list[np.ndarray],
-        cost_model,
-        row_bytes: int,
         pool_factory,
         record_timings: bool = False,
     ) -> None:
         # No samplers at this level: drawing is delegated to the shard runs.
-        super().__init__(population, [], cost_model, row_bytes)
+        super().__init__(population, [])
         self._runs = shard_runs
         self._shard_gids = shard_gids
         self._pool_factory = pool_factory
@@ -350,7 +346,7 @@ class ShardedEngine(SamplingEngine):
 
     Args:
         backend: any constructed :class:`SamplingEngine`; the sharded engine
-            shares its population, cost model, and row width.  The backend's
+            shares its population.  The backend's
             own ``open_run`` is never called - samplers are built per shard.
         shards: requested shard count (>= 1).  Shards left empty by the
             partitioner are skipped, so the effective count is
@@ -391,11 +387,7 @@ class ShardedEngine(SamplingEngine):
     ) -> None:
         from repro.engines.partition import partition_groups
 
-        super().__init__(
-            backend.population,
-            cost_model=backend.cost_model,
-            row_bytes=backend.row_bytes,
-        )
+        super().__init__(backend.population)
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if max_workers is not None and max_workers < 1:
@@ -589,21 +581,11 @@ class ShardedEngine(SamplingEngine):
                 c=self.population.c,
                 name=f"{self.population.name}/shard{s}",
             )
-            # Null cost model: all accounting happens once, at the merge layer.
-            shard_runs.append(
-                EngineRun(
-                    sub,
-                    [samplers[int(g)] for g in gids],
-                    NullCostModel(),
-                    self.row_bytes,
-                )
-            )
+            shard_runs.append(EngineRun(sub, [samplers[int(g)] for g in gids]))
         return ShardedRun(
             self.population,
             shard_runs,
             self.shard_gids,
-            self.cost_model,
-            self.row_bytes,
             self._get_pool,
             record_timings=self.record_timings,
         )
@@ -629,7 +611,7 @@ class ShardedEngine(SamplingEngine):
             groups[int(g)].sampler(rng, without_replacement)
             for g, rng in zip(gids, rngs)
         ]
-        return EngineRun(sub, samplers, NullCostModel(), self.row_bytes)
+        return EngineRun(sub, samplers)
 
     def _open_process_run(self, seed, without_replacement: bool) -> "ProcessShardedRun":
         pool = self._get_procpool()
@@ -637,20 +619,12 @@ class ShardedEngine(SamplingEngine):
         run_id = next(self._run_ids)
         proxies = []
         for s, gids in enumerate(self.shard_gids):
-            pool.open_run(
-                s,
-                run_id,
-                [seeds[int(g)] for g in gids],
-                without_replacement,
-                self.row_bytes,
-            )
+            pool.open_run(s, run_id, [seeds[int(g)] for g in gids], without_replacement)
             proxies.append(_ShardWorkerProxy(pool, s, run_id))
         run = ProcessShardedRun(
             self.population,
             proxies,
             self.shard_gids,
-            self.cost_model,
-            self.row_bytes,
             self._get_pool,
             record_timings=self.record_timings,
             engine=self,

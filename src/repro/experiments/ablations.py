@@ -25,7 +25,11 @@ from repro.data.synthetic import make_mixture_dataset
 from repro.engines.memory import InMemoryEngine
 from repro.experiments.config import Scale, current_scale
 from repro.experiments.report import FigureResult
-from repro.needletail.cost import BlockCacheCostModel, NeedletailCostModel
+from repro.experiments.costmodel import (
+    BlockCacheCostModel,
+    NeedletailCostModel,
+    simulated_cost,
+)
 from repro.viz.properties import check_ordering
 
 __all__ = [
@@ -115,30 +119,25 @@ def ablation_cost_model(scale: Scale | None = None) -> FigureResult:
     # Sparse unit comparison: same 10k samples, both models, huge table.
     sparse_rows, sparse_samples = 10**9, 10_000
     io_const, _ = NeedletailCostModel().sample_cost(sparse_samples)
-    io_cache, _ = BlockCacheCostModel(total_rows=sparse_rows, row_bytes=8).sample_cost(
-        sparse_samples
-    )
+    io_cache, _ = BlockCacheCostModel(total_rows=sparse_rows).sample_cost(sparse_samples)
     rows.append(["(unit) sparse-10k", "constant", sparse_samples, io_const, 0.0])
     rows.append(["(unit) sparse-10k", "block-cache", sparse_samples, io_cache, 0.0])
 
     size = min(scale.default_size, 200_000)
+    models = {
+        "constant": NeedletailCostModel(),
+        "block-cache": BlockCacheCostModel(total_rows=size),
+    }
     for alg in ("ifocus", "roundrobin", "scan"):
-        for model_name in ("constant", "block-cache"):
-            population = make_mixture_dataset(
-                k=scale.k, total_size=size, seed=scale.seed + 400
-            )
-            if model_name == "constant":
-                cm = NeedletailCostModel()
-            else:
-                cm = BlockCacheCostModel(total_rows=size, row_bytes=8)
-            engine = InMemoryEngine(population, cost_model=cm)
-            res = run_algorithm(
-                alg, engine, delta=scale.delta, seed=scale.seed + 400
-            )
-            stats = res.stats
-            rows.append(
-                [alg, model_name, res.total_samples, stats.io_seconds, stats.cpu_seconds]
-            )
+        population = make_mixture_dataset(
+            k=scale.k, total_size=size, seed=scale.seed + 400
+        )
+        res = run_algorithm(
+            alg, InMemoryEngine(population), delta=scale.delta, seed=scale.seed + 400
+        )
+        for model_name, cm in models.items():
+            io, cpu = simulated_cost(res.stats, cm)
+            rows.append([alg, model_name, res.total_samples, io, cpu])
     return FigureResult(
         figure="ablation-costmodel",
         title="Cost-model ablation: constant-per-tuple vs block-cache",

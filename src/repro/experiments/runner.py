@@ -15,9 +15,8 @@ import numpy as np
 
 from repro.core.registry import RESOLUTION_VARIANTS, run_algorithm
 from repro.data.population import Population
-from repro.engines.base import CostModel
 from repro.engines.memory import InMemoryEngine
-from repro.needletail.cost import NeedletailCostModel
+from repro.experiments.costmodel import simulated_cost
 from repro.viz.properties import check_ordering
 
 __all__ = [
@@ -71,19 +70,16 @@ def run_trial(
     delta: float = 0.05,
     resolution: float = 1.0,
     seed: int | None = None,
-    cost_model: CostModel | None = None,
     **kwargs,
 ) -> TrialResult:
     """Run one algorithm over one population and grade the output.
 
     The "-r" algorithm variants are graded against the *relaxed* ordering
     property with the same resolution they were given, exactly as the paper
-    evaluates them; plain variants are graded on strict ordering.
+    evaluates them; plain variants are graded on strict ordering.  Simulated
+    seconds come from the calibrated NEEDLETAIL model (:func:`simulated_cost`).
     """
-    engine = InMemoryEngine(
-        population,
-        cost_model=cost_model if cost_model is not None else NeedletailCostModel(),
-    )
+    engine = InMemoryEngine(population)
     result = run_algorithm(
         algorithm, engine, delta=delta, resolution=resolution, seed=seed, **kwargs
     )
@@ -91,15 +87,15 @@ def run_trial(
     true = population.true_means()
     correct = check_ordering(result.estimates, true, resolution=grading_resolution)
     total = population.total_size
-    stats = result.stats
+    io, cpu = simulated_cost(result.stats) if result.stats is not None else (0.0, 0.0)
     return TrialResult(
         algorithm=algorithm,
         dataset_size=total,
         total_samples=result.total_samples,
         percent_sampled=100.0 * result.total_samples / total,
         correct=bool(correct),
-        io_seconds=float(stats.io_seconds) if stats is not None else 0.0,
-        cpu_seconds=float(stats.cpu_seconds) if stats is not None else 0.0,
+        io_seconds=float(io),
+        cpu_seconds=float(cpu),
         rounds=result.rounds,
         difficulty=population.difficulty(),
     )
@@ -113,7 +109,6 @@ def run_trials(
     delta: float = 0.05,
     resolution: float = 1.0,
     seed: int = 0,
-    cost_model_factory: Callable[[], CostModel] | None = None,
     **kwargs,
 ) -> list[TrialResult]:
     """Run ``trials`` independent trials, each on a freshly generated dataset.
@@ -126,7 +121,6 @@ def run_trials(
     for t in range(trials):
         trial_seed = seed * 100_003 + t
         population = factory(trial_seed)
-        cm = cost_model_factory() if cost_model_factory is not None else None
         out.append(
             run_trial(
                 population,
@@ -134,7 +128,6 @@ def run_trials(
                 delta=delta,
                 resolution=resolution,
                 seed=trial_seed,
-                cost_model=cm,
                 **kwargs,
             )
         )

@@ -14,8 +14,8 @@ from repro.core.registry import run_algorithm
 from repro.data.flights import FLIGHT_ATTRIBUTES, make_flights_population
 from repro.engines.memory import InMemoryEngine
 from repro.experiments.config import Scale, current_scale
+from repro.experiments.costmodel import simulated_cost
 from repro.experiments.report import FigureResult
-from repro.needletail.cost import NeedletailCostModel
 from repro.viz.properties import check_ordering
 
 __all__ = ["table3_flights_runtimes"]
@@ -37,7 +37,7 @@ def table3_flights_runtimes(scale: Scale | None = None) -> FigureResult:
                 population = make_flights_population(
                     attribute, total_rows=size, seed=scale.seed
                 )
-                engine = InMemoryEngine(population, cost_model=NeedletailCostModel())
+                engine = InMemoryEngine(population)
                 result = run_algorithm(
                     alg,
                     engine,
@@ -50,7 +50,7 @@ def table3_flights_runtimes(scale: Scale | None = None) -> FigureResult:
                     result.estimates, population.true_means(), resolution=grading_res
                 )
                 all_correct = all_correct and ok
-                row.append(result.stats.total_seconds)
+                row.append(sum(simulated_cost(result.stats)))
             rows.append(row)
     notes = [
         f"sizes: {list(scale.flights_sizes)}; r = 1% of each attribute's range",

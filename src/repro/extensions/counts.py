@@ -79,7 +79,7 @@ def run_count_unknown(
         c=1.0,
         name=f"{engine.population.name}-indicators",
     )
-    indicator_engine = InMemoryEngine(indicator_pop, cost_model=engine.cost_model)
+    indicator_engine = InMemoryEngine(indicator_pop)
     result = run_ifocus(
         indicator_engine,
         delta=delta,

@@ -1,26 +1,19 @@
-"""NEEDLETAIL substrate: bitmap indexes, row store, simulated disk, engine."""
+"""NEEDLETAIL substrate: bitmap indexes, row store, engine."""
 
 from repro.needletail.bitvector import BitVector
-from repro.needletail.cost import BlockCacheCostModel, NeedletailCostModel
 from repro.needletail.engine import IndexedGroup, NeedletailEngine
 from repro.needletail.hierarchical import HierarchicalBitmap
 from repro.needletail.index import BitmapIndex
 from repro.needletail.rle import RunLengthBitmap
-from repro.needletail.storage import DiskParams, PageAccessModel, SimulatedDisk
 from repro.needletail.table import Column, Table
 
 __all__ = [
     "BitVector",
-    "BlockCacheCostModel",
-    "NeedletailCostModel",
     "IndexedGroup",
     "NeedletailEngine",
     "HierarchicalBitmap",
     "BitmapIndex",
     "RunLengthBitmap",
-    "DiskParams",
-    "PageAccessModel",
-    "SimulatedDisk",
     "Column",
     "Table",
 ]

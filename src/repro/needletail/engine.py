@@ -9,9 +9,8 @@ the hierarchical bitmap, and fetch the value from the row store.  Sampling
 without replacement uses a per-run random permutation of ranks, so the first
 m draws are exactly a uniform m-subset.
 
-Costs (simulated I/O + CPU seconds) come from the engine's
-:class:`~repro.engines.base.CostModel` - by default the calibrated
-:class:`~repro.needletail.cost.NeedletailCostModel`.
+Runs count charged samples only; the paper's simulated I/O and CPU seconds
+are priced from those counts by :mod:`repro.experiments.costmodel`.
 
 Sharding: a NEEDLETAIL engine partitions cleanly under
 :class:`~repro.engines.sharded.ShardedEngine` because draw-time state is
@@ -29,9 +28,8 @@ import weakref
 import numpy as np
 
 from repro.data.population import BlockKernel, Group, GroupSampler, Population
-from repro.engines.base import CostModel, SamplingEngine
+from repro.engines.base import SamplingEngine
 from repro.needletail.bitvector import BitVector
-from repro.needletail.cost import NeedletailCostModel
 from repro.needletail.index import BitmapIndex
 from repro.needletail.table import Table
 
@@ -273,7 +271,6 @@ class NeedletailEngine(SamplingEngine):
         value_column: str,
         c: float | None = None,
         predicate: BitVector | None = None,
-        cost_model: CostModel | None = None,
         fanout: int = 64,
     ) -> None:
         """Args:
@@ -284,8 +281,6 @@ class NeedletailEngine(SamplingEngine):
                 (metadata a real system would know, e.g. delays <= 24h).
             predicate: optional row bitmap (WHERE clause) restricting every
                 group (Section 6.3.3).
-            cost_model: simulated cost model; defaults to the calibrated
-                NEEDLETAIL constant-per-tuple model.
             fanout: hierarchical bitmap fanout.
         """
         BUILD_COUNTS["needletail"] += 1
@@ -311,11 +306,7 @@ class NeedletailEngine(SamplingEngine):
         if not groups:
             raise ValueError("no group matches the predicate")
         population = Population(groups=groups, c=float(c), name=table.name)
-        super().__init__(
-            population,
-            cost_model=cost_model if cost_model is not None else NeedletailCostModel(),
-            row_bytes=table.row_bytes,
-        )
+        super().__init__(population)
 
     def index_storage_bytes(self, compressed: bool = True) -> int:
         """Footprint of the group-by bitmap index."""

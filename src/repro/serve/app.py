@@ -60,7 +60,6 @@ import asyncio
 import collections
 import dataclasses
 import itertools
-import json
 import threading
 import urllib.parse
 from dataclasses import dataclass

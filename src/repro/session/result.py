@@ -239,22 +239,6 @@ class Result:
             for a in self.aggregates.values()
         )
 
-    @property
-    def io_seconds(self) -> float:
-        return sum(
-            a.raw.stats.io_seconds for a in self.aggregates.values() if a.raw.stats
-        )
-
-    @property
-    def cpu_seconds(self) -> float:
-        return sum(
-            a.raw.stats.cpu_seconds for a in self.aggregates.values() if a.raw.stats
-        )
-
-    @property
-    def total_seconds(self) -> float:
-        return self.io_seconds + self.cpu_seconds
-
     def finalization_order(self, key: str | None = None) -> list[str]:
         agg = self.aggregates[key] if key is not None else self.first
         return agg.finalization_order()
@@ -285,8 +269,6 @@ class Result:
             "dropped_by_having": list(self.dropped_by_having),
             "total_samples": int(self.total_samples),
             "deadline_exceeded": self.deadline_exceeded,
-            "io_seconds": self.io_seconds,
-            "cpu_seconds": self.cpu_seconds,
         }
 
     @classmethod

@@ -51,7 +51,7 @@ import zlib
 from repro.catalog.catalog import Catalog
 from repro.catalog.csv import CSVSource
 from repro.catalog.parquet import HAVE_PYARROW, ParquetSource
-from repro.catalog.schema import ColumnSchema, Schema
+from repro.catalog.schema import Schema
 from repro.catalog.source import DataSource, TableSource
 from repro.catalog.synthetic import SyntheticSource
 from repro.data.population import Population

@@ -35,10 +35,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.population import MaterializedGroup, Population
-from repro.engines.base import CostModel, SamplingEngine
+from repro.engines.base import SamplingEngine
 from repro.errors import StorageError
 from repro.needletail.bitvector import BitVector
-from repro.needletail.cost import NeedletailCostModel
 from repro.needletail.engine import BUILD_COUNTS, IndexedGroup, base_bitvector
 from repro.needletail.table import Column, Table
 
@@ -59,7 +58,7 @@ class MappedNeedletailEngine(SamplingEngine):
 
     Behaviourally identical to :class:`NeedletailEngine` - same
     :class:`IndexedGroup` retrieval path (rank -> select -> row-store
-    fetch), same default cost model - but constructed from persisted
+    fetch), same sample counts - but constructed from persisted
     arrays in O(mapped pages touched), with no :class:`BitmapIndex`
     build.  ``BUILD_COUNTS["mapped"]`` counts these constructions; the
     warm-reopen tests assert they replace (not add to) "needletail" ones.
@@ -71,17 +70,11 @@ class MappedNeedletailEngine(SamplingEngine):
         *,
         group_by: str,
         value_column: str,
-        row_bytes: int,
-        cost_model: CostModel | None = None,
     ) -> None:
         BUILD_COUNTS["mapped"] += 1
         self.group_by = group_by
         self.value_column = value_column
-        super().__init__(
-            population,
-            cost_model=cost_model if cost_model is not None else NeedletailCostModel(),
-            row_bytes=int(row_bytes),
-        )
+        super().__init__(population)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +201,14 @@ def unpack_population(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> P
 def pack_index(engine) -> tuple[dict, dict[str, np.ndarray]] | None:
     """A built engine's index as store ``(meta, arrays)``, or None.
 
-    The ``"needletail"`` packing of its population, joined, plus the
-    engine's ``row_bytes``.
+    The ``"needletail"`` packing of its population, joined.  (Stores
+    written before 4.0 carry one more meta key, which readers ignore.)
     """
     packed = pack_population(engine.population)
     if packed is None or packed[0] != "needletail":
         return None
     _, meta, buffers = packed
-    return {**meta, "row_bytes": int(engine.row_bytes)}, concatenated(buffers)
+    return meta, concatenated(buffers)
 
 
 def unpack_index(
@@ -227,12 +220,8 @@ def unpack_index(
 ) -> MappedNeedletailEngine:
     """Rebuild a sampling engine over mapped index segments (zero-copy)."""
     population = unpack_population("needletail", meta, arrays)
-    try:
-        row_bytes = int(meta["row_bytes"])
-    except KeyError as exc:
-        raise StorageError(f"needletail build is missing {exc} - rebuild the store") from exc
     return MappedNeedletailEngine(
-        population, group_by=group_by, value_column=value_column, row_bytes=row_bytes
+        population, group_by=group_by, value_column=value_column
     )
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,3 +79,32 @@ def virtual_engine() -> InMemoryEngine:
     """Virtual population: analytic means, effectively unlimited draws."""
     pop = make_virtual_population([15.0, 35.0, 55.0, 75.0], sizes=10**7)
     return InMemoryEngine(pop)
+
+
+#: Rows ``table3``, ``fig4``, ``headline`` and ``ablation-costmodel`` printed
+#: at the micro and smoke scales when engines still priced every charge
+#: through a cost model, keyed ``PINNED[scale][figure]``.
+PINNED = json.loads((Path(__file__).parent / "experiments" / "pinned_seconds.json").read_text())
+_SECONDS_HEADERS = {"total_s", "io_s", "cpu_s", "sim_seconds"}
+
+
+def assert_rows_pinned(fig, pinned: dict) -> None:
+    """``fig``'s rows equal ``pinned``'s: seconds to ``rel=1e-12``, the rest exactly.
+
+    Pricing a finished run from its counts sums in another order than
+    per-charge pricing did, so seconds may differ in the last bits; sample
+    counts and percentages may not.  Seconds are the ``_SECONDS_HEADERS``
+    columns, and every column after ``attribute, algorithm`` in ``table3``.
+    """
+    assert fig.headers == pinned["headers"]
+    timed = [
+        h in _SECONDS_HEADERS or (fig.figure == "table3" and i >= 2)
+        for i, h in enumerate(fig.headers)
+    ]
+    assert len(fig.rows) == len(pinned["rows"])
+    for row, want in zip(fig.rows, pinned["rows"]):
+        for is_seconds, got, expected in zip(timed, row, want):
+            if is_seconds:
+                assert got == pytest.approx(expected, rel=1e-12, abs=0.0), row
+            else:
+                assert got == expected, row

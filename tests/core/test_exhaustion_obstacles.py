@@ -11,7 +11,6 @@ docstring of repro.core.ifocus).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.ifocus import run_ifocus
 from repro.core.reference import run_ifocus_reference

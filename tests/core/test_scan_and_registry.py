@@ -8,7 +8,7 @@ import pytest
 from repro.core.registry import ALGORITHMS, algorithm_names, run_algorithm
 from repro.core.scan import run_scan
 from repro.engines.memory import InMemoryEngine
-from repro.needletail.cost import NeedletailCostModel
+from repro.experiments.costmodel import simulated_cost
 from tests.conftest import make_materialized_population
 
 
@@ -26,9 +26,9 @@ class TestScan:
     def test_linear_cost(self):
         pop_small = make_materialized_population([10.0, 90.0], sizes=1000)
         pop_big = make_materialized_population([10.0, 90.0], sizes=10_000)
-        small = run_scan(InMemoryEngine(pop_small, cost_model=NeedletailCostModel()))
-        big = run_scan(InMemoryEngine(pop_big, cost_model=NeedletailCostModel()))
-        ratio = big.stats.total_seconds / small.stats.total_seconds
+        small = run_scan(InMemoryEngine(pop_small))
+        big = run_scan(InMemoryEngine(pop_big))
+        ratio = sum(simulated_cost(big.stats)) / sum(simulated_cost(small.stats))
         assert ratio == pytest.approx(10.0, rel=0.01)
 
     def test_ignores_sampling_kwargs(self, small_engine):

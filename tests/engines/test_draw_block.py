@@ -25,7 +25,6 @@ from repro.data.distributions import (
 from repro.data.population import Population, VirtualGroup
 from repro.data.synthetic import make_mixture_dataset
 from repro.engines.memory import InMemoryEngine
-from repro.needletail.cost import NeedletailCostModel
 from repro.needletail.engine import NeedletailEngine
 from repro.needletail.table import Column, Table
 from tests.conftest import make_materialized_population
@@ -180,18 +179,15 @@ class TestDrawBlockContract:
 
 class TestChargeBlock:
     def test_matches_per_group_charges(self, materialized_engine):
-        pop = materialized_engine.population
-        eng = InMemoryEngine(pop, cost_model=NeedletailCostModel())
-        r_loop = eng.open_run(seed=5)
-        r_blk = eng.open_run(seed=5)
+        r_loop = materialized_engine.open_run(seed=5)
+        r_blk = materialized_engine.open_run(seed=5)
         for g in range(4):
             r_loop.charge(g, 37)
         r_blk.charge_block(np.arange(4), 37)
         assert np.array_equal(
             r_loop.stats.samples_per_group, r_blk.stats.samples_per_group
         )
-        assert r_loop.stats.io_seconds == pytest.approx(r_blk.stats.io_seconds)
-        assert r_loop.stats.cpu_seconds == pytest.approx(r_blk.stats.cpu_seconds)
+        assert r_loop.stats.scanned_rows == r_blk.stats.scanned_rows == 0
 
     def test_zero_noop_and_negative(self, materialized_engine):
         run = materialized_engine.open_run(seed=6)

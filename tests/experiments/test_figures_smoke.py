@@ -31,7 +31,8 @@ from repro.experiments import (
     table1_execution_trace,
     table3_flights_runtimes,
 )
-from repro.experiments.config import Scale
+from repro.experiments.config import SMOKE, Scale
+from tests.conftest import PINNED, assert_rows_pinned
 
 MICRO = Scale(
     name="micro",
@@ -83,3 +84,14 @@ def test_figure_runs_and_formats(fig_fn):
     # Every row matches the header width.
     for row in fig.rows:
         assert len(row) == len(fig.headers)
+    if fig.figure in PINNED["micro"]:
+        assert_rows_pinned(fig, PINNED["micro"][fig.figure])
+
+
+@pytest.mark.parametrize("fig_fn", [headline_claims, ablation_cost_model], ids=lambda f: f.__name__)
+def test_smoke_scale_seconds_are_pinned(fig_fn):
+    # The smoke-scale table3 and fig4 pins (~1 min) are checked only by
+    # their benchmarks, benchmarks/bench_table3_flights.py and
+    # benchmarks/bench_fig4_runtime.py.
+    fig = fig_fn(SMOKE)
+    assert_rows_pinned(fig, PINNED["smoke"][fig.figure])

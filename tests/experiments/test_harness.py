@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.data.synthetic import make_mixture_dataset
-from repro.experiments.config import PAPER, SMOKE, Scale, current_scale
+from repro.experiments.config import PAPER, SMOKE, current_scale
 from repro.experiments.report import FigureResult, format_table
 from repro.experiments.runner import TrialResult, mean_percentage_sampled, run_trial, run_trials
 

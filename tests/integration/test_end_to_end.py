@@ -49,13 +49,13 @@ class TestFullPipeline:
         # samples while SCAN pays for every row.
         from repro.data.synthetic import make_mixture_dataset
         from repro.engines.memory import InMemoryEngine
-        from repro.needletail.cost import NeedletailCostModel
+        from repro.experiments.costmodel import simulated_cost
 
         population = make_mixture_dataset(k=10, total_size=10**8, seed=5)
-        engine = InMemoryEngine(population, cost_model=NeedletailCostModel())
+        engine = InMemoryEngine(population)
         ifocusr = run_algorithm("ifocusr", engine, delta=0.05, resolution=1.0, seed=6)
         scan = run_algorithm("scan", engine)
-        assert ifocusr.stats.total_seconds < scan.stats.total_seconds
+        assert sum(simulated_cost(ifocusr.stats)) < sum(simulated_cost(scan.stats))
 
     def test_guarantee_holds_across_many_seeds(self):
         # 30 independent runs at delta=0.25 over one NEEDLETAIL engine:

@@ -230,8 +230,9 @@ class TestResultShape:
     def test_accounting(self, session):
         res = session.table("t").group_by("g").agg(avg("y")).run(seed=6)
         assert res.total_samples > 0
-        assert res.total_seconds == res.io_seconds + res.cpu_seconds
-        assert res.io_seconds > 0  # needletail cost model is calibrated, not null
+        stats = res.first.raw.stats
+        assert stats.total_samples == res.total_samples
+        assert stats.scanned_rows == 0
 
     def test_explain_mentions_dispatch(self, session):
         text = session.table("t").group_by("g").agg(avg("y"), count("*")).explain()

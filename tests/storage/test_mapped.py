@@ -54,7 +54,7 @@ class TestPackIndex:
             wb = np.asarray(base_bitvector(b._selector).words)
             assert np.array_equal(wa, wb)
         assert back.population.c == engine.population.c
-        assert back.row_bytes == engine.row_bytes
+        assert np.array_equal(back.population.sizes(), engine.population.sizes())
 
     def test_selects_identical(self):
         engine = NeedletailEngine(_table(), "g", "v")
@@ -206,7 +206,7 @@ class TestPackedFormat:
         assert meta["groups"] == [
             [str(i), 782 * i, 782 * (i + 1), 50_000] for i in range(7)
         ]
-        assert meta["row_bytes"] == 16 and meta["name"] == "t"
+        assert "row_bytes" not in meta and meta["name"] == "t"
 
     def test_population_pack_is_pinned_and_copies_nothing(self):
         labels, values = _pinned_columns()

@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pytest
 
 import repro
 from repro.needletail.engine import BUILD_COUNTS

@@ -67,14 +67,6 @@ def oneshot_session(rows: dict, engine: str = "memory", shards: int = 1):
     return session
 
 
-def canon(result) -> dict:
-    """Result.to_dict() minus wall-clock fields (io/cpu seconds vary)."""
-    d = result.to_dict()
-    d.pop("io_seconds")
-    d.pop("cpu_seconds")
-    return d
-
-
 def window_rows(start: float, end: float) -> dict:
     """The canonical stream's rows with ``start <= ts < end``."""
     mask = (DATA["ts"] >= start) & (DATA["ts"] < end)

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from streamutil import DATA, SCHEMA, chunk_factory, make_session
+from streamutil import DATA, SCHEMA, chunk_factory
 from repro.catalog import IteratorSource
 from repro.session import connect
 from repro.streaming import ContinuousQuery, WindowResult

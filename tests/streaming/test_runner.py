@@ -1,7 +1,7 @@
 """WindowRunner guarantees: bit-identity, lateness, deadlines, warm start.
 
 The correctness anchor of the streaming subsystem: every tumbling window's
-result is BIT-IDENTICAL (canonical dict equality minus wall-clock fields)
+result is BIT-IDENTICAL (equality of the whole ``Result.to_dict()``)
 to a one-shot Session query over exactly that window's rows with the same
 per-window seed - across engines and shard counts.
 """
@@ -15,13 +15,11 @@ from streamutil import (
     DATA,
     N,
     SCHEMA,
-    canon,
     make_session,
     oneshot_session,
     window_rows,
 )
 from repro.catalog import Catalog, IteratorSource
-from repro.streaming import WindowSpec
 from repro.streaming.runner import (
     LateDataError,
     WindowResult,
@@ -64,7 +62,7 @@ class TestTumblingBitIdentity:
                 oneshot.table("events").group_by("g").agg("AVG(v)")
                 .run(seed=wr.seed)
             )
-            assert canon(wr.result) == canon(expected)
+            assert wr.result.to_dict() == expected.to_dict()
             oneshot.close()
         session.close()
 
@@ -84,7 +82,7 @@ class TestTumblingBitIdentity:
                 .stream(seed=wr.seed)
             )
             oneshot_updates = list(stream)
-            assert canon(wr.result) == canon(stream.result)
+            assert wr.result.to_dict() == stream.result.to_dict()
             window_updates = [
                 u.update.to_dict() for u in updates
                 if u.window.index == wr.window.index
@@ -100,7 +98,7 @@ class TestTumblingBitIdentity:
         for emit in (True, False):
             session = make_session()
             cq = windowed(session, size=200.0, on="ts").subscribe(seed=5, emit_updates=emit)
-            results[emit] = [canon(wr.result) for wr in results_of(cq)]
+            results[emit] = [wr.result.to_dict() for wr in results_of(cq)]
             session.close()
         assert len(results[True]) == 3
         assert results[True] == results[False]
@@ -119,7 +117,7 @@ class TestTumblingBitIdentity:
                 oneshot.table("events").group_by("g").agg("AVG(v)")
                 .run(seed=wr.seed)
             )
-            assert canon(wr.result) == canon(expected)
+            assert wr.result.to_dict() == expected.to_dict()
             oneshot.close()
         session.close()
 
@@ -218,7 +216,7 @@ class TestLatePolicies:
             oneshot.table("events").group_by("g").agg("AVG(v)")
             .run(seed=revised.seed)
         )
-        assert canon(revised.result) == canon(expected)
+        assert revised.result.to_dict() == expected.to_dict()
         oneshot.close()
 
     def test_error_raises_late_data_error(self):
@@ -299,7 +297,7 @@ class TestWarmStart:
         assert len(warm) == len(cold) and len(warm) >= 4
         for w, c in zip(warm, cold):
             assert w.window == c.window
-            assert canon(w.result) == canon(c.result)
+            assert w.result.to_dict() == c.result.to_dict()
         # Windows past the first actually reused predecessor panes.
         assert any(r.warm_start for r in warm[1:])
         assert not any(r.warm_start for r in cold)
@@ -311,7 +309,7 @@ class TestWarmStart:
                 oneshot.table("events").group_by("g").agg("AVG(v)")
                 .run(seed=wr.seed)
             )
-            assert canon(wr.result) == canon(expected)
+            assert wr.result.to_dict() == expected.to_dict()
             oneshot.close()
 
 

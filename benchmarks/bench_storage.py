@@ -1,11 +1,11 @@
-"""Durable-store timings: cold index build vs warm memory-mapped re-open.
+"""Durable-store timings: cold population build vs warm memory-mapped re-open.
 
-The PR-8 storage tier exists to make re-opening a NEEDLETAIL index O(1):
-``write_segment`` persists the bitmap words and value columns once, and a
-later :class:`~repro.storage.DurableCatalog` open maps them back with
-``np.memmap`` instead of re-scanning the relation and re-packing bitmaps.
+The storage tier exists to make re-opening a grouped population cheap:
+``write_segment`` persists its values once, and a later
+:class:`~repro.storage.DurableCatalog` open maps them back with
+``np.memmap`` instead of re-scanning and re-grouping the relation.
 These ops record that trajectory - ``cold_build_s`` (attach + prime from
-rows), ``warm_open_s`` (fresh catalog, mapped engine), and their ratio -
+rows), ``warm_open_s`` (fresh catalog, mapped population), and their ratio -
 so the committed BENCH_micro.json carries the speedup claim the storage CI
 leg (``scripts/storage_smoke.py``) gates on.
 
@@ -24,8 +24,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.needletail.engine import BUILD_COUNTS
-from repro.storage import DurableCatalog, MappedNeedletailEngine
+from repro.data.population import BUILD_COUNTS
+from repro.storage import DurableCatalog
 
 _GROUPS = 64
 _ROWS_PER_GROUP_SMOKE = 2_000
@@ -49,23 +49,19 @@ def _cold_build_seconds(store_dir, data) -> float:
     cat.attach("t", data)
     primed = cat.prime("t", "g", "v")
     elapsed = time.perf_counter() - t0
-    assert "needletail" in primed
+    assert primed == ["population"]
     cat.close()
     return elapsed
 
 
 def _warm_open_seconds(store_dir) -> float:
-    """Fresh catalog handle -> mapped engine, no index rebuild."""
+    """Fresh catalog handle -> mapped population, no build from source rows."""
     before = dict(BUILD_COUNTS)
     cat = DurableCatalog(store_dir)
     t0 = time.perf_counter()
-    engine = cat.indexed_engine(
-        "t", "g", "v", group_spec=["g"],
-        builder=lambda: (_ for _ in ()).throw(AssertionError("index rebuilt")),
-    )
+    cat.population("t", "g", "v")
     elapsed = time.perf_counter() - t0
-    assert isinstance(engine, MappedNeedletailEngine)
-    assert BUILD_COUNTS["needletail"] == before["needletail"]
+    assert BUILD_COUNTS == {**before, "mapped": before["mapped"] + 1}
     cat.close()
     return elapsed
 
@@ -89,14 +85,13 @@ def test_bench_storage_warm_open_smoke(benchmark, tmp_path):
     _cold_build_seconds(store, data)  # populate once, off the clock
 
     def warm_open():
+        before = BUILD_COUNTS["source"]
         cat = DurableCatalog(store)
-        engine = cat.indexed_engine("t", "g", "v", group_spec=["g"],
-                                    builder=lambda: None)
+        cat.population("t", "g", "v")
         cat.close()
-        return engine
+        return BUILD_COUNTS["source"] - before
 
-    engine = benchmark.pedantic(warm_open, rounds=3, iterations=1)
-    assert isinstance(engine, MappedNeedletailEngine)
+    assert benchmark.pedantic(warm_open, rounds=3, iterations=1) == 0
     _record(benchmark, store, data)
 
 
@@ -108,12 +103,11 @@ def test_bench_storage_cold_vs_warm(benchmark, tmp_path):
     _cold_build_seconds(store, data)
 
     def warm_open():
+        before = BUILD_COUNTS["source"]
         cat = DurableCatalog(store)
-        engine = cat.indexed_engine("t", "g", "v", group_spec=["g"],
-                                    builder=lambda: None)
+        cat.population("t", "g", "v")
         cat.close()
-        return engine
+        return BUILD_COUNTS["source"] - before
 
-    engine = benchmark.pedantic(warm_open, rounds=_REPS, iterations=1)
-    assert isinstance(engine, MappedNeedletailEngine)
+    assert benchmark.pedantic(warm_open, rounds=_REPS, iterations=1) == 0
     _record(benchmark, store, data)

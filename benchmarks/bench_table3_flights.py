@@ -26,4 +26,5 @@ def test_table3_flights(run_figure, assert_pinned):
         # carrier pairs stop exhausting once groups outgrow the resolution
         # stopping point; at paper scale growth is ~2x per 100x).
         assert ifocusr[-1] < 0.95 * size_ratio * ifocusr[-2], attribute
-    assert "all correct" in fig.notes[-1]
+    # The paper: every returned ordering is correct.
+    assert fig.raw["misordered"] == [], fig.raw["misordered"]

@@ -3,14 +3,14 @@
 
 Runs the persistence path end to end in a throwaway store directory:
 
-1. cold: attach a synthetic relation under ``connect(store=...)``, run one
-   grouped query (building + persisting the NEEDLETAIL index and the
-   materialized population), and time the build; the same query run again
-   in this process must build nothing at all - no ``BitmapIndex``, no mapped
-   engine - because the catalog keeps the built index in RAM;
+1. cold: attach a synthetic relation under ``connect(store=...)``, prime
+   it (building + persisting the grouped population every engine door
+   samples), and time the build; the same query run twice in this process
+   must build nothing the second time - no population, from source or from
+   disk - because the catalog keeps the built engine in RAM;
 2. restart: re-open the same store in a **fresh python process** - the
-   warm open must construct a mapped engine without a single index rebuild
-   (``BUILD_COUNTS["needletail"] == 0`` in the child is the oracle) and
+   warm open must map the population without a single build from source
+   rows (``BUILD_COUNTS["source"] == 0`` in the child is the oracle) and
    serve results identical to the cold run;
 3. gate: the warm open must be at least 10x faster than the cold build
    (mapping segments is O(1) in the data; rebuilding is O(rows));
@@ -20,7 +20,7 @@ Runs the persistence path end to end in a throwaway store directory:
    directory holds only the workers' ``out-*`` buffers, no payload copy),
    and leave no pool directory behind once the session closes;
 5. verify: every segment checksum must match its catalog row;
-6. self-heal: flip one bit of a committed index segment on disk, re-open,
+6. self-heal: flip one bit of a committed population segment on disk, re-open,
    and re-run the query - the corrupt build must be quarantined and
    rebuilt transparently, the answer bit-identical to the cold run with a
    ``resilience:`` caveat, and the store clean again afterwards.
@@ -44,24 +44,21 @@ import numpy as np  # noqa: E402
 
 import repro  # noqa: E402
 from repro.engines.payload import live_pool_dirs  # noqa: E402
-from repro.needletail.engine import BUILD_COUNTS  # noqa: E402
+from repro.data.population import BUILD_COUNTS  # noqa: E402
 from repro.storage import Store  # noqa: E402
 
 WARM_CHILD = """
 import json, sys, time
 import repro
-from repro.needletail.engine import BUILD_COUNTS
-from repro.storage.mapped import MappedNeedletailEngine
+from repro.data.population import BUILD_COUNTS
 
-# On the clock: open the store and map the persisted index - no query, so
-# the parent's speedup gate compares build cost against open cost alone.
+# On the clock: open the store and map the persisted population - no query,
+# so the parent's speedup gate compares build cost against open cost alone.
 t0 = time.perf_counter()
 session = repro.connect(store=sys.argv[1], seed=1)
-engine = session._catalog.indexed_engine(
-    "t", "g", "v", group_spec=["g"], builder=lambda: None
-)
+session._catalog.population("t", "g", "v")
 elapsed = time.perf_counter() - t0
-assert isinstance(engine, MappedNeedletailEngine), type(engine).__name__
+assert BUILD_COUNTS == {"source": 0, "mapped": 1}, BUILD_COUNTS
 
 result = session.table("t").group_by("g").agg(repro.avg("v")).run(seed=5)
 session.close()
@@ -98,8 +95,8 @@ def main(argv: list[str] | None = None) -> int:
         store = Path(tmp) / "store"
 
         # On the clock: attach + prime, i.e. scan the rows, build the
-        # NEEDLETAIL index + population, persist every segment.  The query
-        # runs off the clock - both sides pay it equally.
+        # grouped population, persist every segment.  The query runs off
+        # the clock - both sides pay it equally.
         t0 = time.perf_counter()
         session = repro.connect(store=store, seed=1)
         session.attach("t", _dataset(args.rows))
@@ -113,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             kind: BUILD_COUNTS[kind] - builds_before[kind] for kind in BUILD_COUNTS
         }
         session.close()
-        print(f"cold attach + index build: {cold_s:.3f}s ({args.rows:,} rows)")
+        print(f"cold attach + population build: {cold_s:.3f}s ({args.rows:,} rows)")
 
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -130,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         report = json.loads(out.stdout.strip().splitlines()[-1])
         warm_s = report["warm_s"]
         speedup = cold_s / warm_s if warm_s else float("inf")
-        print(f"warm re-open, mapped engine (fresh process): {warm_s:.3f}s "
+        print(f"warm re-open, mapped population (fresh process): {warm_s:.3f}s "
               f"-> {speedup:.1f}x")
 
         failures = []
@@ -140,9 +137,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         if repeat_result.to_dict() != cold_result.to_dict():
             failures.append("the repeated in-process query changed its answer")
-        if report["build_counts"]["needletail"] != 0:
+        if report["build_counts"]["source"] != 0:
             failures.append(
-                f"warm open rebuilt the index: BUILD_COUNTS="
+                f"warm open rebuilt from source rows: BUILD_COUNTS="
                 f"{report['build_counts']}"
             )
         if report["order"] != cold_result.first.order():
@@ -184,12 +181,12 @@ def main(argv: list[str] | None = None) -> int:
             checked = raw.verify()
         print(f"verified {checked} segments")
 
-        # Self-heal: corrupt one committed index segment, then query again.
+        # Self-heal: corrupt one committed population segment, then query again.
         with Store(store) as raw:
             row = raw._db.execute(
                 "SELECT s.filename FROM segments s "
                 "JOIN builds b ON s.build_id = b.id "
-                "WHERE b.kind = 'needletail' ORDER BY s.id LIMIT 1"
+                "WHERE b.kind = 'population' ORDER BY s.id LIMIT 1"
             ).fetchone()
             victim = Path(raw.segments_dir) / row["filename"]
         with open(victim, "r+b") as fh:

@@ -3,7 +3,7 @@
 A complete Python reproduction of "Rapid Sampling for Visualizations with
 Ordering Guarantees" (Kim, Blais, Parameswaran, Indyk, Madden, Rubinfeld;
 VLDB 2015): the IFOCUS family of sampling algorithms, the IREFINE and
-ROUNDROBIN comparison points, the NEEDLETAIL bitmap-index sampling substrate,
+ROUNDROBIN comparison points, the NEEDLETAIL per-group sampling substrate,
 the Section 6 extensions, and an experiment harness regenerating every figure
 and table in the paper's evaluation.
 
@@ -112,7 +112,7 @@ from repro.session import (
 )
 from repro.streaming import ContinuousQuery, WindowResult, WindowSpec
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     # Session API (primary surface)

@@ -3,24 +3,21 @@
 A catalog maps table names to :class:`~repro.catalog.source.DataSource`
 objects and owns the derived artifacts engines consume:
 
-* :meth:`Catalog.population` - the grouped value multiset a population
-  engine (``memory``) samples from.  Built by scanning **only** the group
+* :meth:`Catalog.population` - the grouped value multiset every engine
+  door samples from.  Built by scanning **only** the group
   and value columns with the WHERE predicate pushed into the scan, so
   filtering happens chunk-by-chunk *before* anything is materialized.
   Builds are cached per ``(table, group_col, value_col, predicate,
   value_bound)``; repeated queries over the same grouping reuse the build.
 * :meth:`Catalog.table` - the fully materialized row-store
-  :class:`~repro.needletail.table.Table` the bitmap-index engines
-  (``needletail``/``noindex``) wrap.  Cached per table; predicates are not
-  applied here because NEEDLETAIL evaluates them as index bitmaps (the
-  paper's Section 6.3.3 form of pushdown).
-* :meth:`Catalog.indexed_engine` - the built bitmap-index engine itself
-  (``BitmapIndex`` + per-group selectors, WHERE bitmap already ANDed in).
-  NEEDLETAIL's index is a persistent property of the table, not of a
-  query, so it is cached like a population - per ``(table, GROUP BY list,
-  value_col, predicate, value_bound)``, under the same LRU bound - and a
-  repeated query pays no index build, no WHERE evaluation and no table
-  materialization.
+  :class:`~repro.needletail.table.Table`, for composite GROUP BY keys
+  (derived from several columns) and for callers that want the rows.
+  Cached per table; predicates are not applied here.
+* :meth:`Catalog.indexed_engine` - the engine the ``needletail``/``noindex``
+  doors sample: one per ``(table, GROUP BY list, value_col, predicate,
+  value_bound)``, under the same LRU bound, so a repeated query resolves
+  its engine with one lookup.  The engine samples the cached grouped
+  population (the paper's per-group random-row fetch, §4, as a gather).
 * :meth:`Catalog.fanout` - the :class:`~repro.engines.sharded.ShardedEngine`
   a ``.sharded()`` query runs on, with its fan-out threads or spawn workers
   and their payload files.  Workers belong to the catalog, not the
@@ -41,13 +38,13 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from repro.catalog.schema import Schema
-from repro.catalog.source import Chunk, DataSource, TableSource
-from repro.data.population import MaterializedGroup, Population
+from repro.catalog.source import DataSource, TableSource
+from repro.data.population import Population, population_from_chunks
 from repro.needletail.table import Table
 from repro.query.ast import Predicate
 
@@ -60,57 +57,6 @@ __all__ = [
     "FanoutLease",
     "population_from_chunks",
 ]
-
-
-def population_from_chunks(
-    chunks: Iterable[Chunk],
-    group_col: str,
-    value_col: str,
-    *,
-    c: float | None = None,
-    name: str = "population",
-    filtered: bool = False,
-) -> Population:
-    """Assemble a grouped population from streamed ``{column: array}`` chunks.
-
-    Consumes one chunk at a time (releasing each before pulling the next) and
-    accumulates only the two projected columns.  Grouping is one stable
-    argsort over the concatenated rows - the exact code path the legacy
-    post-materialization filter used, so a pushed-down scan yields a
-    bit-identical population: same keys, same per-group chunk order, same
-    inferred value bound.
-    """
-    group_parts: list[np.ndarray] = []
-    value_parts: list[np.ndarray] = []
-    it = iter(chunks)
-    while True:
-        try:
-            chunk = next(it)
-        except StopIteration:
-            break
-        group_parts.append(np.asarray(chunk[group_col]))
-        value_parts.append(np.asarray(chunk[value_col], dtype=np.float64))
-        del chunk
-    if value_parts:
-        values = value_parts[0] if len(value_parts) == 1 else np.concatenate(value_parts)
-        group_vals = group_parts[0] if len(group_parts) == 1 else np.concatenate(group_parts)
-    else:
-        values = np.empty(0, dtype=np.float64)
-        group_vals = np.empty(0, dtype=str)
-    if values.size == 0:
-        if filtered:
-            raise ValueError("no group matches the predicate")
-        raise ValueError(f"{name}: source produced no rows")
-    if c is None:
-        c = max(float(values.max()), 1e-9)
-    # One stable argsort instead of a mask scan per key: O(n log n) for any
-    # group count, and bit-identical chunks (stable sort keeps the original
-    # row order within each group).  Keys come out sorted, matching the
-    # BitmapIndex label order.
-    order = np.argsort(group_vals, kind="stable")
-    keys, starts = np.unique(group_vals[order], return_index=True)
-    groups = [MaterializedGroup(str(key), chunk) for key, chunk in zip(keys, np.split(values[order], starts[1:]))]
-    return Population(groups=groups, c=float(c), name=name)
 
 
 #: One cached population build, as reported by :meth:`Catalog.describe`.
@@ -225,8 +171,8 @@ class Catalog:
 
     #: Upper bound on cached population builds, and on cached engine builds
     #: (LRU eviction beyond it).  A population entry holds one filtered
-    #: group/value copy, an engine entry ~k * rows / 8 bytes of bitmap words,
-    #: so this caps resident memory at ~MAX * relation-column size for
+    #: group/value copy and an engine entry shares the groups of one, so this
+    #: caps resident memory at ~2 * MAX * relation-column size for
     #: pathological workloads.
     MAX_CACHED_POPULATIONS = 64
     #: Upper bound on cached fan-outs (LRU eviction beyond it).  Far below
@@ -391,7 +337,7 @@ class Catalog:
     # -- lazy builds ---------------------------------------------------------
 
     def table(self, name: str) -> Table:
-        """Materialize the full row-store table for bitmap engines.
+        """Materialize the full row-store table.
 
         Cached per source; non-cacheable (streaming) sources rebuild every
         call so queries never see a frozen first snapshot.
@@ -496,22 +442,21 @@ class Catalog:
         group_spec=None,
         builder=None,
     ):
-        """The bitmap-index engine for one build coordinate, built once.
+        """The ``needletail``/``noindex`` engine for one build coordinate, built once.
 
-        ``builder`` (the planner's cold NEEDLETAIL construction: table
-        materialization, WHERE bitmap, ``BitmapIndex``) runs only on a miss;
-        the engine it returns is cached under ``(source, group_spec, value
-        column, predicate, value bound)`` - ``group_spec`` being the full
-        GROUP BY list, since ``group_col`` alone is ambiguous for composite
-        keys - and obeys the rules populations obey: LRU-bounded by
+        ``builder`` (the planner's cold construction over the grouped
+        population) runs only on a miss; the engine it returns is cached
+        under ``(source, group_spec, value column, predicate, value
+        bound)`` - ``group_spec`` being the full GROUP BY list, since
+        ``group_col`` alone is ambiguous for composite keys - and obeys the rules populations obey: LRU-bounded by
         :data:`MAX_CACHED_POPULATIONS`, skipped for non-cacheable sources,
         dropped by :meth:`invalidate`/rebinding, shared with snapshots.
         Sharing one engine across concurrent queries is safe: it is immutable
         after construction, all per-run state lives on the ``EngineRun``.
         Like :meth:`population`, concurrent first queries may each build;
-        the first to finish is the one every later query gets.
-        :class:`~repro.storage.DurableCatalog` puts a disk tier under this
-        one by wrapping ``builder``.
+        the first to finish is the one every later query gets.  On a
+        :class:`~repro.storage.DurableCatalog` the builder's population comes
+        from disk, so a warm re-open builds nothing from source rows.
         """
         if builder is None:
             return None

@@ -9,12 +9,13 @@ the same catalog as CSV and Parquet relations::
     session.attach("bench", SyntheticSource("mixture", k=10, seed=0))
     session.table("bench").group_by("g").agg(avg("value")).on_engine("memory").run()
 
-Population-based engines (``memory``) consume the generated population
-directly - :meth:`SyntheticSource.population` bypasses the scan-based build
-entirely, which is the only sound route for virtual groups.  ``scan`` (and
-therefore the bitmap-index engines and WHERE pushdown) works only when the
-spec materializes its rows (``materialize=True``); on a virtual spec both
-raise a clear error instead of silently drawing unbounded samples.
+Every engine door consumes the generated population directly -
+:meth:`SyntheticSource.population` bypasses the scan-based build entirely,
+which is the only sound route for virtual groups.  ``scan`` (and therefore
+WHERE pushdown, composite GROUP BY keys and the row-store table) works only
+when the spec materializes its rows (``materialize=True``); on a virtual
+spec they raise a clear error instead of silently drawing unbounded
+samples.
 """
 
 from __future__ import annotations

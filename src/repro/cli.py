@@ -39,7 +39,7 @@ query: source kinds, schemas, row counts, and cached-build status.  Each
 is attached so there is always something to show.
 
 ``--store DIR`` (on ``tables``/``describe``/``query``/``serve``) opens a
-durable store: attached sources and their cached index builds persist, and
+durable store: attached sources and their cached population builds persist, and
 later invocations - including a restarted ``serve`` - re-open them warm from
 memory-mapped segments.  ``store build`` primes those builds offline,
 ``store ls`` summarizes what a store holds, ``store verify`` checksums every
@@ -775,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sto_build = sto_sub.add_parser(
         "build",
-        help="attach sources and persist their index/population builds "
+        help="attach sources and persist their population builds "
         "so later sessions (and `serve --store`) boot warm",
     )
     sto_build.add_argument("store", metavar="STORE", help="store directory")
@@ -784,10 +784,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="build only this table (default: every "
                            "attached table)")
     sto_build.add_argument("--group-by", default=None, metavar="COL",
-                           help="index group column (default: the table's "
+                           help="build group column (default: the table's "
                            "first string column)")
     sto_build.add_argument("--value", default=None, metavar="COL",
-                           help="index value column (default: the table's "
+                           help="build value column (default: the table's "
                            "first numeric column)")
     sto_build.add_argument("--bound", type=float, default=None,
                            help="value bound c for the build (default: "

@@ -70,6 +70,10 @@ this rule a group could finalize on the wrong side of a fully-read
 neighbor's exact average, silently breaking strict ordering on hard
 instances (this is why the paper's real-data runs read *both* sides of every
 conflicting pair in full).
+
+And one shortcut: a lone group (k = 1) has nothing to be ordered against,
+so it leaves after its first sample, where the literal loop tests only
+after a second round - unless its rule wants more (a values-mode width).
 """
 
 from __future__ import annotations
@@ -136,6 +140,23 @@ class LeaveRule:
         """Stop the run (live groups finalize where they are)?  Evaluated
         after each round's removals; depends on the inactive count only."""
         return False
+
+
+def _lone_group_leaves(rule: LeaveRule | None, estimates: np.ndarray, eps: float) -> bool:
+    """k = 1: may the lone group leave after its first sample?
+
+    It has no other interval to be separated from, so Algorithm 1's rule
+    lets it go at once - where the literal loop would draw a second round
+    before its first test.  A rule may still ask for more samples
+    (:class:`~repro.extensions.values.ValuesRule`'s interval width).  Both
+    executors ask this once, after round 1.
+    """
+    none = np.empty(0)
+    gids = np.zeros(1, dtype=np.int64)
+    ok = (rule or LeaveRule()).leave(
+        estimates[None, :1], np.array([eps]), gids, Inactive(none, none)
+    )
+    return bool(ok[0, 0])
 
 
 class _IFocusState:
@@ -287,6 +308,12 @@ def run_ifocus(
     state.samples[:] = 1
     m = 1
     _maybe_trace_initial(state, schedule, without_replacement)
+    # A lone group may leave after round 1; a one-row group is left to the
+    # loop's exhaustion pre-check instead.
+    if k == 1 and not (without_replacement and state.sizes[0] <= 1):
+        eps = float(schedule(1.0, _n_max(state, all_gids, without_replacement)))
+        if _lone_group_leaves(rule, state.estimates, eps):
+            state.finalize(0, float(state.estimates[0]), 1, eps, False, 0)
 
     batch = int(initial_batch)
     truncated = False

@@ -9,7 +9,7 @@ cost quadruples, IREFINE's sample complexity carries an extra log(1/eta)
 factor (Theorem 3.10) and it is not optimal - the paper uses it as the
 "aggressive" comparison point between ROUNDROBIN and IFOCUS.
 
-Deviations from the paper's pseudocode, both noted in DESIGN.md:
+Deviations from the paper's pseudocode (both deliberate):
 
 * Algorithm 3 line 3 initializes delta_i = 1/(2k), which drops the
   user-supplied delta; we use delta/(2k) so the geometric halving unions to

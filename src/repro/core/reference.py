@@ -30,7 +30,7 @@ import numpy as np
 
 from repro._util import check_nonnegative, check_probability
 from repro.core.confidence import EpsilonSchedule
-from repro.core.ifocus import Inactive, LeaveRule
+from repro.core.ifocus import Inactive, LeaveRule, _lone_group_leaves
 from repro.core.intervals import separated_general
 from repro.core.types import GroupOutcome, OrderingResult, RoundSnapshot, Trace
 from repro.engines.base import SamplingEngine
@@ -139,6 +139,12 @@ def run_ifocus_reference(
                 epsilon=float(half_widths[0]),
             )
         )
+
+    # A lone group may leave after round 1 (as in the executor); a one-row
+    # group is left to the loop's exhaustion check instead.
+    if k == 1 and not (without_replacement and sizes[0] <= 1):
+        if _lone_group_leaves(rule, estimates, float(half_widths[0])):
+            finalize(0, float(half_widths[0]), 1, False)
 
     truncated = False
     while active.any():

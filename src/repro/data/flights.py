@@ -5,7 +5,9 @@ scales it to 1.2B and 12B rows "using probability density estimation".  The
 raw files are not available offline, so we synthesize the population the same
 way the paper scales it: per-carrier generating distributions whose means,
 spreads and relative sizes mimic the real data's structure, then treat those
-densities as the population at any requested row count (DESIGN.md section 4).
+densities as the population at any requested row count (virtual groups: see
+:class:`~repro.data.population.VirtualGroup` for what that stand-in preserves
+and where it breaks - near exhaustion).
 
 What matters for the Table 3 experiment is preserved by construction:
 

@@ -11,12 +11,12 @@ Two group representations:
   permutation of the array, and the group's true mean is the empirical mean of
   the array.  Used for populations up to ~1e7 values.
 * :class:`VirtualGroup` - the group is *defined* by a generating distribution
-  and a nominal size n_i; draws come from the distribution.  This is the
-  documented substitution for the paper's 1e8-1e10-row on-disk tables (see
-  DESIGN.md section 4): for m << n_i, with/without-replacement draws are
-  statistically indistinguishable, and a group that is sampled to exhaustion
-  (m = n_i) is finalized at its analytic mean, exactly as a full scan of the
-  group would be.
+  and a nominal size n_i; draws come from the distribution.  This stands in
+  for the paper's 1e8-1e10-row on-disk tables: draws are with replacement
+  while the epsilon schedule assumes without, which is close for m << n_i
+  and unsound near exhaustion (see :class:`VirtualGroup`); a group sampled
+  to exhaustion (m = n_i) is finalized at its analytic mean, as a full scan
+  of the group would be.
 
 Both kinds expose a per-run :class:`GroupSampler` so repeated algorithm runs
 over one population draw independent samples.
@@ -51,13 +51,16 @@ reference executor, so they use the engine's generic per-column fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.data.distributions import Distribution
 
 __all__ = [
+    "BUILD_COUNTS",
+    "population_from_chunks",
+    "split_by_key",
     "GroupSampler",
     "Group",
     "MaterializedGroup",
@@ -65,6 +68,27 @@ __all__ = [
     "Population",
     "BlockKernel",
 ]
+
+
+def split_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``values`` grouped by ``keys``: (the distinct keys sorted, one chunk each).
+
+    One stable argsort: each chunk keeps its rows' original order, and the
+    chunks are views of one array in key order (so they lie end to end).
+    The boundaries are where the sorted keys change - the keys ``np.unique``
+    returns, without its second sort.  NaN keys (which ``!=`` never equates)
+    form one group, as in ``np.unique``.
+    """
+    if keys.size == 0:
+        return keys[:0], []
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    change = ordered[1:] != ordered[:-1]
+    if ordered.dtype.kind in "fc":
+        change &= ~(np.isnan(ordered[1:]) & np.isnan(ordered[:-1]))
+    starts = np.flatnonzero(change) + 1
+    firsts = np.concatenate(([0], starts))
+    return ordered[firsts], np.split(values[order], starts)
 
 
 class GroupSampler:
@@ -410,7 +434,11 @@ class Group:
 
 
 class MaterializedGroup(Group):
-    """A group whose values are held in memory as a numpy array."""
+    """A group whose values are held in memory as a numpy array.
+
+    The true mean is computed on first use: a group over a memory-mapped
+    store segment opens without reading its values.
+    """
 
     def __init__(self, name: str, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
@@ -418,7 +446,7 @@ class MaterializedGroup(Group):
             raise ValueError(f"group {name!r} needs a non-empty 1-D value array")
         self.name = str(name)
         self.values = values
-        self._mean = float(values.mean())
+        self._mean: float | None = None
 
     @property
     def size(self) -> int:
@@ -426,6 +454,8 @@ class MaterializedGroup(Group):
 
     @property
     def true_mean(self) -> float:
+        if self._mean is None:
+            self._mean = float(self.values.mean())
         return self._mean
 
     def sampler(self, rng: np.random.Generator, without_replacement: bool) -> GroupSampler:
@@ -434,7 +464,7 @@ class MaterializedGroup(Group):
         return _MaterializedWithReplacement(self.values, rng)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MaterializedGroup({self.name!r}, n={self.size}, mean={self._mean:.4g})"
+        return f"MaterializedGroup({self.name!r}, n={self.size}, mean={self.true_mean:.4g})"
 
 
 class VirtualGroup(Group):
@@ -442,8 +472,12 @@ class VirtualGroup(Group):
 
     Draws are with replacement from the generating distribution regardless of
     the requested mode; the nominal size still drives the finite-population
-    epsilon and the exhaustion rule.  See DESIGN.md section 4 for why this
-    substitution preserves the paper's behaviour.
+    epsilon and the exhaustion rule.  That pairing is unsound near
+    exhaustion: the Hoeffding-Serfling factor shrinks epsilon as if the m
+    draws were m distinct rows of the n_i, which with-replacement draws are
+    not, so a group sampled to a sizeable fraction of n_i gets an interval
+    narrower than its draws support (an open item on ROADMAP.md).  For
+    m << n_i the two kinds of draws are statistically indistinguishable.
     """
 
     def __init__(self, name: str, dist: Distribution, size: int) -> None:
@@ -536,3 +570,57 @@ class Population:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Population({self.name!r}, k={self.k}, N={self.total_size}, c={self.c})"
+
+
+#: Process-wide instrumentation: grouped populations built from source rows
+#: (``"source"``: every :func:`population_from_chunks` call) versus opened
+#: from a durable store's memory-mapped segments (``"mapped"``, see
+#: :mod:`repro.storage`).  The storage tests assert that a warm re-open
+#: answers with *zero* new ``"source"`` builds.
+BUILD_COUNTS = {"source": 0, "mapped": 0}
+
+
+def population_from_chunks(
+    chunks: Iterable[Mapping[str, np.ndarray]],
+    group_col: str,
+    value_col: str,
+    *,
+    c: float | None = None,
+    name: str = "population",
+    filtered: bool = False,
+) -> Population:
+    """Assemble a grouped population from streamed ``{column: array}`` chunks.
+
+    Consumes one chunk at a time (releasing each before pulling the next) and
+    accumulates only the two projected columns, then groups them with
+    :func:`split_by_key` - so a pushed-down scan and a
+    filtered table give bit-identical populations: same keys (sorted), same
+    per-group row order, same inferred value bound.
+    """
+    BUILD_COUNTS["source"] += 1
+    group_parts: list[np.ndarray] = []
+    value_parts: list[np.ndarray] = []
+    it = iter(chunks)
+    while True:
+        try:
+            chunk = next(it)
+        except StopIteration:
+            break
+        group_parts.append(np.asarray(chunk[group_col]))
+        value_parts.append(np.asarray(chunk[value_col], dtype=np.float64))
+        del chunk
+    if value_parts:
+        values = value_parts[0] if len(value_parts) == 1 else np.concatenate(value_parts)
+        group_vals = group_parts[0] if len(group_parts) == 1 else np.concatenate(group_parts)
+    else:
+        values = np.empty(0, dtype=np.float64)
+        group_vals = np.empty(0, dtype=str)
+    if values.size == 0:
+        if filtered:
+            raise ValueError("no group matches the predicate")
+        raise ValueError(f"{name}: source produced no rows")
+    if c is None:
+        c = max(float(values.max()), 1e-9)
+    keys, parts = split_by_key(group_vals, values)
+    groups: list[Group] = [MaterializedGroup(str(key), part) for key, part in zip(keys, parts)]
+    return Population(groups=groups, c=float(c), name=name)

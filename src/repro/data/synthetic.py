@@ -13,7 +13,8 @@ Four dataset families, with the exact parameter choices the paper describes:
 
 Defaults follow the paper: k = 10 groups, 10M records total split equally,
 values in [0, 100].  Datasets are *virtual* by default (distribution-backed
-groups with analytic means - see DESIGN.md section 4); pass
+groups with analytic means - see :class:`~repro.data.population.VirtualGroup`,
+including why that stand-in is unsound near exhaustion); pass
 ``materialize=True`` to draw the values into memory for small populations.
 """
 

@@ -1,12 +1,15 @@
-"""Sampling-engine protocol shared by the in-memory and NEEDLETAIL engines.
+"""Sampling-engine protocol shared by every engine.
 
 An *engine* wraps a :class:`~repro.data.population.Population` and provides
 per-run sampling streams plus sample accounting.  The paper's setting (Section
 2.1) assumes "an engine that allows us to efficiently retrieve random samples
 from R corresponding to different values of X" at uniform cost per sample;
 :class:`repro.engines.memory.InMemoryEngine` is the pure version of that, and
-:class:`repro.needletail.engine.NeedletailEngine` adds bitmap-index rowid
-selection.
+:class:`repro.needletail.engine.NeedletailEngine` builds the same kind of
+population from a row-store table (grouped by a stable sort, so a group's
+rank r is its r-th row, as the §4 bitmap select would find it).  Every
+planner door - ``memory``, ``needletail``, ``noindex`` - samples a
+population of materialized groups through the one columnar kernel.
 
 Accounting is *explicit* and counts only: algorithms call
 ``run.draw(gid, count)`` to obtain sample values (uncharged - batched

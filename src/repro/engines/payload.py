@@ -2,9 +2,8 @@
 
 The process shard executor (:mod:`repro.engines.procpool`) gives every shard
 a persistent worker process that owns its shard's :class:`EngineRun` and
-block kernels.  Workers must see the shard's *data* - materialized value
-columns, NEEDLETAIL bitmap words and row-store columns - without pickling it
-through the command pipe.
+block kernels.  Workers must see the shard's *data* - its groups' values -
+without pickling it through the command pipe.
 
 What they see is the durable store's build format: the population is packed
 once by :func:`repro.storage.mapped.pack_population` (the layout the store
@@ -246,8 +245,7 @@ class PoolDir:
 class ShardPayload:
     """Everything a worker needs to rebuild one shard's sub-population.
 
-    ``kind`` is a packed kind (``"needletail"``, ``"population"``) or
-    ``"virtual"``; ``meta`` is the packed meta restricted to the shard's
+    ``kind`` is the packed kind (``"population"``) or ``"virtual"``; ``meta`` is the packed meta restricted to the shard's
     groups; ``refs`` maps each packed buffer to its file.  Buffer files are
     owned by the pool (or the durable store), never by the payload: a
     worker's mappings are closed by the garbage collector and unlink nothing.
@@ -271,28 +269,17 @@ class ShardPayload:
 def shareable(population: Population) -> str | None:
     """Why ``population`` cannot cross into worker processes (None = it can).
 
-    Materialized groups, NEEDLETAIL indexed groups whose selectors reduce to
-    flat :class:`~repro.needletail.bitvector.BitVector` words and share one
-    value column, and fusable virtual groups all ship - one kind per
+    Materialized groups and fusable virtual groups ship - one kind per
     population, since a packed population has one layout.  Rejection-sampled
     virtual groups (whose draws run arbitrary Python sampler code with
     data-dependent RNG consumption) and unknown ``Group`` subclasses do not.
     The planner downgrades ``executor="process"`` to the thread fan-out when
     this returns a reason, surfacing it as a caveat.
     """
-    from repro.needletail.engine import IndexedGroup, base_bitvector
-
     kinds = set()
     for group in population.groups:
         if isinstance(group, MaterializedGroup):
             kinds.add("materialized")
-        elif isinstance(group, IndexedGroup):
-            if base_bitvector(group._selector) is None:
-                return (
-                    f"group {group.name!r} uses a selector without flat bitmap "
-                    "words, which cannot be shipped to worker processes"
-                )
-            kinds.add("indexed")
         elif isinstance(group, VirtualGroup):
             if not group.dist.fusable:
                 return (
@@ -311,13 +298,6 @@ def shareable(population: Population) -> str | None:
             f"population mixes group kinds ({', '.join(sorted(kinds))}); the "
             "process transport ships one packed layout per population"
         )
-    if "indexed" in kinds:
-        column = population.groups[0]._values
-        if any(group._values is not column for group in population.groups):
-            return (
-                "indexed groups read distinct value columns; the process "
-                "transport ships one column per population"
-            )
     return None
 
 
@@ -329,7 +309,7 @@ def build_shard_payloads(
     """Pack ``population`` once and describe each shard's part of it.
 
     Buffers already backed by read-only mapped segment files (populations
-    and indexes re-opened from a :class:`~repro.storage.DurableCatalog`)
+    re-opened from a :class:`~repro.storage.DurableCatalog`)
     travel as windows of those files - workers map the store's bytes
     directly, no copy.  Everything else is written once into ``directory``,
     which owns the files (a failed build leaves them for its removal).

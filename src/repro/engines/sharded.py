@@ -23,8 +23,8 @@ Determinism contract (asserted by ``tests/engines/test_sharded.py``):
 * ``shards=1`` builds one shard run whose samplers and fused kernels are
   constructed exactly as the wrapped engine's ``open_run`` would construct
   them, so it is bit-identical to the unsharded engine for **every** sampler
-  kind.  For per-group-stream samplers (materialized, NEEDLETAIL indexed,
-  rejection-based virtual) any shard count is bit-identical to the plain
+  kind.  For per-group-stream samplers (materialized, rejection-based
+  virtual) any shard count is bit-identical to the plain
   engine; only fusable virtual groups - which deliberately share one stream
   per fused kernel - draw different (equally distributed) values when the
   kernel is split across shards.

@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for this implementation's design choices.
 
 Not part of the paper's evaluation - these quantify our implementation
 decisions:

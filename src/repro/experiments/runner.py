@@ -34,8 +34,9 @@ PopulationFactory = Callable[[int], Population]
 # factories, so without-replacement draws are genuine permutations.  Above
 # it, virtual (distribution-backed) groups stand in; their with-replacement
 # draws match without-replacement statistics only while m << n_i, which
-# holds because the algorithms' absolute sample counts are roughly
-# size-independent (see DESIGN.md section 4).
+# holds when the algorithms' absolute sample counts stay far below the
+# group sizes - not for hard groups read near exhaustion (see
+# repro.data.population.VirtualGroup).
 MATERIALIZE_BELOW = 2_000_000
 
 

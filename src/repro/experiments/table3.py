@@ -24,10 +24,14 @@ _ALGS = ("roundrobin", "ifocus", "ifocusr")
 
 
 def table3_flights_runtimes(scale: Scale | None = None) -> FigureResult:
-    """Simulated runtimes on the synthetic flight data (Table 3)."""
+    """Simulated runtimes on the synthetic flight data (Table 3).
+
+    ``raw["misordered"]`` lists the ``(attribute, algorithm, size)`` cells
+    whose returned ordering was wrong (the paper's: none).
+    """
     scale = scale or current_scale()
     rows = []
-    all_correct = True
+    misordered = []  # (attribute, algorithm, size) cells ordered wrongly
     for attribute in FLIGHT_ATTRIBUTES:
         _, c, _ = FLIGHT_ATTRIBUTES[attribute]
         resolution = 0.01 * c  # the paper's "IFOCUSR (1%)"
@@ -46,15 +50,15 @@ def table3_flights_runtimes(scale: Scale | None = None) -> FigureResult:
                     seed=scale.seed + size % 97,
                 )
                 grading_res = resolution if alg == "ifocusr" else 0.0
-                ok = check_ordering(
+                if not check_ordering(
                     result.estimates, population.true_means(), resolution=grading_res
-                )
-                all_correct = all_correct and ok
+                ):
+                    misordered.append((attribute, alg, size))
                 row.append(sum(simulated_cost(result.stats)))
             rows.append(row)
     notes = [
         f"sizes: {list(scale.flights_sizes)}; r = 1% of each attribute's range",
-        f"orderings returned were {'all correct' if all_correct else 'NOT all correct'} "
+        f"orderings returned were {'NOT all correct' if misordered else 'all correct'} "
         "(paper: all correct)",
     ]
     return FigureResult(
@@ -63,4 +67,5 @@ def table3_flights_runtimes(scale: Scale | None = None) -> FigureResult:
         headers=["attribute", "algorithm"] + [f"{s:.0e}" for s in scale.flights_sizes],
         rows=rows,
         notes=notes,
+        raw={"misordered": misordered},
     )

@@ -1,7 +1,7 @@
 """NEEDLETAIL substrate: bitmap indexes, row store, engine."""
 
 from repro.needletail.bitvector import BitVector
-from repro.needletail.engine import IndexedGroup, NeedletailEngine
+from repro.needletail.engine import NeedletailEngine
 from repro.needletail.hierarchical import HierarchicalBitmap
 from repro.needletail.index import BitmapIndex
 from repro.needletail.rle import RunLengthBitmap
@@ -9,7 +9,6 @@ from repro.needletail.table import Column, Table
 
 __all__ = [
     "BitVector",
-    "IndexedGroup",
     "NeedletailEngine",
     "HierarchicalBitmap",
     "BitmapIndex",

@@ -120,8 +120,8 @@ class QueryBuilder:
 
         Accepts the shared predicate AST or SQL text like
         ``"year >= 1995 AND dist BETWEEN 300 AND 1500"``.  The predicate is
-        pushed down into the source scan (population engines) or the bitmap
-        index (NEEDLETAIL), so filtering happens before materialization.
+        pushed down into the source scan, so filtering happens before
+        materialization.
         """
         pred = _as_predicate(predicate)
         if self._schema is not None:

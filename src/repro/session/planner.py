@@ -16,10 +16,10 @@ form.  Dispatch rules:
   at delta/m (union bound); all read prefixes of one seeded per-group
   permutation, so a sampled row is charged once;
 * multiple GROUP BY columns - the cross-product composite key (§6.3.4);
-* WHERE - lowered into the :class:`~repro.catalog.Catalog` source scan for
-  population engines (rows filtered chunk-by-chunk before anything is
-  materialized), or evaluated as index bitmaps restricting every group for
-  the bitmap engines (§6.3.3) - the two forms are bit-identical in effect;
+* WHERE - lowered into the :class:`~repro.catalog.Catalog` source scan
+  (rows filtered chunk-by-chunk before anything is materialized), the
+  in-memory form of the paper's predicate bitmaps restricting every group
+  (§6.3.3);
 * HAVING - post-filter on the *estimated* aggregate (surfaced as a caveat).
 
 Plans run against a :class:`~repro.catalog.Catalog` of named
@@ -28,9 +28,10 @@ Plans run against a :class:`~repro.catalog.Catalog` of named
 catalog.
 
 Execution substrates are pluggable through :func:`register_engine`; the
-built-ins are ``needletail`` (bitmap-index sampling), ``memory`` (the paper's
-idealized in-memory setting), and ``noindex`` (§6.3.6: uniform whole-table
-tuples only).
+built-ins are ``needletail`` (per-group random-row retrieval, §4),
+``memory`` (the paper's idealized in-memory setting), and ``noindex``
+(§6.3.6: uniform whole-table tuples only).  All three sample the catalog's
+grouped population; they differ in the value bound and the runner.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro._util import reusable_seed
-from repro.catalog.catalog import Catalog, population_from_chunks
+from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
 from repro.catalog.source import TableSource
 from repro.core.registry import ALGORITHMS, RESOLUTION_VARIANTS, run_algorithm
 from repro.core.types import OrderingResult
+from repro.data.population import Population, population_from_chunks
 from repro.engines.base import SamplingEngine
 from repro.engines.memory import InMemoryEngine
 from repro.engines.sharded import ShardedEngine, collect_query_events
@@ -60,12 +62,8 @@ from repro.extensions.sums import run_ifocus_sum
 from repro.extensions.topt import run_ifocus_topt
 from repro.extensions.trends import run_ifocus_trends
 from repro.extensions.values import run_ifocus_values
-from repro.needletail.engine import NeedletailEngine
 from repro.needletail.table import Column, Table
-from repro.query.predicates import (
-    _OP_FUNCS as _COMPARE,
-    predicate_bitvector,
-)
+from repro.query.predicates import _OP_FUNCS as _COMPARE
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.session.result import (
@@ -136,9 +134,10 @@ class _PlanContext:
     """Resolved, validated query context shared by all engine builds.
 
     Validation runs against the catalog *schema* only; the row-store table
-    is materialized lazily (:attr:`table`), so population engines whose
-    builds go through :meth:`population` - a pruned, predicate-pushed-down
-    source scan - never materialize columns the query does not touch.
+    is materialized lazily (:attr:`table`, for composite keys only), so
+    engine builds - which go through :meth:`population`, a pruned,
+    predicate-pushed-down source scan - never materialize columns the query
+    does not touch.
     """
 
     spec: QuerySpec
@@ -149,7 +148,6 @@ class _PlanContext:
 
     def __post_init__(self) -> None:
         self._table: Table | None = None
-        self._bitvector = None
         self._leases: list = []
         #: Reasons the process executor was downgraded to threads (one per
         #: affected engine build); surfaced as Result caveats.
@@ -164,8 +162,8 @@ class _PlanContext:
     def table(self) -> Table:
         """The materialized (possibly composite-key-augmented) table.
 
-        Touching this property is what triggers full materialization; the
-        bitmap-index engines need it, population engines do not.
+        Touching this property is what triggers full materialization;
+        only composite GROUP BY keys need it.
         """
         if self._table is None:
             self._table = _prepare_table(self.spec, self.catalog.table(self.spec.table))[0]
@@ -201,29 +199,37 @@ class _PlanContext:
                 filtered=spec.where is not None,
             )
 
-        # A scan that failed mid-stream cannot resume chunk-exactly, but the
-        # whole build is a pure function of the source - restart it.  The
-        # default decorrelated jitter keeps concurrent rebuilds of one
-        # shared source from re-hitting it in lockstep.
+        return self._scan(build)
+
+    def column_max(self, value_column: str) -> float:
+        """The largest value of ``value_column`` over every row (no WHERE)."""
+        source = self.catalog.source(self.spec.table)
+
+        def scan() -> float:
+            top = 1e-9
+            for chunk in source.scan(columns=(value_column,)):
+                values = np.asarray(chunk[value_column], dtype=np.float64)
+                if values.size:
+                    top = max(top, float(values.max()))
+            return top
+
+        return self._scan(scan)
+
+    def _scan(self, build):
+        """Run ``build`` (a whole source scan) with the spec's retry policy.
+
+        A scan that failed mid-stream cannot resume chunk-exactly, but the
+        whole build is a pure function of the source - restart it.  The
+        default decorrelated jitter keeps concurrent rebuilds of one shared
+        source from re-hitting it in lockstep.
+        """
         return call_with_retry(
             build,
-            policy=RetryPolicy(max_retries=spec.max_retries),
+            policy=RetryPolicy(max_retries=self.spec.max_retries),
             on_retry=lambda attempt, exc: self.scan_retries.append(
                 f"a transient scan failure (attempt {attempt + 1}: {exc})"
             ),
         )
-
-    def bitvector(self):
-        """The WHERE predicate as a bitmap (NEEDLETAIL form), or None.
-
-        Touching this materializes the table; population engines must use
-        :meth:`population` (scan-level pushdown) instead of a row mask.
-        """
-        if self.spec.where is None:
-            return None
-        if self._bitvector is None:
-            self._bitvector = predicate_bitvector(self.spec.where, self.table)
-        return self._bitvector
 
     def build_engine(self, value_column: str) -> SamplingEngine:
         spec, engine_def = self.spec, self.engine_def
@@ -293,10 +299,6 @@ class EngineDef:
         shardable: whether ``QuerySpec.shards > 1`` wraps the factory's
             engine in a :class:`~repro.engines.sharded.ShardedEngine`;
             backends that manage their own parallelism register False.
-        predicate_form: how WHERE reaches the data - ``"scan"`` (lowered
-            into the source scan, rows filtered before materialization) or
-            ``"bitmap"`` (evaluated as index bitmaps the engine ANDs with
-            every group, §6.3.3).  Informational: shown by ``explain()``.
     """
 
     name: str
@@ -304,7 +306,6 @@ class EngineDef:
     avg_runner: str | None = None
     supports_metadata: bool = True
     shardable: bool = True
-    predicate_form: str = "scan"
 
 
 _ENGINES: dict[str, EngineDef] = {}
@@ -317,14 +318,14 @@ def register_engine(
     avg_runner: str | None = None,
     supports_metadata: bool = True,
     shardable: bool = True,
-    predicate_form: str = "scan",
     overwrite: bool = False,
 ) -> EngineDef:
     """Register an execution substrate under ``name``.
 
     The factory receives the plan context (catalog + schema with the
-    resolved group column, lazily-materialized table, lazily-evaluated
-    WHERE forms, the full spec) and the value column, and returns a
+    resolved group column, the grouped population with WHERE pushed down,
+    the lazily-materialized table, the full spec) and the value column, and
+    returns a
     :class:`~repro.engines.base.SamplingEngine`.  Third-party backends plug
     in here and become reachable via ``Session.table(...).on_engine(name)``
     with zero planner changes.
@@ -338,7 +339,6 @@ def register_engine(
         avg_runner=avg_runner,
         supports_metadata=supports_metadata,
         shardable=shardable,
-        predicate_form=predicate_form,
     )
     _ENGINES[key] = engine_def
     return engine_def
@@ -350,27 +350,36 @@ def engine_names() -> list[str]:
 
 
 def _needletail_factory(ctx: _PlanContext, value_column: str) -> SamplingEngine:
-    def build() -> SamplingEngine:
-        return NeedletailEngine(
-            ctx.table,
-            ctx.group_col,
-            value_column,
-            c=ctx.spec.value_bound,
-            predicate=ctx.bitvector(),
-        )
+    """NEEDLETAIL: a uniformly random row of a chosen group, per draw (§4).
 
-    # The index belongs to the table: the catalog answers a repeated build
-    # coordinate from its engine cache, and `build` (the only place that
-    # touches ctx.table / ctx.bitvector()) runs on a miss.  A DurableCatalog
-    # tries its memory-mapped segments first (bit-identical, no BitmapIndex
-    # rebuild) and persists what `build` returns.
+    The grouped population holds each group's rows in rowid order, so its
+    columnar gather fetches exactly the rows a bitmap select would: the
+    engine samples the memory door's population (same build, same caches,
+    same durable segments).  Only the value bound differs: the spec's, else
+    the whole column's max - under WHERE too, where the population's own
+    bound is the filtered rows' max.
+    """
+    spec = ctx.spec
+
+    def build() -> SamplingEngine:
+        population = ctx.population(value_column)
+        if spec.where is not None and spec.value_bound is None:
+            population = Population(
+                groups=population.groups,
+                c=ctx.column_max(value_column),
+                name=population.name,
+            )
+        return InMemoryEngine(population)
+
+    # One engine per build coordinate: a repeated query resolves it with
+    # one lookup, and `build` runs on a miss only.
     return ctx.catalog.indexed_engine(
-        ctx.spec.table,
+        spec.table,
         ctx.group_col,
         value_column,
-        value_bound=ctx.spec.value_bound,
-        predicate=ctx.spec.where,
-        group_spec=list(ctx.spec.group_by),
+        value_bound=spec.value_bound,
+        predicate=spec.where,
+        group_spec=list(spec.group_by),
         builder=build,
     )
 
@@ -387,7 +396,7 @@ def _memory_factory(ctx: _PlanContext, value_column: str) -> SamplingEngine:
     return InMemoryEngine(ctx.population(value_column))
 
 
-register_engine("needletail", _needletail_factory, predicate_form="bitmap")
+register_engine("needletail", _needletail_factory)
 register_engine("memory", _memory_factory)
 # noindex stays shardable: partitioning is correct (per-group streams are
 # shard-independent), but its runner draws group-sequentially, so shards
@@ -398,7 +407,6 @@ register_engine(
     _needletail_factory,
     avg_runner="noindex",
     supports_metadata=False,
-    predicate_form="bitmap",
 )
 
 
@@ -864,13 +872,7 @@ def describe_spec(spec: QuerySpec) -> str:
         )
     lines.append(f"scan columns: {', '.join(spec.scan_columns())}")
     if spec.where is not None:
-        form = _ENGINES.get(spec.engine)
-        how = (
-            "bitmap-index pushdown (§6.3.3)"
-            if form is not None and form.predicate_form == "bitmap"
-            else "pushed into the source scan"
-        )
-        lines.append(f"where: {spec.where!r}  [{how}]")
+        lines.append(f"where: {spec.where!r}  [pushed into the source scan]")
     sampled = _sampled_aggregates(spec)
     for agg in spec.aggregates:
         key = spec.agg_key(agg)

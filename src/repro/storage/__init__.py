@@ -1,4 +1,4 @@
-"""Durable storage tier: mmap'd NEEDLETAIL segments + a persistent catalog.
+"""Durable storage tier: mmap'd population segments + a persistent catalog.
 
 Three layers, bottom-up:
 
@@ -9,7 +9,7 @@ Three layers, bottom-up:
   catalog of table bindings and cached builds, keyed the same way the
   in-memory :class:`~repro.catalog.Catalog` keys its caches;
 * :mod:`repro.storage.mapped` / :mod:`repro.storage.durable` - the
-  serializers between live engine objects and segment arrays, and the
+  serializers between populations/tables and segment arrays, and the
   :class:`DurableCatalog` that answers cache lookups from disk (O(1)
   re-open across restarts, bit-identical query results).
 
@@ -19,11 +19,8 @@ maintain a store with ``repro store build|ls|verify|gc``.
 
 from repro.storage.durable import DurableCatalog
 from repro.storage.mapped import (
-    MappedNeedletailEngine,
-    pack_index,
     pack_population,
     pack_table,
-    unpack_index,
     unpack_population,
     unpack_table,
 )
@@ -41,9 +38,6 @@ __all__ = [
     "DurableCatalog",
     "Store",
     "STORE_FORMAT_VERSION",
-    "MappedNeedletailEngine",
-    "pack_index",
-    "unpack_index",
     "pack_population",
     "unpack_population",
     "pack_table",

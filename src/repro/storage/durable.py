@@ -2,19 +2,21 @@
 
 A durable catalog behaves exactly like :class:`~repro.catalog.Catalog` - same
 ``attach``/``register``/``population``/``indexed_engine`` surface, same
-source-identity cache keys - with one addition: every cacheable build is also
-persisted to a :class:`~repro.storage.store.Store`, and answered from
-memory-mapped segments on later lookups.  Because the mapped arrays are the
-*same bytes* the RAM build produced (the pack/unpack round trip in
+source-identity cache keys - with one addition: every cacheable population
+build is also persisted to a :class:`~repro.storage.store.Store`, and
+answered from memory-mapped segments on later lookups.  Every engine door
+(``needletail``, ``memory``, ``noindex``) samples such a population, so one
+build kind serves them all.  Because the mapped arrays are the *same bytes*
+the RAM build produced (the pack/unpack round trip in
 :mod:`repro.storage.mapped`), queries over a warm-opened catalog are
 bit-identical to cold-built ones - asserted by the storage test matrix across
-every sampler kind, both executors, and shard counts.
+every engine, both executors, and shard counts.
 
 Re-open discipline: ``DurableCatalog(path)`` reloads every persisted binding
 (CSV/Parquet paths, synthetic generator specs, memory tables stored as
 column segments) in O(bindings), and the first query over each table maps its
-index straight from disk - ``BUILD_COUNTS`` shows zero ``NeedletailEngine``
-constructions on the warm path.
+population straight from disk - ``BUILD_COUNTS`` shows zero builds from
+source rows on the warm path.
 
 Staleness discipline (the PR-8 stale-cache fix): builds are fingerprinted by
 their source's identity-on-disk (path + size + mtime for files, a content
@@ -54,16 +56,14 @@ from repro.catalog.parquet import HAVE_PYARROW, ParquetSource
 from repro.catalog.schema import Schema
 from repro.catalog.source import DataSource, TableSource
 from repro.catalog.synthetic import SyntheticSource
-from repro.data.population import Population
+from repro.data.population import BUILD_COUNTS, Population
 from repro.errors import StorageError
 from repro.query.ast import Predicate, predicate_to_dict
 from repro.resilience.breaker import CircuitBreaker
 from repro.storage.mapped import (
     concatenated,
-    pack_index,
     pack_population,
     pack_table,
-    unpack_index,
     unpack_population,
     unpack_table,
 )
@@ -369,7 +369,6 @@ class DurableCatalog(Catalog):
 
     def _build_key(
         self,
-        group_spec,
         group_col: str,
         value_column: str,
         predicate: Predicate | None,
@@ -377,71 +376,11 @@ class DurableCatalog(Catalog):
     ) -> str:
         return _canonical(
             {
-                "group_by": list(group_spec) if group_spec else [group_col],
+                "group_by": [group_col],
                 "value": value_column,
                 "where": predicate_to_dict(predicate) if predicate is not None else None,
                 "bound": value_bound,
             }
-        )
-
-    def indexed_engine(
-        self,
-        name: str,
-        group_col: str,
-        value_column: str,
-        *,
-        value_bound: float | None = None,
-        predicate: Predicate | None = None,
-        group_spec=None,
-        builder=None,
-    ):
-        """A NEEDLETAIL engine for one build coordinate: RAM, then disk.
-
-        The in-RAM tier is :meth:`Catalog.indexed_engine`'s build cache; this
-        override is only its *miss* path.  Disk hit: the engine is
-        reconstructed zero-copy over memory-mapped segments
-        (:class:`~repro.storage.mapped.MappedNeedletailEngine`) - no table
-        materialization, no ``BitmapIndex`` build.  Disk miss: ``builder``
-        runs (the planner's cold construction) and, when the result packs
-        (flat bitmap words, one shared value column), the build is persisted
-        best-effort for every later process.  Either way the engine enters
-        the shared cache, so a store that cannot take the write still builds
-        once per process.
-        """
-
-        def load_or_build():
-            source = self.source(name)
-            if not source.cacheable or self._store.binding(name) is None:
-                return builder()
-            key = self._build_key(group_spec, group_col, value_column, predicate, value_bound)
-            fingerprint = self._fingerprint(source)
-            hit = self._healing_load(name, "needletail", key, fingerprint=fingerprint)
-            if hit is not None:
-                meta, arrays = hit
-                return unpack_index(
-                    meta, arrays, group_by=group_col, value_column=value_column
-                )
-            engine = builder()
-            packed = pack_index(engine)
-            if packed is not None:
-                meta, arrays = packed
-                self._best_effort_persist(
-                    f"needletail build for table {name!r}",
-                    lambda: self._store.save_build(
-                        name, "needletail", key, fingerprint=fingerprint,
-                        meta=meta, arrays=arrays,
-                    ),
-                )
-            return engine
-
-        return super().indexed_engine(
-            name,
-            group_col,
-            value_column,
-            value_bound=value_bound,
-            predicate=predicate,
-            group_spec=group_spec,
-            builder=load_or_build if builder is not None else None,
         )
 
     def population(
@@ -466,11 +405,12 @@ class DurableCatalog(Catalog):
             return super().population(
                 name, group_col, value_col, predicate=predicate, value_bound=value_bound
             )
-        key = self._build_key(None, group_col, value_col, predicate, value_bound)
+        key = self._build_key(group_col, value_col, predicate, value_bound)
         fingerprint = self._fingerprint(source)
         hit = self._healing_load(name, "population", key, fingerprint=fingerprint)
         if hit is not None:
             meta, arrays = hit
+            BUILD_COUNTS["mapped"] += 1
             return self._share_build(
                 self._populations, ram_key, unpack_population("population", meta, arrays)
             )
@@ -478,7 +418,7 @@ class DurableCatalog(Catalog):
             name, group_col, value_col, predicate=predicate, value_bound=value_bound
         )
         packed = pack_population(population)
-        if packed is not None and packed[0] == "population":
+        if packed is not None:
             _, meta, buffers = packed
             arrays = concatenated(buffers)
             self._best_effort_persist(
@@ -500,41 +440,17 @@ class DurableCatalog(Catalog):
         *,
         value_bound: float | None = None,
     ) -> list[str]:
-        """Build and persist the builds one ``(group, value)`` query needs.
+        """Build and persist the population one ``(group, value)`` query needs.
 
-        Returns the kinds persisted (``["needletail", "population"]`` in the
-        common case).  This is ``repro store build``'s workhorse: it runs
-        the same cold constructions the first query would, so a server
-        restarted against the store boots warm.
+        Returns the kinds persisted (``["population"]``, or ``[]`` when the
+        build was on disk already or cannot be stored).  This is ``repro
+        store build``'s workhorse: it runs the same cold construction the
+        first query would, so a server restarted against the store boots
+        warm - on every engine door, since they all sample this build.
         """
-        from repro.needletail.engine import NeedletailEngine
-
-        primed: list[str] = []
-
-        def build():
-            return NeedletailEngine(
-                self.table(name), group_col, value_col, c=value_bound
-            )
-
-        before = len(self._store.builds(name))
-        try:
-            self.indexed_engine(
-                name,
-                group_col,
-                value_col,
-                value_bound=value_bound,
-                group_spec=[group_col],
-                builder=build,
-            )
-        except ValueError:
-            pass  # virtual synthetic sources have no row store to index
-        if len(self._store.builds(name)) > before:
-            primed.append("needletail")
         before = len(self._store.builds(name))
         self.population(name, group_col, value_col, value_bound=value_bound)
-        if len(self._store.builds(name)) > before:
-            primed.append("population")
-        return primed
+        return ["population"] if len(self._store.builds(name)) > before else []
 
     # -- checkpoints ---------------------------------------------------------
 

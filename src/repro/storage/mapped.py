@@ -3,31 +3,23 @@
 A packed population is a ``(kind, meta, buffers)`` triple.  The durable
 :class:`~repro.storage.store.Store` persists it as a build (one segment per
 buffer), and the process executor ships it to its workers as files
-(:func:`repro.engines.payload.build_shard_payloads`).  There are two kinds:
+(:func:`repro.engines.payload.build_shard_payloads`).  There is one kind,
+``"population"``: materialized groups, one buffer ``values`` (float64, every
+group's values end to end) and meta groups ``[name, lo, hi]``.  Meta also
+holds ``c`` and the population ``name``.  (Stores written before 5.0 also
+hold ``"needletail"`` builds - bitmap words plus the value column - which
+nothing reads any more; ``Store.drop_builds(table, "needletail")`` reclaims
+their space.)
 
-* ``"needletail"`` - NEEDLETAIL indexed groups: ``words`` (uint64, every
-  group's bitmap words end to end), ``cum`` (int64 per-group cumulative
-  popcounts, slice-aligned with ``words`` - the rank/select acceleration
-  table) and ``values`` (the groups' one row-store value column); meta
-  groups are ``[name, word_lo, word_hi, length]``;
-* ``"population"`` - materialized groups: ``values`` (float64, every
-  group's values end to end); meta groups are ``[name, lo, hi]``.
-
-Meta also holds ``c`` and the population ``name``.  Packing copies nothing
-it need not: when a buffer's per-group chunks already lie end to end in one
-array - a segment that was unpacked, a column that
-:func:`~repro.catalog.catalog.population_from_chunks` split - the buffer is a
-view of that array; otherwise it is the list of chunks, which the store
+Packing copies nothing it need not: when the groups' chunks already lie end
+to end in one array - a segment that was unpacked, a column that
+:func:`~repro.data.population.population_from_chunks` split - the buffer is
+a view of that array; otherwise it is the list of chunks, which the store
 joins (:func:`concatenated`) and a pool directory streams into one file.
 
 The reverse direction, :func:`unpack_population`, builds every group as a
-view of the arrays - zero-copy over read-only ``np.memmap`` arrays:
-:meth:`BitVector.from_mapped` adopts each group's word slice plus its
-``cum`` slice, so a mapped group answers selects without re-scanning and
-without a :class:`BitmapIndex` rebuild.  Unpacked groups are bit-identical
-to the packed ones by construction: identical words mean identical select
-results, and ranks come from per-run seeded permutations that never look at
-the selector.
+view of the array - zero-copy over a read-only ``np.memmap`` - so a
+re-opened or worker-side population is bit-identical to the packed one.
 """
 
 from __future__ import annotations
@@ -35,46 +27,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.population import MaterializedGroup, Population
-from repro.engines.base import SamplingEngine
 from repro.errors import StorageError
-from repro.needletail.bitvector import BitVector
-from repro.needletail.engine import BUILD_COUNTS, IndexedGroup, base_bitvector
 from repro.needletail.table import Column, Table
 
 __all__ = [
-    "MappedNeedletailEngine",
     "concatenated",
-    "pack_index",
-    "unpack_index",
     "pack_population",
     "unpack_population",
     "pack_table",
     "unpack_table",
 ]
-
-
-class MappedNeedletailEngine(SamplingEngine):
-    """A NEEDLETAIL engine whose index words live in mapped storage segments.
-
-    Behaviourally identical to :class:`NeedletailEngine` - same
-    :class:`IndexedGroup` retrieval path (rank -> select -> row-store
-    fetch), same sample counts - but constructed from persisted
-    arrays in O(mapped pages touched), with no :class:`BitmapIndex`
-    build.  ``BUILD_COUNTS["mapped"]`` counts these constructions; the
-    warm-reopen tests assert they replace (not add to) "needletail" ones.
-    """
-
-    def __init__(
-        self,
-        population: Population,
-        *,
-        group_by: str,
-        value_column: str,
-    ) -> None:
-        BUILD_COUNTS["mapped"] += 1
-        self.group_by = group_by
-        self.value_column = value_column
-        super().__init__(population)
 
 
 # ---------------------------------------------------------------------------
@@ -136,93 +98,31 @@ def _offsets(sizes: list[int]) -> list[int]:
 def pack_population(population: Population) -> tuple[str, dict, dict] | None:
     """Pack ``population`` as ``(kind, meta, buffers)``, or None.
 
-    Packs populations of only materialized groups (kind ``"population"``)
-    or only indexed groups whose selectors expose flat bitmap words
-    (:func:`base_bitvector`) and share one value column (kind
-    ``"needletail"``).  Virtual (distribution-backed) groups have nothing
-    to pack.  Each buffer is an array or a list of per-group chunks (see
-    the module docstring).
+    Packs populations of only materialized groups (kind ``"population"``);
+    virtual (distribution-backed) groups have nothing to pack.  The buffer
+    is an array or a list of per-group chunks (see the module docstring).
     """
     groups = population.groups
-    names = [g.name for g in groups]
-    meta = {"c": float(population.c), "name": population.name}
-    if all(isinstance(g, MaterializedGroup) for g in groups):
-        chunks = [np.asarray(g.values, dtype=np.float64) for g in groups]
-        off = _offsets([chunk.size for chunk in chunks])
-        meta["groups"] = [list(spec) for spec in zip(names, off, off[1:])]
-        return "population", meta, {"values": _joined(chunks)}
-    if not all(isinstance(g, IndexedGroup) for g in groups):
+    if not all(isinstance(g, MaterializedGroup) for g in groups):
         return None
-    bases = [base_bitvector(g._selector) for g in groups]
-    values = groups[0]._values
-    if any(base is None for base in bases) or any(g._values is not values for g in groups):
-        return None
-    words = [np.asarray(base.words) for base in bases]
-    cum = [
-        base._cum
-        if base._cum is not None
-        else np.cumsum(np.bitwise_count(w).astype(np.int64))
-        for base, w in zip(bases, words)
-    ]
-    off = _offsets([w.size for w in words])
-    lengths = [len(base) for base in bases]
-    meta["groups"] = [list(spec) for spec in zip(names, off, off[1:], lengths)]
-    buffers = {
-        "words": _joined(words),
-        "cum": _joined(cum),
-        "values": np.asarray(values, dtype=np.float64),
+    chunks = [np.asarray(g.values, dtype=np.float64) for g in groups]
+    off = _offsets([chunk.size for chunk in chunks])
+    meta = {
+        "c": float(population.c),
+        "name": population.name,
+        "groups": [list(spec) for spec in zip([g.name for g in groups], off, off[1:])],
     }
-    return "needletail", meta, buffers
+    return "population", meta, {"values": _joined(chunks)}
 
 
 def unpack_population(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> Population:
     """Rebuild a packed population as views of ``arrays`` (zero-copy)."""
     try:
         values, specs, c = arrays["values"], meta["groups"], float(meta["c"])
-        if kind == "needletail":
-            words, cum = arrays["words"], arrays["cum"]
-            groups = [
-                IndexedGroup(
-                    str(name),
-                    BitVector.from_mapped(words[lo:hi], int(length), cum[lo:hi]),
-                    values,
-                )
-                for name, lo, hi, length in specs
-            ]
-        else:
-            groups = [MaterializedGroup(str(name), values[lo:hi]) for name, lo, hi in specs]
+        groups = [MaterializedGroup(str(name), values[lo:hi]) for name, lo, hi in specs]
     except KeyError as exc:
         raise StorageError(f"{kind} build is missing {exc} - rebuild the store") from exc
-    # Needletail builds written by earlier versions call it "population_name".
-    name = meta.get("name", meta.get("population_name", "population"))
-    return Population(groups=groups, c=c, name=str(name))
-
-
-def pack_index(engine) -> tuple[dict, dict[str, np.ndarray]] | None:
-    """A built engine's index as store ``(meta, arrays)``, or None.
-
-    The ``"needletail"`` packing of its population, joined.  (Stores
-    written before 4.0 carry one more meta key, which readers ignore.)
-    """
-    packed = pack_population(engine.population)
-    if packed is None or packed[0] != "needletail":
-        return None
-    _, meta, buffers = packed
-    return meta, concatenated(buffers)
-
-
-def unpack_index(
-    meta: dict,
-    arrays: dict[str, np.ndarray],
-    *,
-    group_by: str,
-    value_column: str,
-) -> MappedNeedletailEngine:
-    """Rebuild a sampling engine over mapped index segments (zero-copy)."""
-    population = unpack_population("needletail", meta, arrays)
-    return MappedNeedletailEngine(
-        population, group_by=group_by, value_column=value_column
-    )
+    return Population(groups=groups, c=c, name=str(meta.get("name", "population")))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """The on-disk segment format: one ndarray per file, mmap-read zero-copy.
 
 A segment is the durable form of exactly one array the engines already
-ship to workers through :mod:`repro.engines.payload` - bitmap words,
-rank/select acceleration tables (cumulative popcounts), materialized
-population values, the deduped NEEDLETAIL row-store value column.  The
-layout mirrors the payload packing: a raw little-endian C-contiguous buffer, preceded by a small
+ship to workers through :mod:`repro.engines.payload` - a population's
+grouped values, a memory table's column.  The layout mirrors the payload
+packing: a raw little-endian C-contiguous buffer, preceded by a small
 self-describing header so a file is verifiable without its catalog row::
 
     offset 0   magic  b"RPSG"
@@ -20,7 +19,7 @@ reach the final name through one atomic ``os.replace`` - a reader can never
 observe a half-written segment, and a process killed mid-write leaves only
 a temp orphan for ``Store.gc()``.  Reads return a *read-only*
 ``np.memmap`` view (``mmap=True``, the default): opening a segment touches
-the header page only, and untouched index pages are never paged in - the
+the header page only, and untouched data pages are never paged in - the
 lifecycle difference from a pool's payload files, which are fully resident
 copies.
 
@@ -215,7 +214,7 @@ def verify_segment(path: str | os.PathLike) -> SegmentInfo:
 
     Raises :class:`StorageError` naming the file on any mismatch - the
     guarantee behind ``repro store verify``: a flipped bit in a mapped
-    index surfaces as a clear error, never as silently wrong query results.
+    segment surfaces as a clear error, never as silently wrong query results.
     """
     path = os.fspath(path)
     info = _read_header(path)

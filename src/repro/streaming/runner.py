@@ -50,7 +50,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.catalog import Catalog, TableSource
-from repro.data.population import MaterializedGroup, Population
+from repro.data.population import MaterializedGroup, Population, split_by_key
 from repro.errors import QueryCancelled, ReproError
 from repro.resilience.deadline import Deadline
 from repro.session.planner import execute_spec, stream_spec
@@ -515,11 +515,8 @@ class WindowRunner:
         cached = pane.grouped.get(value_col)
         if cached is not None:
             return cached
-        groups = pane.concat(group_col)
         values = np.asarray(pane.concat(value_col), dtype=np.float64)
-        order = np.argsort(groups, kind="stable")
-        keys, starts = np.unique(groups[order], return_index=True)
-        by_key = dict(zip(keys, np.split(values[order], starts[1:])))
+        by_key = dict(zip(*split_by_key(pane.concat(group_col), values)))
         entry = (by_key, float(values.max()))
         pane.grouped[value_col] = entry
         return entry
@@ -527,7 +524,7 @@ class WindowRunner:
     def _warm_population(self, idx: int, group_col: str, value_col: str):
         """Assemble the window's population from cached pane groupings.
 
-        Bit-identical to :func:`~repro.catalog.catalog.population_from_chunks`
+        Bit-identical to :func:`~repro.data.population.population_from_chunks`
         over the window's canonical rows: the cold build's stable argsort
         keeps arrival order within each group, which is exactly pane-major
         concatenation of the per-pane (stable-sorted) group chunks.

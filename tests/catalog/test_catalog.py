@@ -200,7 +200,7 @@ class TestSessionIntegration:
         session.table("t").group_by("g").agg(avg("y")).run(seed=3)
         assert not session.catalog.describe("t").table_cached
 
-    def test_needletail_materializes_lazily_and_once(self, data):
+    def test_needletail_scans_once_and_never_materializes(self, data):
         from repro.catalog import IteratorSource
 
         scans = [0]
@@ -213,12 +213,12 @@ class TestSessionIntegration:
         session = connect().attach("t", source)
         session.catalog.schema("t")  # one-time schema inference, cached
         scans[0] = 0
-        assert not session.catalog.describe("t").table_cached
         builder = session.table("t").group_by("g").agg(avg("y"))
         builder.run(seed=3)
-        assert session.catalog.describe("t").table_cached
         builder.run(seed=4)
-        assert scans[0] == 1  # one materializing scan serves both queries
+        assert scans[0] == 1  # one pruned scan serves both queries
+        # The door samples the grouped population: no row-store table.
+        assert not session.catalog.describe("t").table_cached
 
     def test_submit_workloads_share_the_population_cache(self, data):
         """Snapshots share builds: N submits of one query scan the source once."""

@@ -1,6 +1,6 @@
-"""The catalog's engine build cache: one index per table, not per query.
+"""The catalog's engine build cache: one engine per build key, not per query.
 
-``Catalog.indexed_engine`` keeps the built bitmap-index engine under the
+``Catalog.indexed_engine`` keeps the ``needletail``/``noindex`` engine under the
 coordinates the population cache uses - ``(source, GROUP BY list, value
 column, predicate, value bound)`` - and under the same rules: LRU-bounded,
 skipped for non-cacheable sources, dropped by ``invalidate``/rebinding,
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.catalog import Catalog, IteratorSource
-from repro.needletail.engine import BUILD_COUNTS
+from repro.data.population import BUILD_COUNTS
 from repro.session import avg, connect, sum_
 
 
@@ -116,10 +116,10 @@ class TestKeys:
                 base.bound(200.0),
                 session.table("t").group_by("g", "h").agg(avg("y")),
             ]
-            before = BUILD_COUNTS["needletail"]
+            before = BUILD_COUNTS["source"]
             for query in variants:
                 query.run(seed=1)
-            assert BUILD_COUNTS["needletail"] - before == len(variants)
+            assert BUILD_COUNTS["source"] - before == len(variants)
             engines = session.describe_table("t").cached_engines
             assert len(set(engines)) == len(variants)
             assert (("g",), "y", None, None) in engines
@@ -127,7 +127,7 @@ class TestKeys:
             assert (("g",), "y", None, 200.0) in engines
             for query in variants:
                 query.run(seed=2)
-            assert BUILD_COUNTS["needletail"] - before == len(variants)
+            assert BUILD_COUNTS["source"] - before == len(variants)
 
     def test_lru_bound_evicts_oldest(self, monkeypatch):
         monkeypatch.setattr(Catalog, "MAX_CACHED_POPULATIONS", 2)
@@ -137,11 +137,11 @@ class TestKeys:
             for query in queries:
                 query.run(seed=1)
             assert len(session.describe_table("t").cached_engines) == 2
-            before = BUILD_COUNTS["needletail"]
+            before = BUILD_COUNTS["source"]
             queries[-1].run(seed=1)  # most recent: a hit
-            assert BUILD_COUNTS["needletail"] == before
+            assert BUILD_COUNTS["source"] == before
             queries[0].run(seed=1)  # evicted: rebuilt
-            assert BUILD_COUNTS["needletail"] == before + 1
+            assert BUILD_COUNTS["source"] == before + 1
 
 
 class TestFreshness:
@@ -155,11 +155,11 @@ class TestFreshness:
 
         session = connect(engine="needletail").attach("feed", IteratorSource(factory))
         query = session.table("feed").group_by("g").agg("COUNT(*)")
-        before = BUILD_COUNTS["needletail"]
+        before = BUILD_COUNTS["source"]
         assert sum(query.run().estimates().values()) == 400
         state["chunks"] = 3  # the stream grew
         assert sum(query.run().estimates().values()) == 1200
-        assert BUILD_COUNTS["needletail"] == before + 2
+        assert BUILD_COUNTS["source"] == before + 2
         assert session.describe_table("feed").cached_engines == ()
         session.close()
 

@@ -64,8 +64,8 @@ class TestBasicBehaviour:
     def test_single_group(self):
         pop = make_materialized_population([50.0], sizes=100)
         res = run_ifocus(InMemoryEngine(pop), delta=0.05, seed=0)
-        # A single group is trivially separated at the first check (m=2).
-        assert res.samples_per_group[0] == 2
+        # A lone group has nothing to be ordered against: one sample decides.
+        assert res.samples_per_group[0] == 1 and res.rounds == 1
 
     def test_invalid_delta(self, small_engine):
         with pytest.raises(ValueError):

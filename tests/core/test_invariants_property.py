@@ -82,11 +82,8 @@ class TestRoundRobinInvariants:
         engine = InMemoryEngine(pop)
         rr = run_roundrobin(engine, delta=0.1, seed=seed)
         _check_structural(rr, pop)
-        if pop.k > 1:
-            # (k=1 is degenerate: RR stops after its first sample, while
-            # Algorithm 1's literal loop performs one check round at m=2.)
-            ifocus = run_ifocus(engine, delta=0.1, seed=seed)
-            assert rr.total_samples >= ifocus.total_samples
+        ifocus = run_ifocus(engine, delta=0.1, seed=seed)
+        assert rr.total_samples >= ifocus.total_samples
 
 
 class TestIRefineInvariants:

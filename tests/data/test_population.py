@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.distributions import TwoPoint
-from repro.data.population import MaterializedGroup, Population, VirtualGroup
+from repro.data.population import MaterializedGroup, Population, VirtualGroup, split_by_key
 
 
 class TestMaterializedGroup:
@@ -60,6 +60,50 @@ class TestMaterializedGroup:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             MaterializedGroup("g", np.array([]))
+
+
+def _unique_split(keys, values):
+    """The grouping ``split_by_key`` replaced: argsort + ``np.unique``."""
+    order = np.argsort(keys, kind="stable")
+    uniq, starts = np.unique(keys[order], return_index=True)
+    return uniq, np.split(values[order], starts[1:])
+
+
+class TestSplitByKey:
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.repeat(np.array(["a", "b", "c"]), [3, 1, 4]),  # presorted
+            np.random.default_rng(0).choice(["x", "y", "zz", "w"], 500),  # shuffled
+            np.random.default_rng(1).integers(-3, 4, 400),
+            np.array([2.0, np.nan, 1.0, np.nan, 2.0, -0.0, 0.0, np.nan, 1.0]),
+            np.array(["only"] * 5),
+        ],
+        ids=["presorted", "shuffled", "ints", "floats-with-nan", "one-key"],
+    )
+    def test_matches_argsort_and_unique(self, keys):
+        values = np.arange(keys.size, dtype=np.float64)
+        got_keys, got_chunks = split_by_key(keys, values)
+        want_keys, want_chunks = _unique_split(keys, values)
+        np.testing.assert_array_equal(got_keys, want_keys)  # NaN == NaN here
+        assert len(got_chunks) == len(want_chunks)
+        for got, want in zip(got_chunks, want_chunks):
+            np.testing.assert_array_equal(got, want)
+
+    def test_nan_keys_form_one_group(self):
+        keys = np.array([np.nan, 1.0, np.nan, np.nan])
+        got_keys, chunks = split_by_key(keys, np.arange(4.0))
+        assert got_keys[0] == 1.0 and np.isnan(got_keys[1]) and got_keys.size == 2
+        assert chunks[1].tolist() == [0.0, 2.0, 3.0]
+
+    def test_chunks_lie_end_to_end(self):
+        keys = np.random.default_rng(2).integers(0, 5, 100)
+        _, chunks = split_by_key(keys, np.arange(100.0))
+        assert all(np.shares_memory(chunk, chunks[0].base) for chunk in chunks)
+
+    def test_empty(self):
+        keys, chunks = split_by_key(np.empty(0, dtype=str), np.empty(0))
+        assert keys.size == 0 and chunks == []
 
 
 class TestVirtualGroup:

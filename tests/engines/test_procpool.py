@@ -227,18 +227,6 @@ class TestShareability:
         pop = Population(groups=[materialized, virtual], c=100.0)
         assert "mixes group kinds" in shareable(pop)
 
-    def test_distinct_value_columns_rejected(self):
-        from repro.needletail.bitvector import BitVector
-        from repro.needletail.engine import IndexedGroup
-
-        v1 = np.arange(64, dtype=np.float64)
-        v2 = v1 + 1.0
-        bits = BitVector.from_bools(np.ones(64, dtype=bool))
-        pop = Population(
-            groups=[IndexedGroup("a", bits, v1), IndexedGroup("b", bits, v2)], c=100.0
-        )
-        assert "distinct value columns" in shareable(pop)
-
     def test_fusable_virtual_is_shareable(self):
         groups = [
             VirtualGroup("u", UniformValues(0.0, 50.0), 10**6),
@@ -264,7 +252,7 @@ class TestPayloadCleanupOnError:
         rng = np.random.default_rng(2)
         table = Table("t", [Column("g", rng.integers(0, 3, 300), 8),
                             Column("v", rng.uniform(0, 100, 300), 8)])
-        pop = NeedletailEngine(table, "g", "v").population  # words, cum, values
+        pop = NeedletailEngine(table, "g", "v").population  # one values buffer
         created = []
 
         class FailingPoolDir(PoolDir):
@@ -273,9 +261,9 @@ class TestPayloadCleanupOnError:
                 created.append(self.path)
 
             def write(self, buffer):
-                if os.listdir(self.path):  # the first file is on disk
-                    raise OSError("disk full")
-                return super().write(buffer)
+                super().write(buffer)
+                assert os.listdir(self.path)  # the file is on disk
+                raise OSError("disk full")
 
         monkeypatch.setattr(procpool, "PoolDir", FailingPoolDir)
         with pytest.raises(OSError, match="disk full"):

@@ -301,6 +301,27 @@ def test_fused_equals_reference(mode, data):
 
 
 @pytest.mark.parametrize(
+    "rule",
+    [None, TopRule(1), TrendsRule(chain_neighbors(1)), MistakesRule(0.9),
+     RoundRobinRule(), SumRule([400]), ValuesRule(4.0)],
+    ids=["ifocus", "top", "trends", "mistakes", "roundrobin", "sum", "values"],
+)
+def test_a_lone_group_leaves_after_one_sample(rule):
+    """k = 1: nothing to order against, so one sample decides - unless the
+    rule asks for a narrow interval (values mode)."""
+    engine = InMemoryEngine(make_materialized_population([50.0], sizes=400, seed=3))
+    fast = run_ifocus(engine, rule=copy.copy(rule), delta=0.05, seed=4)
+    ref = run_ifocus_reference(engine, rule=copy.copy(rule), delta=0.05, seed=4)
+    assert_equivalent(fast, ref)
+    if isinstance(rule, ValuesRule):
+        assert fast.samples_per_group[0] > 1 and fast.groups[0].half_width < 2.0
+    else:
+        assert fast.samples_per_group.tolist() == [1] and fast.rounds == 1
+        assert fast.stats.samples_per_group.tolist() == [1]
+        assert not fast.groups[0].exhausted
+
+
+@pytest.mark.parametrize(
     "means, sizes, resolution",
     [
         # The 80-row group exhausts at a mean inside the others' intervals:

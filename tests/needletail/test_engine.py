@@ -44,6 +44,19 @@ class TestConstruction:
         engine = NeedletailEngine(t, "name", "delay")
         assert engine.c == pytest.approx(float(t.column("delay").max()))
 
+    def test_c_is_the_whole_columns_max_under_a_predicate(self):
+        t = flights_table()
+        low = t.column("delay") < 50.0
+        engine = NeedletailEngine(t, "name", "delay", predicate=BitVector.from_bools(low))
+        assert engine.c == float(t.column("delay").max()) > 50.0
+
+    def test_index_is_built_on_first_use(self):
+        engine = NeedletailEngine(flights_table(), "name", "delay", c=100.0)
+        assert engine._index is None
+        index = engine.index
+        assert engine.index is index
+        assert sorted(map(str, index.keys)) == sorted(engine.population.group_names)
+
 
 class TestSampling:
     def test_wor_draws_are_group_values(self):
@@ -74,6 +87,38 @@ class TestSampling:
         run.draw(0, size)
         with pytest.raises(ValueError):
             run.draw(0, 1)
+
+    @pytest.mark.parametrize("predicate_year", [None, 1995])
+    def test_draw_block_matches_per_group_draws(self, predicate_year):
+        t = flights_table()
+        predicate = (
+            None
+            if predicate_year is None
+            else BitVector.from_bools(t.column("year") >= predicate_year)
+        )
+        fused = NeedletailEngine(t, "name", "delay", c=100.0, predicate=predicate)
+        loop = NeedletailEngine(t, "name", "delay", c=100.0, predicate=predicate)
+        run_fused = fused.open_run(seed=3)
+        run_loop = loop.open_run(seed=3)
+        gids = np.arange(fused.k)
+        # Interleave fused blocks and sequential draws so shared stream
+        # state advances identically through both doors.
+        block = run_fused.draw_block(gids, 40)
+        for j, gid in enumerate(gids):
+            assert np.array_equal(block[:, j], run_loop.draw(int(gid), 40))
+        sub = gids[::2]
+        block = run_fused.draw_block(sub, 7)
+        for j, gid in enumerate(sub):
+            assert np.array_equal(block[:, j], run_loop.draw(int(gid), 7))
+
+    def test_rank_r_is_the_rth_row_of_the_group(self):
+        """A group's values are its rows in rowid order - rank r of group g
+        is the row the bitmap index selects for it (§4)."""
+        t = flights_table(n=3000)
+        engine = NeedletailEngine(t, "name", "delay", c=100.0)
+        for group in engine.population.groups:
+            rowids = engine.index.rowids_for(group.name)
+            assert np.array_equal(group.values, t.column("delay")[rowids])
 
     def test_with_replacement_unbounded(self):
         engine = NeedletailEngine(flights_table(n=1000), "name", "delay", c=100.0)
@@ -114,67 +159,3 @@ class TestEndToEnd:
         engine = NeedletailEngine(flights_table(), "name", "delay", c=100.0)
         assert engine.index_storage_bytes(compressed=True) > 0
         assert engine.index_storage_bytes(compressed=False) > 0
-
-
-class TestFusedSelectKernel:
-    """The one-batched-select fusion in ``_IndexedBlockKernel`` is bit-exact
-    with the per-group ``select_many`` loop it replaced (ISSUE 5 satellite)."""
-
-    @pytest.mark.parametrize("predicate_year", [None, 1995])
-    def test_fused_draw_block_matches_per_group_draws(self, predicate_year):
-        t = flights_table()
-        predicate = (
-            None
-            if predicate_year is None
-            else BitVector.from_bools(t.column("year") >= predicate_year)
-        )
-        fused = NeedletailEngine(t, "name", "delay", c=100.0, predicate=predicate)
-        loop = NeedletailEngine(t, "name", "delay", c=100.0, predicate=predicate)
-        run_fused = fused.open_run(seed=3)
-        run_loop = loop.open_run(seed=3)
-        gids = np.arange(fused.k)
-        # Interleave fused blocks and sequential draws so shared stream
-        # state advances identically through both doors.
-        block = run_fused.draw_block(gids, 40)
-        for j, gid in enumerate(gids):
-            assert np.array_equal(block[:, j], run_loop.draw(int(gid), 40))
-        sub = gids[::2]
-        block = run_fused.draw_block(sub, 7)
-        for j, gid in enumerate(sub):
-            assert np.array_equal(block[:, j], run_loop.draw(int(gid), 7))
-
-    def test_fused_select_structure_matches_per_group_select_many(self):
-        from repro.needletail.engine import _FusedSelect
-
-        t = flights_table()
-        engine = NeedletailEngine(t, "name", "delay", c=100.0)
-        selectors = [g._selector for g in engine.population.groups]
-        fused = _FusedSelect(selectors)
-        assert fused.ok
-        rng = np.random.default_rng(0)
-        sizes = np.array([g.size for g in engine.population.groups])
-        count = 64
-        slots = np.arange(len(selectors), dtype=np.int64)
-        ranks = np.stack(
-            [rng.integers(0, n, size=count) for n in sizes]
-        ).astype(np.int64)
-        rowids = fused.select(slots, ranks)
-        for j, sel in enumerate(selectors):
-            assert np.array_equal(rowids[j], sel.select_many(ranks[j]))
-        # A batch touching only a subset of the slots, out of order.
-        subset = np.array([2, 0], dtype=np.int64)
-        rowids = fused.select(subset, ranks[subset])
-        for row, slot in zip(rowids, subset):
-            assert np.array_equal(
-                row, selectors[int(slot)].select_many(ranks[int(slot)])
-            )
-
-    def test_non_bitvector_selector_falls_back_to_per_group(self):
-        from repro.needletail.engine import _FusedSelect
-
-        class OpaqueSelector:
-            def count(self):
-                return 1
-
-        fused = _FusedSelect([OpaqueSelector()])
-        assert not fused.ok

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.catalog import CSVSource, SourceSpec
+from repro.core.registry import ALGORITHMS, RESOLUTION_VARIANTS
+from repro.extensions.noindex import run_noindex
 from repro.needletail.table import Table
 from repro.session import Session, avg, connect, count, register_engine, total
 from repro.session.planner import engine_names
@@ -97,15 +99,63 @@ class TestCsv:
         assert est["NYC"] < est["LA"] < est["SF"]
 
 
-class TestEngines:
-    def test_memory_matches_needletail_labels(self, session):
-        ntl = session.table("t").group_by("g").agg(avg("y")).run(seed=2)
-        mem = (
-            session.table("t").group_by("g").agg(avg("y")).on_engine("memory").run(seed=2)
+def _answer(result) -> dict:
+    """``result.to_dict()`` without the spec's engine name."""
+    data = result.to_dict()
+    del data["spec"]["engine"]
+    return data
+
+
+_CROSS_DOOR = {
+    "avg": lambda t: t.group_by("g").agg(avg("y")),
+    "sum": lambda t: t.group_by("g").agg(total("y")),
+    "avg+sum": lambda t: t.group_by("g").agg(avg("y"), total("y")),
+    "top": lambda t: t.group_by("g").agg(avg("y")).top(2),
+    "composite": lambda t: t.group_by("g", "year").agg(avg("y")),
+    "shards-thread": lambda t: t.group_by("g").agg(avg("y")).sharded(2, executor="thread"),
+    "shards-process": lambda t: t.group_by("g").agg(avg("y")).sharded(2, executor="process"),
+    **{
+        f"algorithm-{name}": (
+            lambda t, name=name: t.group_by("g").agg(avg("y")).using(name).guarantee(
+                resolution=2.0 if name in RESOLUTION_VARIANTS else None
+            )
         )
-        assert ntl.labels == mem.labels
-        # same data, same ordering conclusion (estimates differ: different draws)
-        assert ntl.first.order() == mem.first.order()
+        for name in sorted(ALGORITHMS)
+    },
+}
+
+
+class TestEngines:
+    @pytest.mark.parametrize("shape", sorted(_CROSS_DOOR))
+    def test_needletail_and_memory_doors_answer_alike(self, session, shape):
+        """One sampling path: a needletail query's answer is the memory
+        door's, bit for bit (only the spec's engine name differs)."""
+        query = _CROSS_DOOR[shape](session.table("t"))
+        ntl = query.on_engine("needletail").run(seed=2)
+        mem = query.on_engine("memory").run(seed=2)
+        assert _answer(ntl) == _answer(mem)
+        # noindex runs on the needletail door's engine; the memory door's
+        # engine gives the same whole-table draws.
+        if shape == "avg":
+            want = run_noindex(mem.engine, delta=0.05, seed=2).to_dict()
+            assert run_noindex(ntl.engine, delta=0.05, seed=2).to_dict() == want
+
+    def test_needletail_keeps_the_whole_columns_bound_under_where(self, session, columns):
+        """The doors differ in one thing: under WHERE the needletail door
+        bounds values by the whole column's max, the memory door by the
+        filtered rows' max (pinned on the bitmap-select implementation)."""
+        query = session.table("t").where("y < 70").group_by("g").agg(avg("y"))
+        ntl = query.on_engine("needletail").run(seed=2)
+        mem = query.on_engine("memory").run(seed=2)
+        assert ntl.engine.c == columns["y"].max() == 100.0
+        assert mem.engine.c == columns["y"][columns["y"] < 70].max()
+        assert ntl.first.raw.samples_per_group.tolist() == [256, 268, 268]
+        assert mem.first.raw.samples_per_group.tolist() == [132, 135, 135]
+        assert ntl.engine.population.groups == mem.engine.population.groups
+        bounded = query.bound(100.0)
+        assert _answer(bounded.on_engine("needletail").run(seed=2)) == _answer(
+            bounded.on_engine("memory").run(seed=2)
+        )
 
     def test_memory_supports_where(self, session, columns):
         res = (
@@ -353,7 +403,8 @@ class TestPlannerValidation:
             res["AVG(y)"].raw.samples_per_group, res["AVG(year)"].raw.samples_per_group
         )
         assert res.total_samples == per_group.sum()
-        assert res.engine.value_column == "y"  # the first AVG's engine
+        # the first AVG's engine: it samples the catalog's (g, y) population
+        assert res.engine.population is session.catalog.population("t", "g", "y")
 
     @pytest.mark.parametrize(
         "seed", [1, None, np.random.default_rng(1)], ids=["int", "entropy", "generator"]

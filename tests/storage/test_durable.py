@@ -5,8 +5,8 @@ The PR-8 acceptance bar:
 * queries over memory-mapped indexes are **bit-identical** to RAM-built
   ones, for every sampler kind, both executors, shards in {1, 4};
 * a store built in one process re-opens in a *fresh* process in O(1) - no
-  index rebuild (``BUILD_COUNTS`` is the oracle) - serving identical
-  results;
+  population build from source rows (``BUILD_COUNTS`` is the oracle) -
+  serving identical results;
 * a rewritten source can never serve the old segment (fingerprint miss at
   lookup time AND on-disk deletion at invalidate/rebind time);
 * a process killed -9 mid-build leaves the store openable with the partial
@@ -28,8 +28,8 @@ import pytest
 
 import repro
 from repro.engines.payload import live_pool_dirs
-from repro.needletail.engine import BUILD_COUNTS
-from repro.storage import DurableCatalog, MappedNeedletailEngine, Store
+from repro.data.population import BUILD_COUNTS
+from repro.storage import DurableCatalog, Store
 
 
 def _dataset(rows_per_group=2000, groups=8, seed=0):
@@ -81,14 +81,14 @@ class TestWarmReopen:
         counts = dict(BUILD_COUNTS)
         reopened = DurableCatalog(store)
         assert "t" in reopened.names
-        sentinel = lambda: (_ for _ in ()).throw(AssertionError("index rebuilt"))
-        engine = reopened.indexed_engine("t", "g", "v", group_spec=["g"], builder=sentinel)
-        assert isinstance(engine, MappedNeedletailEngine)
-        assert BUILD_COUNTS["needletail"] == counts["needletail"]
-        assert BUILD_COUNTS["mapped"] == counts["mapped"] + 1
-
         warm_session = repro.connect(catalog=reopened, seed=1)
-        assert _sig(_run(warm_session)) == _sig(cold)
+        warm = _run(warm_session)
+        assert BUILD_COUNTS["source"] == counts["source"]
+        assert BUILD_COUNTS["mapped"] == counts["mapped"] + 1
+        assert _sig(warm) == _sig(cold)
+        # The engine samples the mapped population: its values are the
+        # segment's bytes, not a copy.
+        assert isinstance(warm.engine.population.groups[0].values.base, np.memmap)
         warm_session.close()
 
     def test_fresh_process_reopen_is_o1_with_identical_results(self, tmp_path):
@@ -103,7 +103,7 @@ class TestWarmReopen:
             """
             import json, sys
             import repro
-            from repro.needletail.engine import BUILD_COUNTS
+            from repro.data.population import BUILD_COUNTS
 
             session = repro.connect(store=sys.argv[1], seed=1)
             result = session.table("t").group_by("g").agg(repro.avg("v")).run(seed=7)
@@ -123,7 +123,7 @@ class TestWarmReopen:
         )
         assert out.returncode == 0, out.stderr
         report = json.loads(out.stdout.strip().splitlines()[-1])
-        assert report["counts"]["needletail"] == 0, "warm open rebuilt the index"
+        assert report["counts"]["source"] == 0, "warm open rebuilt from source rows"
         assert report["counts"]["mapped"] >= 1
         assert report["order"] == cold.first.order()
         assert report["samples"] == cold.total_samples
@@ -150,7 +150,7 @@ class TestBitIdentityMatrix:
         store = tmp_path_factory.mktemp("durable") / "store"
         session = repro.connect(store=store, seed=1)
         session.attach("t", _dataset())
-        _run(session)  # persist the index + population builds
+        _run(session)  # persist the population build
         session.close()
         return store
 
@@ -210,7 +210,7 @@ class TestStaleness:
         assert len(cat.store.builds("t")) >= 2
         cat.attach("t", _dataset(rows_per_group=100, groups=3, seed=9))
         builds = cat.store.builds("t")
-        # only the rebound memory table itself is stored - index builds gone
+        # only the rebound memory table itself is stored - population builds gone
         assert [b["kind"] for b in builds] == ["table"]
         cat.close()
 
@@ -219,7 +219,7 @@ class TestStaleness:
         cat.attach("t", _dataset(rows_per_group=100, groups=3))
         cat.prime("t", "g", "v")
         kinds = {b["kind"] for b in cat.store.builds("t")}
-        assert {"needletail", "population"} <= kinds
+        assert kinds == {"population", "table"}
         cat.invalidate("t")
         # the table build is re-persisted (the binding survives); caches gone
         assert {b["kind"] for b in cat.store.builds("t")} == {"table"}

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import sqlite3
 
 import numpy as np
 import pytest
@@ -19,16 +17,12 @@ from repro.engines.payload import (
     file_backed_ref,
     live_pool_dirs,
 )
-from repro.needletail.engine import BUILD_COUNTS, NeedletailEngine, base_bitvector
+from repro.needletail.engine import NeedletailEngine
 from repro.needletail.table import Column, Table
 from repro.storage import (
-    STORE_FORMAT_VERSION,
     DurableCatalog,
-    MappedNeedletailEngine,
-    pack_index,
     pack_population,
     pack_table,
-    unpack_index,
     unpack_population,
     unpack_table,
 )
@@ -40,29 +34,6 @@ def _table(rows_per_group=200, groups=4, seed=3):
     labels = np.repeat([f"g{i}" for i in range(groups)], rows_per_group)
     values = rng.normal(40, 10, rows_per_group * groups).clip(0, 100)
     return Table("t", [Column("g", labels, 8), Column("v", values, 8)])
-
-
-class TestPackIndex:
-    def test_roundtrip_is_bit_identical(self):
-        engine = NeedletailEngine(_table(), "g", "v")
-        meta, arrays = pack_index(engine)
-        back = unpack_index(meta, arrays, group_by="g", value_column="v")
-        assert isinstance(back, MappedNeedletailEngine)
-        for a, b in zip(engine.population.groups, back.population.groups):
-            assert a.name == b.name
-            wa = np.asarray(base_bitvector(a._selector).words)
-            wb = np.asarray(base_bitvector(b._selector).words)
-            assert np.array_equal(wa, wb)
-        assert back.population.c == engine.population.c
-        assert np.array_equal(back.population.sizes(), engine.population.sizes())
-
-    def test_selects_identical(self):
-        engine = NeedletailEngine(_table(), "g", "v")
-        meta, arrays = pack_index(engine)
-        back = unpack_index(meta, arrays, group_by="g", value_column="v")
-        for a, b in zip(engine.population.groups, back.population.groups):
-            ranks = np.arange(0, a.size, 7)
-            assert np.array_equal(a.fetch_by_rank(ranks), b.fetch_by_rank(ranks))
 
 
 class TestPackPopulation:
@@ -100,27 +71,22 @@ class TestFileBackedRefs:
     """Mapped (durable-store) buffers ship to workers as file windows."""
 
     @pytest.fixture
-    def mapped_engine(self, tmp_path):
+    def mapped(self, tmp_path):
+        """A population re-opened from a primed store (mapped segments)."""
         cat = DurableCatalog(tmp_path / "store")
         cat.attach("t", {"g": np.repeat([f"g{i}" for i in range(4)], 200),
                          "v": np.tile(np.arange(200.0), 4)})
-        built = cat.prime("t", "g", "v")
-        assert "needletail" in built
-        fresh = DurableCatalog(tmp_path / "store")
-        engine = fresh.indexed_engine("t", "g", "v", group_spec=["g"],
-                                      builder=lambda: None)
-        assert isinstance(engine, MappedNeedletailEngine)
-        return engine
+        assert cat.prime("t", "g", "v") == ["population"]
+        return DurableCatalog(tmp_path / "store").population("t", "g", "v")
 
     def test_ram_arrays_are_not_file_backed(self):
         assert file_backed_ref(np.arange(10.0)) is None
 
-    def test_mapped_window_is_file_backed(self, mapped_engine):
-        group = mapped_engine.population.groups[0]
-        words = np.asarray(base_bitvector(group._selector).words)
-        ref = file_backed_ref(words)
+    def test_mapped_window_is_file_backed(self, mapped):
+        values = mapped.groups[1].values
+        ref = file_backed_ref(values)
         assert isinstance(ref, FileArrayRef)
-        assert np.array_equal(ref.map(), words)
+        assert np.array_equal(ref.map(), values)
 
     @pytest.fixture
     def pool_dir(self):
@@ -128,12 +94,12 @@ class TestFileBackedRefs:
         yield directory
         directory.close()
 
-    def test_payloads_ship_store_windows_without_copies(self, mapped_engine, pool_dir):
+    def test_payloads_ship_store_windows_without_copies(self, mapped, pool_dir):
         gids = [np.array([0, 1]), np.array([2, 3])]
-        payloads = build_shard_payloads(mapped_engine.population, gids, pool_dir)
+        payloads = build_shard_payloads(mapped, gids, pool_dir)
         assert os.listdir(pool_dir.path) == []  # nothing copied
         for payload in payloads:
-            assert sorted(payload.refs) == ["cum", "values", "words"]
+            assert sorted(payload.refs) == ["values"]
             for ref in payload.refs.values():
                 assert isinstance(ref, FileArrayRef)
                 assert os.path.dirname(ref.path) != pool_dir.path
@@ -152,14 +118,13 @@ class TestFileBackedRefs:
         for a, b in zip(pop.groups, rebuilt.groups):
             assert np.array_equal(a.values, b.values)
 
-    def test_worker_rebuild_from_files_is_bit_identical(self, mapped_engine, pool_dir):
+    def test_worker_rebuild_from_files_is_bit_identical(self, mapped, pool_dir):
         gids = [np.arange(4)]
-        (payload,) = build_shard_payloads(mapped_engine.population, gids, pool_dir)
+        (payload,) = build_shard_payloads(mapped, gids, pool_dir)
         rebuilt = payload.build_population()
-        for a, b in zip(mapped_engine.population.groups, rebuilt.groups):
-            assert a.name == b.name and a.size == b.size
-            ranks = np.arange(a.size)
-            assert np.array_equal(a.fetch_by_rank(ranks), b.fetch_by_rank(ranks))
+        for a, b in zip(mapped.groups, rebuilt.groups):
+            assert a.name == b.name
+            assert np.array_equal(a.values, b.values)
 
     def test_ram_population_ships_files_in_the_pool_directory(self):
         engine = NeedletailEngine(_table(), "g", "v")
@@ -172,8 +137,7 @@ class TestFileBackedRefs:
         )
         rebuilt = payload.build_population()
         for a, b in zip(engine.population.groups, rebuilt.groups):
-            ranks = np.arange(a.size)
-            assert np.array_equal(a.fetch_by_rank(ranks), b.fetch_by_rank(ranks))
+            assert np.array_equal(a.values, b.values)
         directory.close()
         assert not os.path.exists(directory.path)
         assert directory.path not in live_pool_dirs()
@@ -194,20 +158,6 @@ class TestPackedFormat:
     workers, and stores written earlier must keep opening warm: its bytes
     and group windows are pinned."""
 
-    def test_needletail_pack_is_pinned(self):
-        labels, values = _pinned_columns()
-        table = Table("t", [Column("g", labels, 8), Column("v", values, 8)])
-        meta, arrays = pack_index(NeedletailEngine(table, "g", "v"))
-        assert {role: _digest(a) for role, a in arrays.items()} == {
-            "words": "6f81ce119c9b44e0",
-            "cum": "b420ee795f39a0ad",
-            "values": "3dda6a1c5d8971bf",
-        }
-        assert meta["groups"] == [
-            [str(i), 782 * i, 782 * (i + 1), 50_000] for i in range(7)
-        ]
-        assert "row_bytes" not in meta and meta["name"] == "t"
-
     def test_population_pack_is_pinned_and_copies_nothing(self):
         labels, values = _pinned_columns()
         pop = population_from_chunks([{"g": labels, "v": values}], "g", "v")
@@ -222,52 +172,15 @@ class TestPackedFormat:
             [str(i), bounds[i], bounds[i + 1]] for i in range(7)
         ]
 
-    def test_store_with_population_name_meta_opens_warm(self, tmp_path):
-        """Needletail builds once named their population ``population_name``;
-        such a store still re-opens without an index rebuild and answers
-        bit-identically."""
-        import repro
-
-        assert STORE_FORMAT_VERSION == 1
+    def test_needletail_engine_packs_the_same_bytes(self):
+        """The needletail engine groups its table with the same helper: its
+        population is the pinned one, byte for byte."""
         labels, values = _pinned_columns()
-        data = {"g": labels[:4000], "v": values[:4000]}
-        store = tmp_path / "store"
-        cat = DurableCatalog(store)
-        cat.attach("t", data)
-        assert "needletail" in cat.prime("t", "g", "v")
-        cat.close()
-        with sqlite3.connect(store / "catalog.sqlite") as db:
-            rows = db.execute(
-                "SELECT id, meta_json FROM builds WHERE kind = 'needletail'"
-            ).fetchall()
-            assert rows
-            for build_id, meta_json in rows:
-                meta = json.loads(meta_json)
-                meta["population_name"] = meta.pop("name")
-                db.execute(
-                    "UPDATE builds SET meta_json = ? WHERE id = ?",
-                    (json.dumps(meta), build_id),
-                )
-
-        def query(session):
-            q = session.table("t").group_by("g").agg(repro.avg("v"))
-            result = q.run(seed=4)
-            return result.first.order(), sorted(
-                (g.label, g.estimate, g.samples) for g in result.first
-            )
-
-        counts = dict(BUILD_COUNTS)
-        warm = DurableCatalog(store)
-        engine = warm.indexed_engine(
-            "t", "g", "v", group_spec=["g"],
-            builder=lambda: pytest.fail("index rebuilt"),
-        )
-        assert isinstance(engine, MappedNeedletailEngine)
-        assert engine.population.name == "t"
-        with repro.connect(catalog=warm, seed=1) as session:
-            warm_answer = query(session)
-        warm.close()
-        assert BUILD_COUNTS["needletail"] == counts["needletail"]
-        with repro.connect(seed=1) as cold_session:
-            cold_session.attach("t", data)
-            assert query(cold_session) == warm_answer
+        table = Table("t", [Column("g", labels, 8), Column("v", values, 8)])
+        kind, meta, buffers = pack_population(NeedletailEngine(table, "g", "v").population)
+        assert kind == "population" and meta["name"] == "t"
+        assert _digest(concatenated(buffers)["values"]) == "facc70dded6f14d6"
+        bounds = [0, 7313, 14347, 21429, 28551, 35754, 42805, 50000]
+        assert meta["groups"] == [
+            [str(i), bounds[i], bounds[i + 1]] for i in range(7)
+        ]

@@ -1,25 +1,27 @@
-"""Stores and wire payloads written before 4.0 still read.
+"""Stores and wire payloads written by earlier versions still read.
 
-Up to 3.x a needletail build's meta carried ``row_bytes`` (the engine's
-row width, used only to price simulated scans), and ``Result.to_dict()``
-carried simulated ``io_seconds``/``cpu_seconds`` at the top level and in
-every aggregate's ``raw.stats``.  4.0 writes none of them and ignores them
-on read, so a 3.x store re-opens warm and a 3.x payload parses to the 4.0
-form.
+Up to 4.x every engine door but ``memory`` sampled a bitmap index, and a
+store held a ``"needletail"`` build (bitmap words, cumulative popcounts and
+the value column; up to 3.x its meta also carried ``row_bytes``) beside the
+``"population"`` build.  5.0 samples the population on every door and
+never reads a needletail build: a store written before re-opens warm
+through its population build, the old build stays on disk untouched (not
+quarantined) until ``Store.drop_builds(table, "needletail")`` reclaims it.
+Up to 3.x ``Result.to_dict()`` also carried simulated
+``io_seconds``/``cpu_seconds``; 4.0 writes none and ignores them on read.
 """
 
 from __future__ import annotations
 
 import json
-import sqlite3
 
 import numpy as np
 import pytest
 
 import repro
-from repro.needletail.engine import BUILD_COUNTS
+from repro.data.population import BUILD_COUNTS
 from repro.session.result import Result
-from repro.storage import DurableCatalog, MappedNeedletailEngine, Store
+from repro.storage import DurableCatalog, Store
 
 
 def _dataset(rows_per_group=1500, groups=6, seed=3):
@@ -36,38 +38,53 @@ def _run(session):
     return session.table("t").group_by("g").agg(repro.avg("v")).run(seed=5)
 
 
-def _needletail_metas(store_path) -> list[dict]:
-    with sqlite3.connect(store_path / "catalog.sqlite") as db:
-        rows = db.execute("SELECT meta_json FROM builds WHERE kind = 'needletail'").fetchall()
-    return [json.loads(r[0]) for r in rows]
+def _add_needletail_build(store_path, meta_extra: dict) -> None:
+    """Write a 4.x-layout needletail build beside each population build."""
+    data = _dataset()
+    with Store(store_path) as raw:
+        for build in raw.builds("t"):
+            if build["kind"] != "population":
+                continue
+            words, cum, specs = [], [], []
+            for name in np.unique(data["g"]):
+                bits = np.packbits(data["g"] == name, bitorder="little")
+                group = np.frombuffer(bits.tobytes() + bytes(-len(bits) % 8), np.uint64)
+                lo = sum(w.size for w in words)
+                words.append(group)
+                cum.append(np.cumsum(np.bitwise_count(group).astype(np.int64)))
+                specs.append([str(name), lo, lo + group.size, int(data["g"].size)])
+            raw.save_build(
+                "t", "needletail", build["build_key"],
+                fingerprint=build["fingerprint"],
+                meta={"c": 100.0, "name": "t", "groups": specs, **meta_extra},
+                arrays={
+                    "words": np.concatenate(words),
+                    "cum": np.concatenate(cum),
+                    "values": data["v"],
+                },
+            )
 
 
-def _rewrite_needletail_metas(store_path, edit) -> None:
-    with sqlite3.connect(store_path / "catalog.sqlite") as db:
-        rows = db.execute("SELECT id, meta_json FROM builds WHERE kind = 'needletail'").fetchall()
-        for build_id, meta_json in rows:
-            meta = edit(json.loads(meta_json))
-            db.execute("UPDATE builds SET meta_json = ? WHERE id = ?", (json.dumps(meta), build_id))
-
-
-@pytest.fixture()
-def built_store(tmp_path):
-    """A store holding one needletail build, plus the cold answer over it."""
+@pytest.fixture(params=[{}, {"row_bytes": 16}], ids=["4x", "3x"])
+def parent_store(tmp_path, request):
+    """A store as 4.x (or 3.x, with ``row_bytes``) left it: population and
+    needletail builds side by side, plus the cold answer over it."""
     store = tmp_path / "store"
     session = repro.connect(store=store, seed=1)
     session.attach("t", _dataset())
     cold = _run(session).to_dict()
     session.close()
+    _add_needletail_build(store, request.param)
+    with Store(store) as raw:
+        assert {b["kind"] for b in raw.builds("t")} == {"table", "population", "needletail"}
     return store, cold
 
 
 def _assert_warm_reopen(store, cold) -> None:
     counts = dict(BUILD_COUNTS)
-    catalog = DurableCatalog(store)
-    session = repro.connect(catalog=catalog, seed=1)
+    session = repro.connect(catalog=DurableCatalog(store), seed=1)
     warm = _run(session)
-    assert isinstance(warm.engine, MappedNeedletailEngine)
-    assert BUILD_COUNTS["needletail"] == counts["needletail"]
+    assert BUILD_COUNTS["source"] == counts["source"]
     assert BUILD_COUNTS["mapped"] == counts["mapped"] + 1
     assert warm.to_dict() == cold
     session.close()
@@ -75,17 +92,20 @@ def _assert_warm_reopen(store, cold) -> None:
         assert raw.quarantined() == []
 
 
-def test_builds_no_longer_carry_row_bytes(built_store):
-    store, cold = built_store
-    metas = _needletail_metas(store)
-    assert metas and all("row_bytes" not in m for m in metas)
-    _assert_warm_reopen(store, cold)  # 3.x raised StorageError on this meta
+def test_a_store_with_needletail_builds_reopens_warm_through_its_population(parent_store):
+    store, cold = parent_store
+    _assert_warm_reopen(store, cold)
+    with Store(store) as raw:  # read by nobody, left in place
+        assert "needletail" in {b["kind"] for b in raw.builds("t")}
 
 
-def test_a_3x_build_with_row_bytes_reopens_warm(built_store):
-    store, cold = built_store
-    _rewrite_needletail_metas(store, lambda meta: {**meta, "row_bytes": 16})
-    assert all(m["row_bytes"] == 16 for m in _needletail_metas(store))
+def test_dropping_the_needletail_builds_reclaims_their_segments(parent_store):
+    store, cold = parent_store
+    with Store(store) as raw:
+        before = raw.verify()
+        assert raw.drop_builds("t", "needletail") == 1
+        assert {b["kind"] for b in raw.builds("t")} == {"table", "population"}
+        assert raw.verify() == before - 3  # words, cum, values
     _assert_warm_reopen(store, cold)
 
 

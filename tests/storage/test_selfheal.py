@@ -21,9 +21,9 @@ import os
 import numpy as np
 
 import repro
-from repro.needletail.engine import BUILD_COUNTS
+from repro.data.population import BUILD_COUNTS
 from repro.resilience.faults import Fault, FaultPlan, inject
-from repro.storage import DurableCatalog, MappedNeedletailEngine, Store
+from repro.storage import DurableCatalog, Store
 
 
 def _dataset(rows_per_group=500, groups=4, seed=0):
@@ -78,7 +78,7 @@ class TestQuarantineAndRebuild:
     def test_corrupt_index_heals_transparently_with_a_caveat(self, tmp_path):
         store = tmp_path / "store"
         cold = _build_store(store)
-        flipped = _flip_byte_of(store, "needletail")
+        flipped = _flip_byte_of(store, "population")
 
         session = repro.connect(store=store, seed=1)
         healed = _run(session)
@@ -98,12 +98,10 @@ class TestQuarantineAndRebuild:
             raw.verify()  # the re-persisted build is clean on disk
 
         # A fresh open serves the re-persisted build: mapped, no rebuild.
+        counts = dict(BUILD_COUNTS)
         reopened = DurableCatalog(store)
-        sentinel = lambda: (_ for _ in ()).throw(AssertionError("index rebuilt"))
-        engine = reopened.indexed_engine(
-            "t", "g", "v", group_spec=["g"], builder=sentinel
-        )
-        assert isinstance(engine, MappedNeedletailEngine)
+        reopened.population("t", "g", "v")
+        assert BUILD_COUNTS == {**counts, "mapped": counts["mapped"] + 1}
         assert reopened.drain_resilience_events() == []
         reopened.close()
 
@@ -111,7 +109,7 @@ class TestQuarantineAndRebuild:
         store = tmp_path / "store"
         cold = _build_store(store)
         # Read order on a fresh open: table columns (0, 1), then the first
-        # query maps the needletail build (2, 3, 4) - flip its words array.
+        # query maps the population build (2) - flip its values array.
         plan = FaultPlan([Fault(kind="flip_segment_bit", at=2, times=1)])
         with inject(plan):
             session = repro.connect(store=store, seed=1)
@@ -130,7 +128,7 @@ class TestQuarantineAndRebuild:
         with Store(store) as raw:
             row = raw._db.execute(
                 "SELECT s.filename FROM segments s "
-                "JOIN builds b ON s.build_id = b.id WHERE b.kind = 'needletail' "
+                "JOIN builds b ON s.build_id = b.id WHERE b.kind = 'population' "
                 "ORDER BY s.id LIMIT 1"
             ).fetchone()
             os.unlink(os.path.join(raw.segments_dir, row["filename"]))
@@ -176,7 +174,7 @@ class TestWriteDegradation:
         first = _run(session)
         before = dict(BUILD_COUNTS)
         second = _run(session)
-        assert BUILD_COUNTS == before, "second query re-ran the index build"
+        assert BUILD_COUNTS == before, "second query re-ran the population build"
         assert cat.store.builds("t") == []
         assert _sig(first) == _sig(second) == _sig(healthy)
         session.close()
@@ -196,7 +194,7 @@ class TestRepair:
     def test_repair_quarantines_and_sweeps_in_one_pass(self, tmp_path):
         store = tmp_path / "store"
         _build_store(store)
-        flipped = _flip_byte_of(store, "needletail")
+        flipped = _flip_byte_of(store, "population")
         with Store(store) as raw:
             with open(os.path.join(raw.segments_dir, "stray.seg.tmp"), "wb") as fh:
                 fh.write(b"junk")

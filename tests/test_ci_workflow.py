@@ -124,7 +124,9 @@ def test_bench_smoke_job_runs_smoke_and_guard(workflow):
     commands = " ".join(step.get("run", "") for step in job["steps"])
     assert "bench_export.py --smoke" in commands
     assert "check_bench.py" in commands
-    # The smoke job runs tier-1 with the heavy benches explicitly off.
+    # Tier-1 runs in the test matrix, not here; the job's env keeps the
+    # heavy benches off for any step that does not set its own (the
+    # --smoke export pops the variable for its pytest run).
     assert job["env"]["REPRO_RUN_BENCH"] == "0"
 
 

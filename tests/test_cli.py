@@ -247,7 +247,7 @@ class TestStoreCLI:
 
         assert main(["store", "build", str(store), "--csv", str(csv)]) == 0
         out = capsys.readouterr().out
-        assert "t: group by g, value v" in out and "needletail" in out
+        assert "t: group by g, value v -> built population" in out
 
         assert main(["store", "ls", str(store)]) == 0
         out = capsys.readouterr().out

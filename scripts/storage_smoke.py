@@ -11,7 +11,9 @@ Runs the persistence path end to end in a throwaway store directory:
 2. restart: re-open the same store in a **fresh python process** - the
    warm open must map the population without a single build from source
    rows (``BUILD_COUNTS["source"] == 0`` in the child is the oracle) and
-   serve results identical to the cold run;
+   serve results identical to the cold run; so must a composite
+   ``GROUP BY carrier, year`` over a small second table (a CSV file),
+   whose population the cold run persisted like any other;
 3. gate: the warm open must be at least 10x faster than the cold build
    (mapping segments is O(1) in the data; rebuilding is O(rows));
 4. process shards: the same query with ``.sharded(2, executor="process")``
@@ -61,13 +63,19 @@ elapsed = time.perf_counter() - t0
 assert BUILD_COUNTS == {"source": 0, "mapped": 1}, BUILD_COUNTS
 
 result = session.table("t").group_by("g").agg(repro.avg("v")).run(seed=5)
+build_counts = dict(BUILD_COUNTS)
+composite = (
+    session.table("u").group_by("carrier", "year").agg(repro.avg("delay")).run(seed=5)
+)
 session.close()
 print(json.dumps({
     "warm_s": elapsed,
-    "build_counts": dict(BUILD_COUNTS),
+    "build_counts": build_counts,
     "order": result.first.order(),
     "samples": result.total_samples,
     "estimates": sorted((g.label, g.estimate, g.samples) for g in result.first),
+    "composite_source_builds": BUILD_COUNTS["source"] - build_counts["source"],
+    "composite": composite.to_dict(),
 }))
 """
 
@@ -80,6 +88,18 @@ def _dataset(rows: int):
         "g": np.repeat([f"g{i:02d}" for i in range(groups)], per),
         "v": rng.normal(50.0, 12.0, per * groups).clip(0, 100),
     }
+
+
+def _write_second_table(path: Path) -> None:
+    """A small CSV for the composite GROUP BY leg: 4 carriers x 3 years."""
+    rng = np.random.default_rng(11)
+    rows = 4000
+    carrier = rng.choice(["AA", "DL", "UA", "WN"], size=rows)
+    year = rng.integers(2004, 2007, rows)
+    delay = rng.normal(30.0, 9.0, rows).clip(0, 100) + (carrier == "DL") * 12
+    path.write_text("carrier,year,delay\n" + "".join(
+        f"{c},{int(y)},{float(d)!r}\n" for c, y, d in zip(carrier, year, delay)
+    ))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,6 +129,12 @@ def main(argv: list[str] | None = None) -> int:
         repeat_builds = {
             kind: BUILD_COUNTS[kind] - builds_before[kind] for kind in BUILD_COUNTS
         }
+        _write_second_table(Path(tmp) / "u.csv")
+        session.attach("u", Path(tmp) / "u.csv")
+        cold_composite = (
+            session.table("u").group_by("carrier", "year").agg(repro.avg("delay"))
+            .run(seed=5)
+        )
         session.close()
         print(f"cold attach + population build: {cold_s:.3f}s ({args.rows:,} rows)")
 
@@ -154,6 +180,16 @@ def main(argv: list[str] | None = None) -> int:
         )
         if report["estimates"] != cold_estimates:
             failures.append("per-group estimates drifted across the restart")
+        if report["composite_source_builds"] != 0:
+            failures.append(
+                f"warm composite GROUP BY rebuilt from source rows "
+                f"{report['composite_source_builds']} time(s)"
+            )
+        if report["composite"] != cold_composite.to_dict():
+            failures.append("the composite GROUP BY answer drifted across the restart")
+        print(f"composite GROUP BY carrier, year after restart: "
+              f"{report['composite_source_builds']} source builds, "
+              f"{len(cold_composite.labels)} groups")
         if speedup < args.min_speedup:
             failures.append(
                 f"warm open only {speedup:.1f}x faster than the cold build "

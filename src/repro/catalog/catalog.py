@@ -4,24 +4,25 @@ A catalog maps table names to :class:`~repro.catalog.source.DataSource`
 objects and owns the derived artifacts engines consume:
 
 * :meth:`Catalog.population` - the grouped value multiset every engine
-  door samples from.  Built by scanning **only** the group
-  and value columns with the WHERE predicate pushed into the scan, so
-  filtering happens chunk-by-chunk *before* anything is materialized.
-  Builds are cached per ``(table, group_col, value_col, predicate,
+  door samples from, for any GROUP BY: one column, or several joined into
+  the cross-product key ``x|z`` (§6.3.4).  Built by scanning **only** the
+  group and value columns with the WHERE predicate pushed into the scan,
+  so filtering happens chunk-by-chunk *before* anything is materialized.
+  Builds are cached per ``(table, GROUP BY tuple, value_col, predicate,
   value_bound)``; repeated queries over the same grouping reuse the build.
 * :meth:`Catalog.table` - the fully materialized row-store
-  :class:`~repro.needletail.table.Table`, for composite GROUP BY keys
-  (derived from several columns) and for callers that want the rows.
-  Cached per table; predicates are not applied here.
+  :class:`~repro.needletail.table.Table`, for callers that want the rows
+  (the planner never does).  Cached per table; predicates are not applied
+  here.
 * :meth:`Catalog.indexed_engine` - the engine the ``needletail``/``noindex``
-  doors sample: one per ``(table, GROUP BY list, value_col, predicate,
-  value_bound)``, under the same LRU bound, so a repeated query resolves
-  its engine with one lookup.  The engine samples the cached grouped
-  population (the paper's per-group random-row fetch, §4, as a gather).
+  doors sample: one per population coordinate, under the same LRU bound,
+  so a repeated query resolves its engine with one lookup.  The engine
+  samples the cached grouped population (the paper's per-group random-row
+  fetch, §4, as a gather).
 * :meth:`Catalog.fanout` - the :class:`~repro.engines.sharded.ShardedEngine`
   a ``.sharded()`` query runs on, with its fan-out threads or spawn workers
   and their payload files.  Workers belong to the catalog, not the
-  query: one engine per ``(table, GROUP BY list, value_col, predicate,
+  query: one engine per ``(table, GROUP BY tuple, value_col, predicate,
   value_bound, engine, shards, max_workers, executor)``, lent to each query
   under a lease, so ``executor="process"`` spawns once per session and key.
   At most :data:`Catalog.MAX_CACHED_FANOUTS` stay resident.
@@ -44,7 +45,7 @@ import numpy as np
 
 from repro.catalog.schema import Schema
 from repro.catalog.source import DataSource, TableSource
-from repro.data.population import Population, population_from_chunks
+from repro.data.population import Population, as_group_by, population_from_chunks
 from repro.needletail.table import Table
 from repro.query.ast import Predicate
 
@@ -59,10 +60,11 @@ __all__ = [
 ]
 
 
-#: One cached population build, as reported by :meth:`Catalog.describe`.
-PopulationBuild = tuple[str, str, "Predicate | None", "float | None"]
-#: One cached engine build; its first field is the full GROUP BY list.
-EngineBuild = tuple[tuple[str, ...], str, "Predicate | None", "float | None"]
+#: One cached population build, as reported by :meth:`Catalog.describe`:
+#: ``(GROUP BY tuple, value column, predicate, value bound)``.
+PopulationBuild = tuple[tuple[str, ...], str, "Predicate | None", "float | None"]
+#: One cached engine build, keyed like its population.
+EngineBuild = PopulationBuild
 
 
 @dataclass(frozen=True)
@@ -359,14 +361,17 @@ class Catalog:
     def population(
         self,
         name: str,
-        group_col: str,
+        group_by: str | tuple[str, ...],
         value_col: str,
         *,
         predicate: Predicate | None = None,
         value_bound: float | None = None,
     ) -> Population:
-        """The grouped population for one ``(table, group, value, predicate)``.
+        """The grouped population for one ``(table, GROUP BY, value, predicate)``.
 
+        ``group_by`` is one column name or a tuple of them (a composite
+        key, see :func:`~repro.data.population.population_from_chunks`);
+        either way the build scans only those columns and the value column.
         The WHERE predicate is lowered into the source scan (per-chunk
         filtering, nothing non-qualifying materialized); the result is cached
         (LRU, :data:`MAX_CACHED_POPULATIONS` entries) so repeated queries
@@ -374,18 +379,21 @@ class Catalog:
         (streaming) sources rebuild on every query.
         """
         source = self.source(name)
-        key = (source, group_col, value_col, predicate, value_bound)
+        group_by = as_group_by(group_by)
+        key = (source, group_by, value_col, predicate, value_bound)
         if source.cacheable:
             with self._lock:
                 cached = self._populations.get(key)
                 if cached is not None:
                     self._populations.move_to_end(key)
                     return cached
-        population = source.population(group_col, value_col, predicate, value_bound)
+        population = None
+        if len(group_by) == 1:  # a source that is a population has one group column
+            population = source.population(group_by[0], value_col, predicate, value_bound)
         if population is None:
             population = population_from_chunks(
-                source.scan(columns=(group_col, value_col), predicate=predicate),
-                group_col,
+                source.scan(columns=(*group_by, value_col), predicate=predicate),
+                group_by,
                 value_col,
                 c=value_bound,
                 name=name,
@@ -398,7 +406,7 @@ class Catalog:
     def seed_population(
         self,
         name: str,
-        group_col: str,
+        group_by: str | tuple[str, ...],
         value_col: str,
         population: Population,
         *,
@@ -423,7 +431,7 @@ class Catalog:
                 f"source {name!r} is not cacheable; a seeded population "
                 "would never be consulted"
             )
-        key = (source, group_col, value_col, predicate, value_bound)
+        key = (source, as_group_by(group_by), value_col, predicate, value_bound)
         with self._lock:
             self._populations[key] = population
             self._populations.move_to_end(key)
@@ -434,7 +442,7 @@ class Catalog:
     def indexed_engine(
         self,
         name: str,
-        group_col: str,
+        group_by: str | tuple[str, ...],
         value_column: str,
         *,
         value_bound: float | None = None,
@@ -446,9 +454,9 @@ class Catalog:
 
         ``builder`` (the planner's cold construction over the grouped
         population) runs only on a miss; the engine it returns is cached
-        under ``(source, group_spec, value column, predicate, value
-        bound)`` - ``group_spec`` being the full GROUP BY list, since
-        ``group_col`` alone is ambiguous for composite keys - and obeys the rules populations obey: LRU-bounded by
+        under :meth:`population`'s coordinates - ``group_spec``, the GROUP BY
+        list, stands in for ``group_by`` when given - and obeys the rules
+        populations obey: LRU-bounded by
         :data:`MAX_CACHED_POPULATIONS`, skipped for non-cacheable sources,
         dropped by :meth:`invalidate`/rebinding, shared with snapshots.
         Sharing one engine across concurrent queries is safe: it is immutable
@@ -461,7 +469,7 @@ class Catalog:
         if builder is None:
             return None
         source = self.source(name)
-        key = (source, tuple(group_spec or (group_col,)), value_column, predicate, value_bound)
+        key = (source, as_group_by(group_spec or group_by), value_column, predicate, value_bound)
         if source.cacheable:
             with self._lock:
                 cached = self._engines.get(key)

@@ -451,8 +451,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
             if bound is not None:
                 extras.append(f"c={bound:g}")
             suffix = f"  ({', '.join(extras)})" if extras else ""
-            group = group if isinstance(group, str) else ", ".join(group)
-            print(f"  group by {group}, value {value_col}{suffix}")
+            print(f"  group by {', '.join(group)}, value {value_col}{suffix}")
     if info.cached_fanouts:
         print("cached fan-outs:")
         for fan in info.cached_fanouts:

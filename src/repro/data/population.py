@@ -59,6 +59,8 @@ from repro.data.distributions import Distribution
 
 __all__ = [
     "BUILD_COUNTS",
+    "as_group_by",
+    "composite_group_column",
     "population_from_chunks",
     "split_by_key",
     "GroupSampler",
@@ -580,9 +582,32 @@ class Population:
 BUILD_COUNTS = {"source": 0, "mapped": 0}
 
 
+def as_group_by(group_by: str | Sequence[str]) -> tuple[str, ...]:
+    """The GROUP BY coordinate: one column name, or a sequence of them, as a tuple."""
+    return (group_by,) if isinstance(group_by, str) else tuple(group_by)
+
+
+def composite_group_column(columns: Sequence[np.ndarray], sep: str = "|") -> np.ndarray:
+    """Cross-product key for GROUP BY over several attributes (paper §6.3.4).
+
+    Joins parallel column arrays elementwise into ``"x|z"`` labels, each
+    value rendered by its array's ``astype(str)`` (so at the array's dtype).
+    """
+    if not columns:
+        raise ValueError("need at least one group-by column")
+    out = np.asarray(columns[0]).astype(str)
+    for part in columns[1:]:
+        out = np.char.add(np.char.add(out, sep), np.asarray(part).astype(str))
+    return out
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def population_from_chunks(
     chunks: Iterable[Mapping[str, np.ndarray]],
-    group_col: str,
+    group_by: str | Sequence[str],
     value_col: str,
     *,
     c: float | None = None,
@@ -592,13 +617,18 @@ def population_from_chunks(
     """Assemble a grouped population from streamed ``{column: array}`` chunks.
 
     Consumes one chunk at a time (releasing each before pulling the next) and
-    accumulates only the two projected columns, then groups them with
+    accumulates only the projected columns, then groups them with
     :func:`split_by_key` - so a pushed-down scan and a
     filtered table give bit-identical populations: same keys (sorted), same
-    per-group row order, same inferred value bound.
+    per-group row order, same inferred value bound.  Several GROUP BY
+    columns are each concatenated across chunks first and then joined by
+    :func:`composite_group_column`, so a composite label renders each value
+    at its whole column's dtype (an int chunk in a column that later turns
+    float reads ``"1.0"``, as it does in the materialized table).
     """
     BUILD_COUNTS["source"] += 1
-    group_parts: list[np.ndarray] = []
+    group_by = as_group_by(group_by)
+    group_parts: dict[str, list[np.ndarray]] = {col: [] for col in group_by}
     value_parts: list[np.ndarray] = []
     it = iter(chunks)
     while True:
@@ -606,21 +636,19 @@ def population_from_chunks(
             chunk = next(it)
         except StopIteration:
             break
-        group_parts.append(np.asarray(chunk[group_col]))
+        for col, parts in group_parts.items():
+            parts.append(np.asarray(chunk[col]))
         value_parts.append(np.asarray(chunk[value_col], dtype=np.float64))
         del chunk
-    if value_parts:
-        values = value_parts[0] if len(value_parts) == 1 else np.concatenate(value_parts)
-        group_vals = group_parts[0] if len(group_parts) == 1 else np.concatenate(group_parts)
-    else:
-        values = np.empty(0, dtype=np.float64)
-        group_vals = np.empty(0, dtype=str)
+    values = _concat(value_parts) if value_parts else np.empty(0, dtype=np.float64)
     if values.size == 0:
         if filtered:
             raise ValueError("no group matches the predicate")
         raise ValueError(f"{name}: source produced no rows")
     if c is None:
         c = max(float(values.max()), 1e-9)
+    columns = [_concat(group_parts[col]) for col in group_by]
+    group_vals = columns[0] if len(columns) == 1 else composite_group_column(columns)
     keys, parts = split_by_key(group_vals, values)
     groups: list[Group] = [MaterializedGroup(str(key), part) for key, part in zip(keys, parts)]
     return Population(groups=groups, c=float(c), name=name)

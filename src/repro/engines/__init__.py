@@ -2,7 +2,7 @@
 
 from repro.engines.base import EngineRun, RunStats, SamplingEngine
 from repro.engines.memory import InMemoryEngine
-from repro.engines.partition import hash_partition, partition_groups, range_partition
+from repro.engines.partition import range_partition
 from repro.engines.sharded import (
     SHARD_EXECUTORS,
     ProcessShardedRun,
@@ -19,7 +19,5 @@ __all__ = [
     "ShardedEngine",
     "ShardedRun",
     "ProcessShardedRun",
-    "partition_groups",
     "range_partition",
-    "hash_partition",
 ]

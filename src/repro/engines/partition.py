@@ -1,81 +1,33 @@
-"""Group-partitioning utilities for the sharded execution backend.
+"""Group partitioning for the sharded execution backend.
 
-A *partitioner* assigns every group id of a population to one of N shards.
-Both built-ins are deterministic functions of the population alone - no
-process-local salt, no RNG - so a partition computed on one machine (or in
-one worker) is identical everywhere, which the shard-merge determinism
-contract relies on (see DESIGN_PERF.md).
+:func:`range_partition` assigns every group id of a population to one of N
+shards as contiguous, balanced gid ranges.  It is a deterministic function
+of the group count alone - no process-local salt, no RNG - so a partition
+computed on one machine (or in one worker) is identical everywhere, which
+the shard-merge determinism contract relies on (see DESIGN_PERF.md), and
+it preserves group order within a shard, so the stable merge is a plain
+column gather.
 
-* ``range``  - contiguous, balanced group-id ranges.  The default: preserves
-  group order within a shard, so the stable merge is a plain column gather.
-* ``hash``   - stable CRC32 of the group *name* modulo N.  Insensitive to
-  group-id renumbering across reloads; the shape BlinkDB-style partitioned
-  sample stores use for key-addressed shards.
-
-Empty shards are legal (hash partitions of few groups may leave holes);
+Empty shards are legal (``shards > k`` leaves trailing ranges empty);
 :class:`~repro.engines.sharded.ShardedEngine` simply skips them.
 """
 
 from __future__ import annotations
 
-import zlib
-from typing import Callable, Sequence
-
 import numpy as np
 
-__all__ = ["range_partition", "hash_partition", "partition_groups", "PARTITIONERS"]
-
-
-def _check_shards(k: int, shards: int) -> int:
-    if k < 1:
-        raise ValueError(f"need at least one group to partition, got {k}")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    return int(shards)
+__all__ = ["range_partition"]
 
 
 def range_partition(k: int, shards: int) -> list[np.ndarray]:
     """Split group ids 0..k-1 into ``shards`` contiguous, balanced ranges.
 
-    The first ``k % shards`` shards receive one extra group.  With
-    ``shards > k`` the trailing shards are empty.
+    Returns one int64 gid array per shard, each sorted ascending, covering
+    every group exactly once; the first ``k % shards`` shards receive one
+    extra group.  With ``shards > k`` the trailing shards are empty.
     """
-    shards = _check_shards(k, shards)
+    if k < 1:
+        raise ValueError(f"need at least one group to partition, got {k}")
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
     return [np.asarray(part, dtype=np.int64) for part in np.array_split(np.arange(k), shards)]
-
-
-def hash_partition(names: Sequence[str], shards: int) -> list[np.ndarray]:
-    """Assign each group to shard ``crc32(name) % shards``.
-
-    CRC32 is stable across processes and platforms (unlike ``hash()``, which
-    is salted per interpreter), so the assignment is reproducible.
-    """
-    shards = _check_shards(len(names), shards)
-    assignment = np.array(
-        [zlib.crc32(str(name).encode("utf-8")) % shards for name in names],
-        dtype=np.int64,
-    )
-    return [np.flatnonzero(assignment == s).astype(np.int64) for s in range(shards)]
-
-
-PARTITIONERS: dict[str, Callable[..., list[np.ndarray]]] = {
-    "range": range_partition,
-    "hash": hash_partition,
-}
-
-
-def partition_groups(
-    group_names: Sequence[str], shards: int, strategy: str = "range"
-) -> list[np.ndarray]:
-    """Partition a population's groups by name list and strategy.
-
-    Returns one int64 gid array per shard (possibly empty), covering every
-    group exactly once, each array sorted ascending so the per-shard group
-    order is a subsequence of the global order (the stable-merge invariant).
-    """
-    key = strategy.lower()
-    if key not in PARTITIONERS:
-        raise KeyError(f"unknown partitioner {strategy!r}; known: {sorted(PARTITIONERS)}")
-    if key == "range":
-        return range_partition(len(group_names), shards)
-    return hash_partition(group_names, shards)

@@ -278,10 +278,6 @@ class ProcessShardPool:
             raise
 
     @property
-    def num_workers(self) -> int:
-        return len(self._workers)
-
-    @property
     def restarts_remaining(self) -> int:
         return self._restarts_left
 

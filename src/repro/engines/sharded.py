@@ -342,24 +342,21 @@ class ProcessShardedRun(ShardedRun):
 
 
 class ShardedEngine(SamplingEngine):
-    """Hash/range-partition a backend engine into N parallel shards.
+    """Range-partition a backend engine into N parallel shards.
 
     Args:
         backend: any constructed :class:`SamplingEngine`; the sharded engine
             shares its population.  The backend's
             own ``open_run`` is never called - samplers are built per shard.
-        shards: requested shard count (>= 1).  Shards left empty by the
-            partitioner are skipped, so the effective count is
-            ``len(engine.shard_gids)``.
+        shards: requested shard count (>= 1).  Shards left empty by
+            :func:`~repro.engines.partition.range_partition` (``shards > k``)
+            are skipped, so the effective count is ``len(engine.shard_gids)``.
         max_workers: fan-out pool width (dispatch threads); ``None`` means one
             worker per (non-empty) shard, ``1`` disables the pool entirely
             (sequential fan-out, still bit-identical - merge order is stable
             by construction).  With ``executor="process"`` this sizes only the
             parent-side dispatch threads; there is always one worker process
             per shard.
-        partitioner: ``"range"`` (contiguous gid ranges, default) or
-            ``"hash"`` (stable CRC32 of group names); see
-            :mod:`repro.engines.partition`.
         record_timings: accumulate per-shard draw thread-CPU seconds on each
             run (``ShardedRun.shard_seconds``) for scaling measurements.
         executor: ``"thread"`` (in-process fan-out, default) or ``"process"``
@@ -379,13 +376,12 @@ class ShardedEngine(SamplingEngine):
         shards: int = 2,
         *,
         max_workers: int | None = None,
-        partitioner: str = "range",
         record_timings: bool = False,
         executor: str = "thread",
         max_restarts: int = 3,
         breaker_threshold: int = 3,
     ) -> None:
-        from repro.engines.partition import partition_groups
+        from repro.engines.partition import range_partition
 
         super().__init__(backend.population)
         if shards < 1:
@@ -415,10 +411,9 @@ class ShardedEngine(SamplingEngine):
                 "the backend level"
             )
         self.backend = backend
-        self.partitioner = partitioner.lower()
         self.record_timings = bool(record_timings)
         self.executor = executor
-        parts = partition_groups(self.population.group_names, shards, self.partitioner)
+        parts = range_partition(self.population.k, shards)
         #: Global gid arrays, one per non-empty shard, each sorted ascending.
         self.shard_gids: list[np.ndarray] = [p for p in parts if p.size]
         self.max_workers = max_workers
@@ -671,5 +666,5 @@ class ShardedEngine(SamplingEngine):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedEngine({type(self.backend).__name__}, shards={self.shards}, "
-            f"partitioner={self.partitioner!r}, executor={self.executor!r})"
+            f"executor={self.executor!r})"
         )

@@ -2,8 +2,8 @@
 
 * :func:`composite_group_column` - GROUP BY X, Z becomes a single group-by
   on the cross-product key "x|z" (the two-dimensional visualization with a
-  cross-product x axis the paper describes); the Session planner indexes it
-  and runs the standard engine (``.group_by(X, Z)``).
+  cross-product x axis the paper describes); the catalog's population scan
+  joins it, so ``.group_by(X, Z)`` runs the standard engine.
 * :func:`run_ifocus_multi_avg` - SELECT X, AVG(Y), AVG(Z) (Problem 8): one
   ordinary IFOCUS run per aggregate at delta/2, so both orderings hold with
   probability >= 1 - delta by the union bound.  The two engines read every
@@ -21,6 +21,7 @@ import numpy as np
 from repro._util import check_probability, reusable_seed
 from repro.core.ifocus import run_ifocus
 from repro.core.types import OrderingResult
+from repro.data.population import composite_group_column
 from repro.needletail.engine import NeedletailEngine
 from repro.needletail.table import Table
 
@@ -29,17 +30,6 @@ __all__ = [
     "MultiAvgResult",
     "run_ifocus_multi_avg",
 ]
-
-
-def composite_group_column(table: Table, columns: list[str], sep: str = "|") -> np.ndarray:
-    """Cross-product key column for GROUP BY over several attributes."""
-    if not columns:
-        raise ValueError("need at least one group-by column")
-    parts = [np.asarray(table.column(c)).astype(str) for c in columns]
-    out = parts[0]
-    for part in parts[1:]:
-        out = np.char.add(np.char.add(out, sep), part)
-    return out
 
 
 @dataclass

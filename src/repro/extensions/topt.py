@@ -44,10 +44,6 @@ class TopTResult:
     def top_names(self) -> list[str]:
         return [self.result.groups[int(i)].name for i in self.top_indices]
 
-    @property
-    def top_estimates(self) -> np.ndarray:
-        return self.result.estimates[self.top_indices]
-
 
 class TopRule(LeaveRule):
     """Leave when separated, or when clearly outside the top t.

@@ -67,15 +67,6 @@ class Table:
     def column_names(self) -> list[str]:
         return list(self._columns.keys())
 
-    @property
-    def row_bytes(self) -> int:
-        """Width of one row in bytes (sum of column widths) - drives scan I/O."""
-        return sum(c.byte_width for c in self._columns.values())
-
-    @property
-    def total_bytes(self) -> int:
-        return self.row_bytes * self.num_rows
-
     def __contains__(self, column: str) -> bool:
         return column in self._columns
 

@@ -15,7 +15,8 @@ form.  Dispatch rules:
 * several sampled aggregates (AVG and SUM, Problem 8) - one IFOCUS run each
   at delta/m (union bound); all read prefixes of one seeded per-group
   permutation, so a sampled row is charged once;
-* multiple GROUP BY columns - the cross-product composite key (§6.3.4);
+* multiple GROUP BY columns - the cross-product composite key (§6.3.4),
+  joined inside the catalog's population scan like any other GROUP BY;
 * WHERE - lowered into the :class:`~repro.catalog.Catalog` source scan
   (rows filtered chunk-by-chunk before anything is materialized), the
   in-memory form of the paper's predicate bitmaps restricting every group
@@ -24,8 +25,9 @@ form.  Dispatch rules:
 
 Plans run against a :class:`~repro.catalog.Catalog` of named
 :class:`~repro.catalog.source.DataSource` objects: validation uses source
-*schemas* only, and tables/populations materialize lazily, cached by the
-catalog.
+*schemas* only, and every engine samples the catalog's cached population
+for ``(table, GROUP BY, value, WHERE, bound)``; the planner never
+materializes a table.
 
 Execution substrates are pluggable through :func:`register_engine`; the
 built-ins are ``needletail`` (per-group random-row retrieval, §4),
@@ -47,22 +49,19 @@ import numpy as np
 from repro._util import reusable_seed
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
-from repro.catalog.source import TableSource
 from repro.core.registry import ALGORITHMS, RESOLUTION_VARIANTS, run_algorithm
 from repro.core.types import OrderingResult
-from repro.data.population import Population, population_from_chunks
+from repro.data.population import Population
 from repro.engines.base import SamplingEngine
 from repro.engines.memory import InMemoryEngine
 from repro.engines.sharded import ShardedEngine, collect_query_events
 from repro.extensions.counts import run_count_known
 from repro.extensions.mistakes import run_ifocus_mistakes
-from repro.extensions.multi import composite_group_column
 from repro.extensions.noindex import run_noindex
 from repro.extensions.sums import run_ifocus_sum
 from repro.extensions.topt import run_ifocus_topt
 from repro.extensions.trends import run_ifocus_trends
 from repro.extensions.values import run_ifocus_values
-from repro.needletail.table import Column, Table
 from repro.query.predicates import _OP_FUNCS as _COMPARE
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import RetryPolicy, call_with_retry
@@ -133,21 +132,17 @@ _RETRY_CAVEAT = "resilience: source scan retried after {note}"
 class _PlanContext:
     """Resolved, validated query context shared by all engine builds.
 
-    Validation runs against the catalog *schema* only; the row-store table
-    is materialized lazily (:attr:`table`, for composite keys only), so
-    engine builds - which go through :meth:`population`, a pruned,
-    predicate-pushed-down source scan - never materialize columns the query
-    does not touch.
+    Validation runs against the catalog *schema* only, and engine builds go
+    through :meth:`population` - a pruned, predicate-pushed-down source
+    scan - so no query materializes a column it does not touch.
     """
 
     spec: QuerySpec
     catalog: Catalog
     schema: Schema
-    group_col: str
     engine_def: "EngineDef"
 
     def __post_init__(self) -> None:
-        self._table: Table | None = None
         self._leases: list = []
         #: Reasons the process executor was downgraded to threads (one per
         #: affected engine build); surfaced as Result caveats.
@@ -158,48 +153,23 @@ class _PlanContext:
         #: through :func:`~repro.engines.sharded.collect_query_events`).
         self.shard_events: list[str] = []
 
-    @property
-    def table(self) -> Table:
-        """The materialized (possibly composite-key-augmented) table.
-
-        Touching this property is what triggers full materialization;
-        only composite GROUP BY keys need it.
-        """
-        if self._table is None:
-            self._table = _prepare_table(self.spec, self.catalog.table(self.spec.table))[0]
-        return self._table
-
     def population(self, value_column: str):
-        """The grouped population with WHERE pushed into the source scan.
+        """The catalog's cached grouped population for this query.
 
-        Single-column group-by goes through the catalog's cached build
-        (scanning only the group/value/predicate columns).  Composite keys
-        need the augmented table, so they build from its scan instead -
-        chunk semantics are identical, results bit-match either way.
+        One build per ``(table, GROUP BY, value, WHERE, bound)``: the scan
+        reads only the group/value/predicate columns, with WHERE pushed
+        down; several GROUP BY columns join into the composite key there.
         """
         spec = self.spec
-
-        def build():
-            if len(spec.group_by) == 1:
-                return self.catalog.population(
-                    spec.table,
-                    self.group_col,
-                    value_column,
-                    predicate=spec.where,
-                    value_bound=spec.value_bound,
-                )
-            return population_from_chunks(
-                TableSource(self.table).scan(
-                    columns=(self.group_col, value_column), predicate=spec.where
-                ),
-                self.group_col,
+        return self._scan(
+            lambda: self.catalog.population(
+                spec.table,
+                spec.group_by,
                 value_column,
-                c=spec.value_bound,
-                name=spec.table,
-                filtered=spec.where is not None,
+                predicate=spec.where,
+                value_bound=spec.value_bound,
             )
-
-        return self._scan(build)
+        )
 
     def column_max(self, value_column: str) -> float:
         """The largest value of ``value_column`` over every row (no WHERE)."""
@@ -322,10 +292,9 @@ def register_engine(
 ) -> EngineDef:
     """Register an execution substrate under ``name``.
 
-    The factory receives the plan context (catalog + schema with the
-    resolved group column, the grouped population with WHERE pushed down,
-    the lazily-materialized table, the full spec) and the value column, and
-    returns a
+    The factory receives the plan context (catalog + schema, the grouped
+    population with WHERE pushed down, the full spec) and the value column,
+    and returns a
     :class:`~repro.engines.base.SamplingEngine`.  Third-party backends plug
     in here and become reachable via ``Session.table(...).on_engine(name)``
     with zero planner changes.
@@ -375,11 +344,10 @@ def _needletail_factory(ctx: _PlanContext, value_column: str) -> SamplingEngine:
     # one lookup, and `build` runs on a miss only.
     return ctx.catalog.indexed_engine(
         spec.table,
-        ctx.group_col,
+        spec.group_by,
         value_column,
         value_bound=spec.value_bound,
         predicate=spec.where,
-        group_spec=list(spec.group_by),
         builder=build,
     )
 
@@ -389,7 +357,7 @@ def _memory_factory(ctx: _PlanContext, value_column: str) -> SamplingEngine:
 
     The catalog scans only the group/value/predicate columns, filters each
     chunk as it streams by, and caches the resulting population per
-    ``(table, group, value, predicate)`` - bit-identical to the legacy
+    ``(table, GROUP BY, value, predicate)`` - bit-identical to the legacy
     materialize-then-mask path (asserted by the pushdown parity tests), but
     nothing non-qualifying is ever resident.
     """
@@ -413,22 +381,6 @@ register_engine(
 # --------------------------------------------------------------------------
 # Planning
 # --------------------------------------------------------------------------
-
-
-def _prepare_table(spec: QuerySpec, table: Table) -> tuple[Table, str]:
-    """Resolve (possibly composite) group-by into a single indexed column."""
-    for col in spec.group_by:
-        if col not in table:
-            raise KeyError(f"GROUP BY column {col!r} not in table {table.name!r}")
-    if len(spec.group_by) == 1:
-        return table, spec.group_by[0]
-    key = composite_group_column(table, list(spec.group_by))
-    augmented = Table(
-        table.name,
-        [Column(name, table.column(name), 8) for name in table.column_names]
-        + [Column("__group_key__", key, 8)],
-    )
-    return augmented, "__group_key__"
 
 
 def _plan(spec: QuerySpec, catalog: Catalog) -> _PlanContext:
@@ -459,9 +411,6 @@ def _plan(spec: QuerySpec, catalog: Catalog) -> _PlanContext:
         schema.check_aggregate(agg, spec.table)
     if spec.where is not None:
         schema.check_predicate(spec.where, spec.table)
-    group_col = (
-        spec.group_by[0] if len(spec.group_by) == 1 else "__group_key__"
-    )
     engine_def = _ENGINES[spec.engine]
     if not engine_def.supports_metadata:
         bad = [a.func for a in spec.aggregates if a.func != "AVG"]
@@ -479,7 +428,6 @@ def _plan(spec: QuerySpec, catalog: Catalog) -> _PlanContext:
         spec=spec,
         catalog=catalog,
         schema=schema,
-        group_col=group_col,
         engine_def=engine_def,
     )
 

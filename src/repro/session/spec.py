@@ -188,7 +188,7 @@ class QuerySpec:
     Attributes:
         table: catalog name of the relation.
         group_by: one or more grouping attributes (multiple columns become
-            the §6.3.4 cross-product composite key at planning time).
+            the §6.3.4 cross-product composite key in the catalog scan).
         aggregates: SELECT-list aggregates, in SELECT order.
         where: optional row predicate (shared AST with the SQL parser).
         having: optional post-filter on one estimated aggregate.

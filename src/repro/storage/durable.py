@@ -5,8 +5,9 @@ A durable catalog behaves exactly like :class:`~repro.catalog.Catalog` - same
 source-identity cache keys - with one addition: every cacheable population
 build is also persisted to a :class:`~repro.storage.store.Store`, and
 answered from memory-mapped segments on later lookups.  Every engine door
-(``needletail``, ``memory``, ``noindex``) samples such a population, so one
-build kind serves them all.  Because the mapped arrays are the *same bytes*
+(``needletail``, ``memory``, ``noindex``) samples such a population, and
+every GROUP BY - one column or a composite key - builds one, so one build
+kind serves them all; its build key carries the GROUP BY column list.  Because the mapped arrays are the *same bytes*
 the RAM build produced (the pack/unpack round trip in
 :mod:`repro.storage.mapped`), queries over a warm-opened catalog are
 bit-identical to cold-built ones - asserted by the storage test matrix across
@@ -56,7 +57,7 @@ from repro.catalog.parquet import HAVE_PYARROW, ParquetSource
 from repro.catalog.schema import Schema
 from repro.catalog.source import DataSource, TableSource
 from repro.catalog.synthetic import SyntheticSource
-from repro.data.population import BUILD_COUNTS, Population
+from repro.data.population import BUILD_COUNTS, Population, as_group_by
 from repro.errors import StorageError
 from repro.query.ast import Predicate, predicate_to_dict
 from repro.resilience.breaker import CircuitBreaker
@@ -369,14 +370,14 @@ class DurableCatalog(Catalog):
 
     def _build_key(
         self,
-        group_col: str,
+        group_by: tuple[str, ...],
         value_column: str,
         predicate: Predicate | None,
         value_bound: float | None,
     ) -> str:
         return _canonical(
             {
-                "group_by": [group_col],
+                "group_by": list(group_by),
                 "value": value_column,
                 "where": predicate_to_dict(predicate) if predicate is not None else None,
                 "bound": value_bound,
@@ -386,26 +387,27 @@ class DurableCatalog(Catalog):
     def population(
         self,
         name: str,
-        group_col: str,
+        group_by: str | tuple[str, ...],
         value_col: str,
         *,
         predicate: Predicate | None = None,
         value_bound: float | None = None,
     ) -> Population:
         source = self.source(name)
+        group_by = as_group_by(group_by)
         if not source.cacheable or self._store.binding(name) is None:
             return super().population(
-                name, group_col, value_col, predicate=predicate, value_bound=value_bound
+                name, group_by, value_col, predicate=predicate, value_bound=value_bound
             )
-        ram_key = (source, group_col, value_col, predicate, value_bound)
+        ram_key = (source, group_by, value_col, predicate, value_bound)
         with self._lock:
             cached = self._populations.get(ram_key)
         if cached is not None:
             # Delegate so the base LRU bookkeeping (move_to_end) still runs.
             return super().population(
-                name, group_col, value_col, predicate=predicate, value_bound=value_bound
+                name, group_by, value_col, predicate=predicate, value_bound=value_bound
             )
-        key = self._build_key(group_col, value_col, predicate, value_bound)
+        key = self._build_key(group_by, value_col, predicate, value_bound)
         fingerprint = self._fingerprint(source)
         hit = self._healing_load(name, "population", key, fingerprint=fingerprint)
         if hit is not None:
@@ -415,7 +417,7 @@ class DurableCatalog(Catalog):
                 self._populations, ram_key, unpack_population("population", meta, arrays)
             )
         population = super().population(
-            name, group_col, value_col, predicate=predicate, value_bound=value_bound
+            name, group_by, value_col, predicate=predicate, value_bound=value_bound
         )
         packed = pack_population(population)
         if packed is not None:
@@ -435,12 +437,12 @@ class DurableCatalog(Catalog):
     def prime(
         self,
         name: str,
-        group_col: str,
+        group_by: str | tuple[str, ...],
         value_col: str,
         *,
         value_bound: float | None = None,
     ) -> list[str]:
-        """Build and persist the population one ``(group, value)`` query needs.
+        """Build and persist the population one ``(GROUP BY, value)`` query needs.
 
         Returns the kinds persisted (``["population"]``, or ``[]`` when the
         build was on disk already or cannot be stored).  This is ``repro
@@ -449,7 +451,7 @@ class DurableCatalog(Catalog):
         warm - on every engine door, since they all sample this build.
         """
         before = len(self._store.builds(name))
-        self.population(name, group_col, value_col, value_bound=value_bound)
+        self.population(name, group_by, value_col, value_bound=value_bound)
         return ["population"] if len(self._store.builds(name)) > before else []
 
     # -- checkpoints ---------------------------------------------------------

@@ -173,12 +173,6 @@ class WindowSpec:
         np.maximum(lo, 0, out=lo)
         return lo, hi
 
-    def pane_of(self, values: np.ndarray) -> np.ndarray:
-        """Pane index for each value (the pane grid has width ``stride``)."""
-        lo, hi = self.assign(values)
-        del lo
-        return hi
-
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:

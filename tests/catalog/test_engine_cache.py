@@ -72,6 +72,21 @@ class TestHits:
             assert second.engine is first.engine
             assert _fingerprint(second) == _fingerprint(first)
 
+    @pytest.mark.parametrize("door", ["memory", "needletail"])
+    def test_composite_group_by_builds_once_and_never_materializes(self, door):
+        """A composite GROUP BY is one catalog population build, like any
+        other: repeated queries reuse it, and no door materializes the table."""
+        with connect(engine=door).attach("t", _data()) as session:
+            query = QUERIES["composite"](session.table("t"))
+            before = BUILD_COUNTS["source"]
+            first = query.run(seed=1)
+            again = [query.run(seed=seed) for seed in (1, 2)]
+            assert BUILD_COUNTS["source"] - before == 1
+            assert _fingerprint(again[0]) == _fingerprint(first)
+            info = session.describe_table("t")
+            assert not info.table_cached
+            assert info.cached_populations == ((("g", "h"), "y", None, None),)
+
     @pytest.mark.parametrize("shape", sorted(QUERIES))
     def test_cached_equals_fresh_bit_for_bit(self, shape):
         with _session() as warm:

@@ -34,7 +34,7 @@ from repro.data.distributions import (
 )
 from repro.data.population import Population, VirtualGroup
 from repro.engines.memory import InMemoryEngine
-from repro.engines.partition import hash_partition, partition_groups, range_partition
+from repro.engines.partition import range_partition
 from repro.engines.sharded import ShardedEngine
 from repro.needletail.engine import NeedletailEngine
 from repro.needletail.table import Column, Table
@@ -140,17 +140,6 @@ class TestPartition:
         parts = range_partition(2, 5)
         assert sum(p.size for p in parts) == 2
         assert sum(1 for p in parts if p.size) == 2
-
-    def test_hash_partition_is_stable_and_covering(self):
-        names = [f"g{i}" for i in range(20)]
-        a = hash_partition(names, 4)
-        b = hash_partition(names, 4)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        assert np.array_equal(np.sort(np.concatenate(a)), np.arange(20))
-
-    def test_partition_groups_rejects_unknown_strategy(self):
-        with pytest.raises(KeyError, match="unknown partitioner"):
-            partition_groups(["a", "b"], 2, strategy="zigzag")
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_invalid_shards_rejected(self, bad):
@@ -258,17 +247,6 @@ class TestMultiShardDeterminism:
         assert np.array_equal(a, b)
         pooled.close()
         sequential.close()
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_hash_partitioner_equals_range_for_per_group_streams(self, executor):
-        by_range = _sharded("materialized", 3, executor, partitioner="range")
-        by_hash = _sharded("materialized", 3, executor, partitioner="hash")
-        gids = np.arange(K)
-        a = by_range.open_run(seed=4).draw_block(gids, 25)
-        b = by_hash.open_run(seed=4).draw_block(gids, 25)
-        assert np.array_equal(a, b)
-        by_range.close()
-        by_hash.close()
 
     @pytest.mark.parametrize(
         "executor,kind",

@@ -37,12 +37,12 @@ def two_dim_table(n: int = 40_000, seed: int = 0) -> Table:
 class TestCompositeGroupBy:
     def test_composite_column(self):
         t = two_dim_table(100)
-        key = composite_group_column(t, ["carrier", "year"])
+        key = composite_group_column([t.column("carrier"), t.column("year")])
         assert set(np.unique(key)) == {"AA|1995", "AA|2005", "DL|1995", "DL|2005"}
 
     def test_empty_columns_rejected(self):
         with pytest.raises(ValueError):
-            composite_group_column(two_dim_table(10), [])
+            composite_group_column([])
 
     def test_group_by_two_columns_orders_cross_product(self):
         out = (

@@ -29,13 +29,6 @@ class TestTable:
         assert set(t.column_names) == {"grp", "val", "year"}
         assert len(t) == 5_000
 
-    def test_row_bytes(self):
-        t = sample_table()
-        assert t.row_bytes == sum(
-            t.column(c).dtype.itemsize for c in t.column_names
-        )
-        assert t.total_bytes == t.row_bytes * t.num_rows
-
     def test_distinct(self):
         t = sample_table()
         assert t.distinct("grp").tolist() == ["a", "b", "c"]

@@ -112,6 +112,12 @@ _CROSS_DOOR = {
     "avg+sum": lambda t: t.group_by("g").agg(avg("y"), total("y")),
     "top": lambda t: t.group_by("g").agg(avg("y")).top(2),
     "composite": lambda t: t.group_by("g", "year").agg(avg("y")),
+    "composite-sum-where": lambda t: t.group_by("g", "year").agg(avg("y"), total("y"))
+    .where("year >= 2005").bound(100.0),
+    "composite-top-shards-thread": lambda t: t.group_by("g", "year").agg(avg("y")).top(3)
+    .sharded(2, executor="thread"),
+    "composite-count-shards-process": lambda t: t.group_by("g", "year").agg("COUNT(*)")
+    .sharded(2, executor="process"),
     "shards-thread": lambda t: t.group_by("g").agg(avg("y")).sharded(2, executor="thread"),
     "shards-process": lambda t: t.group_by("g").agg(avg("y")).sharded(2, executor="process"),
     **{

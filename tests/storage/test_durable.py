@@ -131,6 +131,38 @@ class TestWarmReopen:
             [g.label, g.estimate, g.samples] for g in cold.first
         )
 
+    @pytest.mark.parametrize("executor", ["unsharded", "process"])
+    def test_composite_group_by_reopens_mapped(self, tmp_path, executor):
+        """A composite GROUP BY persists its population like any other: a
+        fresh catalog answers it from the store (one mapped build, none from
+        source rows), and process shards read the mapped segments in place."""
+        data = {**_dataset(), "h": np.tile(["x", "y"], 8000)}
+        store = tmp_path / "store"
+
+        def run(session):
+            query = session.table("t").group_by("g", "h").agg(repro.avg("v"))
+            if executor == "process":
+                query = query.sharded(2, executor="process")
+            return query.run(seed=7)
+
+        session = repro.connect(store=store, seed=1)
+        session.attach("t", data)
+        cold = run(session).to_dict()
+        session.close()
+
+        counts = dict(BUILD_COUNTS)
+        warm_session = repro.connect(store=store, seed=1)  # a fresh DurableCatalog
+        warm = run(warm_session)
+        pool_files = [name for path in live_pool_dirs() for name in os.listdir(path)]
+        assert not warm_session.describe_table("t").table_cached
+        warm_session.close()
+        assert BUILD_COUNTS["source"] == counts["source"]
+        assert BUILD_COUNTS["mapped"] == counts["mapped"] + 1
+        assert warm.to_dict() == cold
+        if executor == "process":
+            assert pool_files and all(name.startswith("out-") for name in pool_files)
+        assert live_pool_dirs() == []
+
     def test_memory_table_round_trips_by_content(self, tmp_path):
         data = _dataset(rows_per_group=50, groups=3)
         cat = DurableCatalog(tmp_path / "store")

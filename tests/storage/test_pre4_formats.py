@@ -154,3 +154,26 @@ def test_no_seconds_key_anywhere_on_the_wire(session, engine, shards):
     data = result.to_dict()
     assert _seconds_keys(data) == []
     assert _seconds_keys(Result.from_dict(data).to_dict()) == []
+
+
+def test_a_one_column_build_key_is_unchanged(tmp_path):
+    """The build key carries the GROUP BY column list; for one column it is
+    byte for byte the key 5.0 stores hold, so they re-open warm whether a
+    caller names the column or passes the one-column tuple."""
+    store = tmp_path / "store"
+    session = repro.connect(store=store, seed=1)
+    session.attach("t", _dataset())
+    cold = _run(session).to_dict()
+    session.close()
+    with Store(store) as raw:
+        keys = [b["build_key"] for b in raw.builds("t") if b["kind"] == "population"]
+    assert keys == ['{"bound":null,"group_by":["g"],"value":"v","where":null}']
+
+    counts = dict(BUILD_COUNTS)
+    catalog = DurableCatalog(store)
+    assert catalog.population("t", ("g",), "v") is catalog.population("t", "g", "v")
+    warm_session = repro.connect(catalog=catalog, seed=1)
+    assert _run(warm_session).to_dict() == cold
+    warm_session.close()
+    assert BUILD_COUNTS["source"] == counts["source"]
+    assert BUILD_COUNTS["mapped"] == counts["mapped"] + 1
